@@ -4,8 +4,7 @@ Subcommands: analyze, shape-test, seq-diagnose, voloch-scan,
 verify-paper, render.  All numeric output is exact (integers or
 {num, den} pairs).  Exit codes: 0 success, 1 verification mismatch,
 2 parse error, 3 degenerate input (zero, monomial, or collinear
-support).  MIXBOUND_THREADS caps the relation-search worker count
-(default 1).
+support).
 """
 
 from __future__ import annotations

@@ -90,9 +90,6 @@ class FpPoly:
     def is_zero(self):
         return not self.coeffs
 
-    def is_constant(self):
-        return len(self.coeffs) <= 1
-
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == 1
 

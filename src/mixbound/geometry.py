@@ -199,31 +199,6 @@ def triangle_homothety(shape, poly: LatticePolygon):
     return None
 
 
-def proportional_triangle_match(shape, poly: LatticePolygon):
-    """Orientation-preserving positive-homothety match of a 3-point shape
-    against a triangle hull: shape[i+1] - shape[i] = q * (d[i+1] - d[i])
-    for one positive rational q.  Reflected or point-reflected copies are
-    not accepted.  Returns (assignment, q) or None.
-    """
-    got = triangle_homothety(shape, poly)
-    if got is None:
-        return None
-    rot, q = got
-    if q <= 0:
-        return None
-    return rot, q
-
-
-def centroid(poly: LatticePolygon):
-    """Vertex centroid with exact rational coordinates."""
-    vs = poly.vertices
-    n = len(vs)
-    return (
-        Fraction(sum(v[0] for v in vs), n),
-        Fraction(sum(v[1] for v in vs), n),
-    )
-
-
 def minkowski_sum_points(a_points, b_points):
     """All pairwise sums; the hull of the result is the Minkowski sum hull."""
     return {(pa[0] + pb[0], pa[1] + pb[1]) for pa in a_points for pb in b_points}

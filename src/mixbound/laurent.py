@@ -187,10 +187,6 @@ class PolyInU1:
         return LaurentPoly(terms, self.p)
 
 
-def support(f: LaurentPoly):
-    return f.support()
-
-
 def normalize(f: LaurentPoly):
     """Split f = u^shift * f2 with every exponent of f2 nonnegative and
     exponent 0 attained in each variable.  Errors on f = 0."""
@@ -216,10 +212,6 @@ def as_poly_in_u1(f: LaurentPoly) -> PolyInU1:
         else:
             coeffs.append(FpPoly.zero(f.p))
     return PolyInU1(tuple(coeffs), shift, f.p)
-
-
-def mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    return f * g
 
 
 def _divide_in_polyring(num_coeffs, den_coeffs, p):
@@ -313,14 +305,17 @@ def _cofactor_box(f, points, box):
     return geometry.lattice_points_of_difference(outer, inner)
 
 
-def combination_solve(f: LaurentPoly, points, window, constants_only=False):
+def combination_solve(f: LaurentPoly, points, window):
     """Find m_i, not all zero, with sum_i m_i u^{points[i]} in <f>.
 
-    Each m_i ranges over the window box [-W, W]^2 (just constants when
-    constants_only).  The homogeneous system  sum m_i u^{a_i} - q f = 0
-    is solved over F_p with a deterministic unknown order (m_1 block lex
-    first, then m_2, ..., then q lex); among the reduced-echelon kernel
-    basis the lexicographically smallest coefficient vector wins.
+    Each m_i ranges over the window box [-W, W]^2.  W = 0 is the
+    constant cell: every m_i is a constant, the only kind of relation
+    that certifies a non-mixing shape, and shape_witness_search solves
+    it first at every dilation.  The homogeneous system
+    sum m_i u^{a_i} - q f = 0  is solved over F_p with a deterministic
+    unknown order (m_1 block lex first, then m_2, ..., then q lex);
+    among the reduced-echelon kernel basis the lexicographically
+    smallest coefficient vector wins.
 
     Basis vectors in which some m_i vanishes in the quotient module
     (the literal zero, or a nonzero multiple of f) are discarded; if
@@ -341,8 +336,7 @@ def combination_solve(f: LaurentPoly, points, window, constants_only=False):
         raise ValueError("relation points must be distinct")
     if window < 0:
         raise ValueError("window must be nonnegative")
-    box = [(0, 0)] if constants_only else _window_box(window)
-    ms = _solve_blocks(f, pts, box, active=tuple(range(len(pts))))
+    ms = _solve_blocks(f, pts, _window_box(window), active=tuple(range(len(pts))))
     if ms is None:
         return None
     combo = LaurentPoly.zero(f.p)

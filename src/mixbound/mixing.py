@@ -12,8 +12,6 @@ dilation k propagates to k p^j for every j.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,14 +43,6 @@ class DegenerateInput(ValueError):
 
 class WitnessError(RuntimeError):
     """A relation witness failed its independent re-verification."""
-
-
-def worker_count():
-    """Worker cap from MIXBOUND_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("MIXBOUND_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -457,30 +447,22 @@ def shape_prefilter(f: LaurentPoly, shape):
     return None
 
 
-def _grid_cells(kmax, windows, constants_first):
-    for k in range(1, kmax + 1):
-        if constants_first:
-            yield (k, None)
-        for w in windows:
-            yield (k, w)
-
-
 def shape_witness_search(
     f: LaurentPoly,
     shape,
     kmax=KMAX_DEFAULT,
     windows=WINDOWS_DEFAULT,
-    constants_first=True,
-    threads=None,
 ) -> ShapeVerdict:
     """Scan dilations k = 1..kmax for relations on the shape.
 
-    At each k a constants-only solve runs first (its box is provably
-    complete for constant coefficients, and only a constant witness
-    certifies non-mixing); the window schedule then looks for polynomial
-    relations, which are reported as RELATION_FOUND without certifying.
-    The verdict is deterministic: the certified witness with smallest k
-    wins, else the first relation in (k, window) order, else UNRESOLVED.
+    At each k the constant cell, the solve with window W = 0, runs first:
+    its box is provably complete for constant coefficients, and only a
+    constant witness certifies non-mixing.  Until a relation is found,
+    the schedule's windows W > 0 then look for polynomial relations,
+    which are reported as RELATION_FOUND without certifying (W = 0 in
+    the schedule is the constant cell, already solved).  The verdict is
+    deterministic: the certified witness with smallest k wins, else the
+    first relation in (k, window) order, else UNRESOLVED.
     """
     pts = _clean_shape(shape)
     if kmax < 1:
@@ -492,18 +474,16 @@ def shape_witness_search(
     if pre is not None:
         return pre
     searched = {"kmax": kmax, "windows": windows}
-    threads = worker_count() if threads is None else max(1, threads)
-    if threads > 1:
-        return _search_parallel(f, pts, kmax, windows, constants_first, threads, searched)
     relation = None
     for k in range(1, kmax + 1):
         dil = [(k * a, k * b) for a, b in pts]
-        if constants_first:
-            ms = combination_solve(f, dil, 0, constants_only=True)
-            if ms is not None:
-                return _certify(f, pts, k, ms, searched)
+        ms = combination_solve(f, dil, 0)
+        if ms is not None:
+            return _certify(f, pts, k, ms, searched)
         if relation is None:
             for w in windows:
+                if w == 0:
+                    continue
                 ms = combination_solve(f, dil, w)
                 if ms is not None:
                     witness = make_witness(f, pts, k, ms)
@@ -525,40 +505,6 @@ def _certify(f, pts, k, ms, searched):
     if not frobenius_closure_holds(f, pts, witness):
         raise WitnessError("constant witness failed the Frobenius closure check")
     return ShapeVerdict(CERTIFIED_NON_MIXING, witness=witness, searched=searched)
-
-
-def _search_parallel(f, pts, kmax, windows, constants_first, threads, searched):
-    cells = list(_grid_cells(kmax, windows, constants_first))
-
-    def run(cell):
-        k, w = cell
-        dil = [(k * a, k * b) for a, b in pts]
-        if w is None:
-            return cell, combination_solve(f, dil, 0, constants_only=True)
-        return cell, combination_solve(f, dil, w)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(run, cells))
-    certified = None
-    relation = None
-    for (k, w), ms in results:
-        if ms is None:
-            continue
-        witness = make_witness(f, pts, k, ms)
-        if witness.constant_flag:
-            if certified is None or k < certified.k:
-                certified = witness
-        elif relation is None:
-            relation = witness
-    if certified is not None:
-        if not frobenius_closure_holds(f, pts, certified):
-            raise WitnessError("constant witness failed the Frobenius closure check")
-        return ShapeVerdict(CERTIFIED_NON_MIXING, witness=certified, searched=searched)
-    if relation is not None:
-        return ShapeVerdict(RELATION_FOUND, witness=relation, searched=searched,
-                            note="coefficients are not constants: no certification")
-    return ShapeVerdict(UNRESOLVED, searched=searched,
-                        reason="no relation found within the search budget")
 
 
 def three_shape_classify(

@@ -80,14 +80,6 @@ class Valuation:
             return Fraction(1)
         return Fraction(-ord_at(FpPoly.x(self.g.p), self.g))
 
-    def describe(self):
-        base = (
-            f"ord({self.g.to_string('u2')})" if self.kind == FINITE else "deg"
-        )
-        coeff = f"u{self.coeff_axis}"
-        inv = ", inverted" if self.inverted else ""
-        return f"{base} on F_p[{coeff}]{inv}"
-
 
 class NewtonPoint(NamedTuple):
     index: int

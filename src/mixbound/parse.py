@@ -10,7 +10,8 @@ Grammar (whitespace-insensitive)::
 't' names the same axis as 'u1' (the one-variable view used for
 identity scans).  Coefficients are reduced mod p, like terms merge and
 zero terms drop, so parsing the canonical string of a polynomial always
-round-trips.  Exponents are capped at |e| <= 2^20 to keep the geometry
+round-trips.  Exponents are capped at |e| <= 2^20, for each factor and
+for each variable's running total within a term, to keep the geometry
 in a safe range.
 """
 
@@ -120,7 +121,7 @@ def parse_poly(text: str, p: int) -> LaurentPoly:
 
 def _parse_term(toks):
     coeff = 1
-    e1 = e2 = 0
+    exps = [0, 0]
     saw_anything = False
     if toks.peek()[0] == "int":
         coeff = toks.next()[1]
@@ -134,15 +135,17 @@ def _parse_term(toks):
                 toks.error("expected a variable after '*'")
         if kind != "name":
             break
+        _, _, line, col = toks.peek()
         axis, exp = _parse_factor(toks)
-        if axis == 0:
-            e1 += exp
-        else:
-            e2 += exp
+        exps[axis] += exp
+        if abs(exps[axis]) > COORD_LIMIT:
+            raise ParseError(
+                f"term exponent {exps[axis]} out of range (|e| <= 2^20)", line, col
+            )
         saw_anything = True
     if not saw_anything:
         toks.error("expected a term")
-    return coeff, (e1, e2)
+    return coeff, tuple(exps)
 
 
 def _parse_factor(toks):

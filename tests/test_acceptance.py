@@ -193,7 +193,7 @@ def test_criterion_7_oracle_equivalence():
             if in_ideal(combo, f):
                 exists = True
                 break
-        solved = combination_solve(f, dil, 0, constants_only=True)
+        solved = combination_solve(f, dil, 0)
         assert (solved is not None) == exists, (f.to_string(), dil)
         if solved is not None:
             combo = LaurentPoly({}, p)

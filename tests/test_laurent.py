@@ -184,15 +184,11 @@ class TestInIdeal:
 
 class TestCombinationSolve:
     def test_support_shape_constants(self):
-        ms = combination_solve(L("1+u1+u2"), [(0, 0), (1, 0), (0, 1)], 0,
-                               constants_only=True)
+        ms = combination_solve(L("1+u1+u2"), [(0, 0), (1, 0), (0, 1)], 0)
         assert [m.to_string() for m in ms] == ["1", "1", "1"]
 
     def test_no_constant_pair(self):
-        assert (
-            combination_solve(L("1+u1+u2"), [(0, 0), (5, 0)], 0, constants_only=True)
-            is None
-        )
+        assert combination_solve(L("1+u1+u2"), [(0, 0), (5, 0)], 0) is None
 
     def test_window_witness(self):
         ms = combination_solve(

@@ -43,6 +43,14 @@ class TestParsePoly:
             parse_poly("u1 +\nu7", 2)
         assert err.value.line == 2 and err.value.col == 1
 
+    def test_term_exponent_total_capped(self):
+        with pytest.raises(ParseError) as err:
+            parse_poly("1+u1^1048576u1^1048576+u2", 2)
+        assert err.value.line == 1 and err.value.col == 13
+
+    def test_term_exponent_total_within_cap(self):
+        assert parse_poly("u1^1048576u1^-1", 2) == LaurentPoly({(1048575, 0): 1}, 2)
+
     def test_canonical_string_roundtrip(self, rng):
         from conftest import random_laurent
 
