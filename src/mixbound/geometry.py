@@ -99,22 +99,6 @@ def convex_hull(points) -> LatticePolygon:
     return LatticePolygon(tuple(verts), POLYGON)
 
 
-def contains(poly: LatticePolygon, pt) -> bool:
-    """True when pt lies inside or on the boundary of the hull."""
-    vs = poly.vertices
-    if poly.degeneracy == POINT:
-        return tuple(pt) == vs[0]
-    if poly.degeneracy == SEGMENT:
-        a, b = vs
-        if cross(a, b, pt) != 0:
-            return False
-        return min(a[0], b[0]) <= pt[0] <= max(a[0], b[0]) and min(
-            a[1], b[1]
-        ) <= pt[1] <= max(a[1], b[1])
-    n = len(vs)
-    return all(cross(vs[i], vs[(i + 1) % n], pt) >= 0 for i in range(n))
-
-
 def _make_face(a, b):
     d = primitive((b[0] - a[0], b[1] - a[1]))
     # interior of a CCW polygon lies left of each edge, so outward is right
@@ -197,28 +181,3 @@ def triangle_homothety(shape, poly: LatticePolygon):
         if all(_ratio_of(sdiff[i], tdiff[i]) == q for i in (1, 2)):
             return rot, q
     return None
-
-
-def minkowski_sum_points(a_points, b_points):
-    """All pairwise sums; the hull of the result is the Minkowski sum hull."""
-    return {(pa[0] + pb[0], pa[1] + pb[1]) for pa in a_points for pb in b_points}
-
-
-def lattice_points_of_difference(outer: LatticePolygon, inner: LatticePolygon):
-    """Integer vectors v with v + inner contained in outer, in lex order.
-
-    This is the lattice part of the Minkowski difference outer - inner,
-    computed by scanning the coordinate bounding box with exact
-    containment tests against every vertex of inner.
-    """
-    ivs = inner.vertices
-    xs = [v[0] for v in outer.vertices]
-    ys = [v[1] for v in outer.vertices]
-    ixs = [v[0] for v in ivs]
-    iys = [v[1] for v in ivs]
-    out = []
-    for vx in range(min(xs) - max(ixs), max(xs) - min(ixs) + 1):
-        for vy in range(min(ys) - max(iys), max(ys) - min(iys) + 1):
-            if all(contains(outer, (vx + w[0], vy + w[1])) for w in ivs):
-                out.append((vx, vy))
-    return out

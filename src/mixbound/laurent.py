@@ -9,16 +9,21 @@ coefficient step inside F_p[u2].
 
 `combination_solve` searches for module relations
     m_1 u^{a_1} + ... + m_r u^{a_r} = q f
-by solving one homogeneous linear system over F_p whose unknowns are the
-coefficients of the m_i (over a square window) and of the cofactor q
-(over the smallest provably sufficient support box).
+in the quotient F_p[u^±]/<f>.  After a unimodular change of exponents
+that quotient is a free F_p[u2'^±]-module of finite rank, and
+`NormalForm` reduces every element to its unique representative (its
+normal form, NF).  A relation is a linear dependence among the NFs of
+the monomials u^{a_i + w}, so a cell whose m_i range over the window
+[-W, W]^2 is one homogeneous system over F_p with r (2W+1)^2 columns and
+no cofactor unknowns; q is recovered by exact division only when a
+relation exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import geometry, linalg
+from . import linalg
 from .fieldpoly import FpPoly, content as fp_content
 
 
@@ -291,18 +296,88 @@ def in_ideal(g: LaurentPoly, f: LaurentPoly) -> bool:
     return exact_divides(f, g) is not None
 
 
+class NormalForm:
+    """Normal forms of Laurent polynomials modulo <f>.
+
+    The exponent map (e1, e2) -> (e1 + t e2, e2) is unimodular; t is the
+    first of 0, 1, -1, 2, -2, ... for which e1 + t e2 attains its maximum
+    and its minimum over support(f) exactly once.  In the new variables
+    the extreme u1'-coefficients of f are monomials, which are units of
+    F_p[u2'^±], so dividing by f leaves a unique remainder whose
+    u1'-degrees lie in [0, width): the quotient ring is free over
+    F_p[u2'^±] with basis 1, u1', ..., u1'^(width-1).
+
+    A normal form is a dict {(u1'-degree, u2'-exponent): residue}; it is
+    empty exactly when the element lies in <f>.
+    """
+
+    def __init__(self, f: LaurentPoly):
+        if f.is_zero() or f.is_monomial():
+            raise ValueError("normal forms need a non-monomial, nonzero f")
+        # a t fails only when (1, t) is normal to an edge of the hull of
+        # support(f), and the hull has finitely many edges
+        t = 0
+        while True:
+            levels = [e1 + t * e2 for e1, e2 in f.support()]
+            lo, hi = min(levels), max(levels)
+            if levels.count(lo) == 1 and levels.count(hi) == 1:
+                break
+            t = -t if t > 0 else 1 - t
+        self.p = f.p
+        self.t = t
+        self.width = hi - lo
+        gen = [(e1 + t * e2 - lo, e2, c) for (e1, e2), c in f.terms()]
+        (_, self._lead_e2, lead), = [g for g in gen if g[0] == self.width]
+        (_, self._trail_e2, trail), = [g for g in gen if g[0] == 0]
+        self._lead_inv = pow(lead, -1, f.p)
+        self._trail_inv = pow(trail, -1, f.p)
+        self._below_lead = [g for g in gen if g[0] != self.width]
+        self._above_trail = [g for g in gen if g[0] != 0]
+
+    def __call__(self, g: LaurentPoly):
+        """NF of g."""
+        t = self.t
+        return self._reduce({(e1 + t * e2, e2): c for (e1, e2), c in g.terms()})
+
+    def shift(self, nf, e):
+        """NF of u^e times the element whose normal form is nf."""
+        d1, d2 = e[0] + self.t * e[1], e[1]
+        return self._reduce({(j + d1, k + d2): c for (j, k), c in nf.items()})
+
+    def _reduce(self, terms):
+        p, width = self.p, self.width
+        rows = {}
+        for (j, k), c in terms.items():
+            rows.setdefault(j, {})[k] = c
+
+        def subtract(scale, shift, body, offset):
+            # rows -= scale * u1'^offset u2'^shift * body
+            for gj, gk, gc in body:
+                target = rows.setdefault(offset + gj, {})
+                key = gk + shift
+                v = (target.get(key, 0) - scale * gc) % p
+                if v:
+                    target[key] = v
+                else:
+                    target.pop(key, None)
+
+        # degrees >= width: cancel against the lead monomial of f, which
+        # only writes to lower degrees that stay >= 0
+        for j in range(max(rows, default=0), width - 1, -1):
+            for k, c in rows.pop(j, {}).items():
+                subtract(c * self._lead_inv, k - self._lead_e2,
+                         self._below_lead, j - width)
+        # degrees < 0: cancel against the trail monomial, which only
+        # writes to higher degrees that stay < width
+        for j in range(min(rows, default=0), 0):
+            for k, c in rows.pop(j, {}).items():
+                subtract(c * self._trail_inv, k - self._trail_e2,
+                         self._above_trail, j)
+        return {(j, k): c for j, row in rows.items() for k, c in row.items()}
+
+
 def _window_box(w):
     return [(e1, e2) for e1 in range(-w, w + 1) for e2 in range(-w, w + 1)]
-
-
-def _cofactor_box(f, points, box):
-    # support(q) is contained in hull(points + box) - hull(S(f)): the hull
-    # of q f is the Minkowski sum of the factor hulls, and it must fit
-    # inside the hull of the allowed relation support.
-    outer_pts = geometry.minkowski_sum_points(points, box)
-    outer = geometry.convex_hull(outer_pts)
-    inner = geometry.convex_hull(f.support())
-    return geometry.lattice_points_of_difference(outer, inner)
 
 
 def combination_solve(f: LaurentPoly, points, window):
@@ -311,20 +386,26 @@ def combination_solve(f: LaurentPoly, points, window):
     Each m_i ranges over the window box [-W, W]^2.  W = 0 is the
     constant cell: every m_i is a constant, the only kind of relation
     that certifies a non-mixing shape, and shape_witness_search solves
-    it first at every dilation.  The homogeneous system
-    sum m_i u^{a_i} - q f = 0  is solved over F_p with a deterministic
-    unknown order (m_1 block lex first, then m_2, ..., then q lex);
-    among the reduced-echelon kernel basis the lexicographically
-    smallest coefficient vector wins.
+    it first at every dilation.  The unknowns are the coefficients of
+    the m_i (m_1 block lex first, then m_2, ...), and column (i, w) of
+    the system is NF(u^{a_i + w}) flattened over its (u1'-degree,
+    u2'-exponent) keys: r (2W+1)^2 columns, r for the constant cell.
+    Its nullspace is the space V of valid m-tuples.
+
+    The witness is fixed by V alone: append the cofactor q of each
+    relation (found by exact division) in lex order after the m blocks,
+    and take the basis of these (m, q) vectors in which each vector's
+    last nonzero entry is a 1 that no other vector has.  Among that
+    basis the lexicographically smallest vector wins.
 
     Basis vectors in which some m_i vanishes in the quotient module
-    (the literal zero, or a nonzero multiple of f) are discarded; if
-    that empties the kernel the solve is repeated with the offending
-    block removed, so a returned zero m_i only ever means "this point
-    does not participate in the relation".  The winning tuple is then
-    normalized by a unit: all m_i are shifted and scaled so the first
-    nonzero one has its lexicographically smallest term equal to 1,
-    which makes witnesses reproducible across runs.
+    (the literal zero, or a nonzero multiple of f: NF(m_i) is empty)
+    are discarded; if that empties the basis the solve is repeated with
+    the offending block removed, so a returned zero m_i only ever means
+    "this point does not participate in the relation".  The winning
+    tuple is then normalized by a unit: all m_i are shifted and scaled
+    so the first nonzero one has its lexicographically smallest term
+    equal to 1, which makes witnesses reproducible across runs.
 
     Returns the list of m_i or None.  The result is re-verified by
     expansion and ideal membership before being returned.
@@ -336,7 +417,8 @@ def combination_solve(f: LaurentPoly, points, window):
         raise ValueError("relation points must be distinct")
     if window < 0:
         raise ValueError("window must be nonnegative")
-    ms = _solve_blocks(f, pts, _window_box(window), active=tuple(range(len(pts))))
+    ms = _solve_blocks(f, NormalForm(f), pts, _window_box(window),
+                       active=tuple(range(len(pts))))
     if ms is None:
         return None
     combo = LaurentPoly.zero(f.p)
@@ -347,47 +429,24 @@ def combination_solve(f: LaurentPoly, points, window):
     return ms
 
 
-def _solve_blocks(f, pts, box, active):
+def _solve_blocks(f, nf, pts, box, active):
     p = f.p
-    qbox = _cofactor_box(f, [pts[i] for i in active], box)
-    columns = []  # (kind, payload): ('m', i, w) or ('q', v)
+    columns = [(i, w) for i in active for w in box]
+    images = []
     for i in active:
-        for w in box:
-            columns.append(("m", i, w))
-    for v in qbox:
-        columns.append(("q", v))
-    if not columns:
-        return None
-    row_exps = set()
-    for i in active:
-        a1, a2 = pts[i]
-        for w1, w2 in box:
-            row_exps.add((a1 + w1, a2 + w2))
-    fterms = f.terms()
-    for v1, v2 in qbox:
-        for (s1, s2), _ in fterms:
-            row_exps.add((v1 + s1, v2 + s2))
-    row_index = {e: r for r, e in enumerate(sorted(row_exps))}
-    rows = [[0] * len(columns) for _ in row_exps]
-    for col, spec in enumerate(columns):
-        if spec[0] == "m":
-            _, i, (w1, w2) = spec
-            a1, a2 = pts[i]
-            rows[row_index[(a1 + w1, a2 + w2)]][col] = 1
-        else:
-            _, (v1, v2) = spec
-            for (s1, s2), c in fterms:
-                rows[row_index[(v1 + s1, v2 + s2)]][col] = (-c) % p
-    basis = linalg.nullspace(rows, len(columns), p)
+        base = nf.shift({(0, 0): 1}, pts[i])
+        images.extend(nf.shift(base, w) for w in box)
+    row_index = {key: r for r, key in enumerate(sorted(set().union(*images)))}
+    rows = [[0] * len(columns) for _ in row_index]
+    for col, image in enumerate(images):
+        for key, c in image.items():
+            rows[row_index[key]][col] = c
+    relations = linalg.nullspace(rows, len(columns), p)
     survivors = []
     offenders = set()
-    for vec in basis:
+    for vec in _canonical_basis(f, pts, columns, relations):
         ms = _extract_ms(vec, columns, pts, p)
-        bad = [
-            i
-            for i in active
-            if ms[i].is_zero() or exact_divides(f, ms[i]) is not None
-        ]
+        bad = [i for i in active if not nf(ms[i])]
         if bad:
             offenders.update(bad)
         else:
@@ -398,10 +457,33 @@ def _solve_blocks(f, pts, box, active):
         remaining = tuple(i for i in active if i != bad)
         if len(remaining) < 2:
             continue
-        ms = _solve_blocks(f, pts, box, remaining)
+        ms = _solve_blocks(f, nf, pts, box, remaining)
         if ms is not None:
             return ms
     return None
+
+
+def _canonical_basis(f, pts, columns, relations):
+    # the basis of {(m, q) : sum m_i u^{a_i} = q f} with q's coefficients
+    # in lex order after the m blocks, reduced so that each vector's last
+    # nonzero entry is a 1 that no other vector has: the row-reduced
+    # echelon form taken over the reversed column order
+    p = f.p
+    graphs = []
+    for rel in relations:
+        terms = {}
+        for val, (i, (w1, w2)) in zip(rel, columns):
+            e = (pts[i][0] + w1, pts[i][1] + w2)
+            terms[e] = terms.get(e, 0) + val
+        q = exact_divides(f, LaurentPoly(terms, p))
+        if q is None:
+            raise RuntimeError("normal form and exact division disagree")
+        graphs.append((rel, q))
+    qcols = sorted(set().union(*(q.support() for _, q in graphs)))
+    rows = [list(rel) + [q.coeff(v) for v in qcols] for rel, q in graphs]
+    ncols = len(columns) + len(qcols)
+    reduced = linalg.row_reduce([row[::-1] for row in rows], ncols, p)
+    return [tuple(row[::-1]) for row in reduced]
 
 
 def _unit_canonicalize(ms):
@@ -417,8 +499,7 @@ def _unit_canonicalize(ms):
 
 def _extract_ms(vec, columns, pts, p):
     ms_terms = [dict() for _ in pts]
-    for val, spec in zip(vec, columns):
-        if val and spec[0] == "m":
-            _, i, w = spec
+    for val, (i, w) in zip(vec, columns):
+        if val:
             ms_terms[i][w] = val
     return [LaurentPoly(t, p) for t in ms_terms]

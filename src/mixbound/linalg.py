@@ -40,6 +40,18 @@ def nullspace(rows, ncols, p):
     return basis
 
 
+def row_reduce(rows, ncols, p):
+    """Nonzero rows of the reduced row echelon form over F_p.
+
+    Each returned row is a list of residues whose leading entry is 1 and
+    which is 0 in the columns where the other rows lead.
+    """
+    if p == 2:
+        _, packed = _rref_gf2(rows, ncols)
+        return [[(r >> c) & 1 for c in range(ncols)] for r in packed]
+    return _rref_modp(rows, ncols, p)[1]
+
+
 def _rref_modp(rows, ncols, p):
     mat = [list(r) for r in rows]
     pivots = []

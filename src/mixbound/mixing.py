@@ -456,11 +456,12 @@ def shape_witness_search(
     """Scan dilations k = 1..kmax for relations on the shape.
 
     At each k the constant cell, the solve with window W = 0, runs first:
-    its box is provably complete for constant coefficients, and only a
-    constant witness certifies non-mixing.  Until a relation is found,
-    the schedule's windows W > 0 then look for polynomial relations,
-    which are reported as RELATION_FOUND without certifying (W = 0 in
-    the schedule is the constant cell, already solved).  The verdict is
+    normal forms modulo f decide exactly whether the dilated points carry
+    a relation with constant coefficients, and only a constant witness
+    certifies non-mixing.  Until a relation is found, the schedule's
+    windows W > 0 then look for polynomial relations, which are reported
+    as RELATION_FOUND without certifying (W = 0 in the schedule is the
+    constant cell, already solved).  The verdict is
     deterministic: the certified witness with smallest k wins, else the
     first relation in (k, window) order, else UNRESOLVED.
     """

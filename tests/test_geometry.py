@@ -9,13 +9,28 @@ from mixbound.geometry import (
     POLYGON,
     SEGMENT,
     canonical_direction,
-    contains,
     convex_hull,
     cross,
     faces,
     slope_set,
     triangle_homothety,
 )
+
+
+def contains(poly, pt):
+    """True when pt lies inside or on the boundary of the hull."""
+    vs = poly.vertices
+    if poly.degeneracy == POINT:
+        return tuple(pt) == vs[0]
+    if poly.degeneracy == SEGMENT:
+        a, b = vs
+        if cross(a, b, pt) != 0:
+            return False
+        return min(a[0], b[0]) <= pt[0] <= max(a[0], b[0]) and min(
+            a[1], b[1]
+        ) <= pt[1] <= max(a[1], b[1])
+    n = len(vs)
+    return all(cross(vs[i], vs[(i + 1) % n], pt) >= 0 for i in range(n))
 
 
 class TestConvexHull:

@@ -5,6 +5,7 @@ import pytest
 from mixbound import geometry
 from mixbound.laurent import (
     LaurentPoly,
+    NormalForm,
     as_poly_in_u1,
     combination_solve,
     exact_divides,
@@ -112,14 +113,14 @@ class TestMul:
             if a.is_zero() or b.is_zero():
                 continue
             prod = a * b
-            assert prod.support() <= geometry.minkowski_sum_points(
-                a.support(), b.support()
-            )
+            sums = {
+                (ea[0] + eb[0], ea[1] + eb[1])
+                for ea in a.support()
+                for eb in b.support()
+            }
+            assert prod.support() <= sums
             got = geometry.convex_hull(prod.support())
-            expected = geometry.convex_hull(
-                geometry.minkowski_sum_points(a.support(), b.support())
-            )
-            assert got.vertices == expected.vertices
+            assert got.vertices == geometry.convex_hull(sums).vertices
 
 
 class TestExactDivides:
@@ -182,6 +183,28 @@ class TestInIdeal:
             in_ideal(L("1+u1"), L("u1u2"))
 
 
+class TestNormalForm:
+    def test_reduces_modulo_f(self, rng):
+        for _ in range(150):
+            p = rng.choice([2, 3, 5])
+            f = random_nonmonomial(rng, p, max_terms=4, span=3)
+            g, h = random_laurent(rng, p), random_laurent(rng, p)
+            nf = NormalForm(f)
+            assert nf(g + h * f) == nf(g)
+            assert all(0 <= j < nf.width for j, _ in nf(g))
+            for elem in (g, h * f, g + h * f):
+                assert (not nf(elem)) == in_ideal(elem, f)
+
+    def test_shift_multiplies_by_monomial(self, rng):
+        for _ in range(100):
+            p = rng.choice([2, 3, 5])
+            f = random_nonmonomial(rng, p, max_terms=4, span=3)
+            g = random_laurent(rng, p)
+            e = (rng.randint(-6, 6), rng.randint(-6, 6))
+            nf = NormalForm(f)
+            assert nf.shift(nf(g), e) == nf(g.shift(e))
+
+
 class TestCombinationSolve:
     def test_support_shape_constants(self):
         ms = combination_solve(L("1+u1+u2"), [(0, 0), (1, 0), (0, 1)], 0)
@@ -195,6 +218,24 @@ class TestCombinationSolve:
             L("1+u1+u2+u2^2"), [(0, 0), (1, 0), (0, 2)], 1
         )
         assert [m.to_string() for m in ms] == ["1", "1", "u2^-1+1"]
+
+    @pytest.mark.parametrize(
+        "p, poly, points, window, expected",
+        [
+            # the lex-min choice among a 16-dimensional kernel
+            (3, "2+2*u1*u2^2+2*u1^2*u2", [(1, 2), (2, 2), (0, 1)], 1,
+             ["1", "u2^-1", "u2^-1"]),
+            # every basis vector has an offender: retry without a block
+            (2, "u2^2+u1^2*u2+u1^2*u2^2", [(0, 0), (0, 1), (0, 2), (1, 1)], 1,
+             ["0", "0", "1", "u1^-1*u2"]),
+            # the same retry in a constant cell
+            (3, "2*u2+2*u1*u2+2*u1^2*u2^2", [(0, 1), (2, 2), (1, 1), (1, 0)], 0,
+             ["1", "1", "1", "0"]),
+        ],
+    )
+    def test_recorded_witnesses(self, p, poly, points, window, expected):
+        ms = combination_solve(L(poly, p), points, window)
+        assert [m.to_string() for m in ms] == expected
 
     def test_monomial_rejected(self):
         with pytest.raises(ValueError):

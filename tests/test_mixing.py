@@ -288,6 +288,24 @@ class TestWitnessSearch:
         assert v.kind == UNRESOLVED
         assert len(calls) == 4
 
+    def test_system_size_is_independent_of_the_dilate(self, monkeypatch):
+        # a cell's system has one column per coefficient of the m_i,
+        # r (2W+1)^2 of them, however far apart the shape's points are
+        import mixbound.linalg
+
+        nullspace = mixbound.linalg.nullspace
+        widths = []
+
+        def spying(rows, ncols, p):
+            widths.append(ncols)
+            return nullspace(rows, ncols, p)
+
+        monkeypatch.setattr(mixbound.linalg, "nullspace", spying)
+        shape = [(0, 0), (40, 0), (0, 40), (1, 1)]
+        v = shape_witness_search(L("1+u1+u2"), shape, kmax=1)
+        assert v.kind == RELATION_FOUND
+        assert widths and max(widths) <= 4 * (2 * 2 + 1) ** 2
+
 
 class TestThreeShapeClassify:
     def test_translate_of_vertex_triangle(self):
