@@ -74,10 +74,6 @@ class FpPoly:
         return cls((1,), p)
 
     @classmethod
-    def const(cls, c, p):
-        return cls((c,), p)
-
-    @classmethod
     def x(cls, p):
         """The polynomial t."""
         return cls((0, 1), p)
@@ -89,9 +85,6 @@ class FpPoly:
 
     def is_zero(self):
         return not self.coeffs
-
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def leading(self):
         if not self.coeffs:

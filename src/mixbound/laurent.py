@@ -3,9 +3,9 @@ single principal ideal <f>.
 
 A LaurentPoly is a finite map from exponent vectors (e1, e2) in Z^2 to
 nonzero residues mod p.  Monomials are units, so divisibility questions
-are settled on the normalized polynomial parts: exact division runs in
-(F_p[u2])[u1] after a content / primitive-part split, which keeps every
-coefficient step inside F_p[u2].
+are settled on the normalized polynomial parts: exact division is long
+division in (F_p[u2])[u1], which decides divisibility because F_p[u2] is
+a domain and normalization makes every Laurent quotient a polynomial.
 
 `combination_solve` searches for module relations
     m_1 u^{a_1} + ... + m_r u^{a_r} = q f
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .fieldpoly import FpPoly, content as fp_content
+from .fieldpoly import FpPoly
 
 
 class LaurentPoly:
@@ -248,10 +248,13 @@ def _divide_in_polyring(num_coeffs, den_coeffs, p):
 def exact_divides(f: LaurentPoly, g: LaurentPoly):
     """Quotient q with g = f * q in the Laurent ring, or None.
 
-    Both operands are normalized to polynomial form; the polynomial parts
-    are split into content (monic gcd of the u2-coefficients) and
-    primitive part, and both splits must divide exactly (Gauss's lemma).
-    The monomial shifts recombine into the quotient afterwards.
+    Both operands are normalized to polynomial form and divided in
+    (F_p[u2])[u1].  If f divides g, the quotient of the normalized parts
+    is a polynomial (neither part is divisible by u1 or u2, and u1, u2
+    are prime), and since F_p[u2] is a domain every leading-coefficient
+    division of the long division is exact; so a failed step proves that
+    f does not divide g.  The monomial shifts recombine into the quotient
+    afterwards.
     """
     if f.is_zero():
         raise ValueError("division by the zero polynomial")
@@ -259,27 +262,11 @@ def exact_divides(f: LaurentPoly, g: LaurentPoly):
         return LaurentPoly.zero(f.p)
     fu = as_poly_in_u1(f)
     gu = as_poly_in_u1(g)
-    fshift, gshift = fu.shift, gu.shift
-    if gu.degree < fu.degree:
+    coeffs = _divide_in_polyring(gu.coeffs, fu.coeffs, f.p)
+    if coeffs is None:
         return None
-    cf = fp_content(fu.coeffs)
-    cg = fp_content(gu.coeffs)
-    cq, crem = divmod(cg, cf)
-    if not crem.is_zero():
-        return None
-    fprim = [q // cf for q in fu.coeffs]
-    gprim = [q // cg for q in gu.coeffs]
-    qprim = _divide_in_polyring(gprim, fprim, f.p)
-    if qprim is None:
-        return None
-    terms = {}
-    for i, qc in enumerate(qprim):
-        prod = qc * cq
-        for j, c in enumerate(prod.coeffs):
-            if c:
-                terms[(i, j)] = c
-    quotient = LaurentPoly(terms, f.p)
-    return quotient.shift((gshift[0] - fshift[0], gshift[1] - fshift[1]))
+    shift = (gu.shift[0] - fu.shift[0], gu.shift[1] - fu.shift[1])
+    return PolyInU1(tuple(coeffs), shift, f.p).to_laurent()
 
 
 def in_ideal(g: LaurentPoly, f: LaurentPoly) -> bool:

@@ -4,10 +4,6 @@ Rows are lists of residues.  Elimination is fully deterministic: columns
 are processed left to right and the first usable row becomes the pivot,
 so the reduced echelon form, the pivot set and the kernel basis depend
 only on the input order.
-
-For p = 2 rows are packed into Python integers (one bit per column),
-which makes the row operations word-parallel; the dense-list path covers
-every other modulus.
 """
 
 from __future__ import annotations
@@ -21,12 +17,7 @@ def nullspace(rows, ncols, p):
     echelon form in the standard way: the free coordinate is 1 and pivot
     coordinates are the negated reduced entries.
     """
-    if p == 2:
-        pivots, reduced = _rref_gf2(rows, ncols)
-        entry = lambda r, c: (reduced[r] >> c) & 1
-    else:
-        pivots, reduced = _rref_modp(rows, ncols, p)
-        entry = lambda r, c: reduced[r][c]
+    pivots, reduced = _rref_modp(rows, ncols, p)
     pivot_cols = set(pivots)
     basis = []
     for free in range(ncols):
@@ -35,7 +26,7 @@ def nullspace(rows, ncols, p):
         vec = [0] * ncols
         vec[free] = 1
         for r, c in enumerate(pivots):
-            vec[c] = (-entry(r, free)) % p
+            vec[c] = (-reduced[r][free]) % p
         basis.append(tuple(vec))
     return basis
 
@@ -46,9 +37,6 @@ def row_reduce(rows, ncols, p):
     Each returned row is a list of residues whose leading entry is 1 and
     which is 0 in the columns where the other rows lead.
     """
-    if p == 2:
-        _, packed = _rref_gf2(rows, ncols)
-        return [[(r >> c) & 1 for c in range(ncols)] for r in packed]
     return _rref_modp(rows, ncols, p)[1]
 
 
@@ -75,32 +63,3 @@ def _rref_modp(rows, ncols, p):
         pivots.append(col)
         rank += 1
     return pivots, mat[:rank]
-
-
-def _rref_gf2(rows, ncols):
-    packed = []
-    for row in rows:
-        acc = 0
-        for c, v in enumerate(row):
-            if v & 1:
-                acc |= 1 << c
-        packed.append(acc)
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        bit = 1 << col
-        pivot_row = None
-        for r in range(rank, len(packed)):
-            if packed[r] & bit:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        packed[rank], packed[pivot_row] = packed[pivot_row], packed[rank]
-        prow = packed[rank]
-        for r in range(len(packed)):
-            if r != rank and packed[r] & bit:
-                packed[r] ^= prow
-        pivots.append(col)
-        rank += 1
-    return pivots, packed[:rank]

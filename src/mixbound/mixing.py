@@ -14,11 +14,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from . import geometry
-from .fieldpoly import FpPoly, content as fp_content, irreducibles_up_to_degree
+from .fieldpoly import (
+    FpPoly,
+    content as fp_content,
+    factor_monic,
+    irreducibles_up_to_degree,
+    monic_divisors,
+)
 from .laurent import (
     LaurentPoly,
+    PolyInU1,
+    _divide_in_polyring,
     as_poly_in_u1,
     combination_solve,
     exact_divides,
@@ -175,8 +184,6 @@ def brute_force_certify(f: LaurentPoly):
 def _univariate_verdict(q: FpPoly, swap, bidegree):
     # f is a unit times the one-variable polynomial q, so Laurent
     # irreducibility is exactly univariate irreducibility of q
-    from .fieldpoly import factor_monic
-
     factors = factor_monic(q)
     if factors == {q.monic(): 1}:
         return IrreducibilityCertificate("brute_force", searched_bidegree=bidegree)
@@ -192,9 +199,6 @@ def _u2_poly_to_laurent(q: FpPoly, p):
 
 
 def _search_factor(pu, p):
-    from .fieldpoly import monic_divisors
-    from .laurent import _divide_in_polyring
-
     n = pu.degree
     q0, qn = pu.coeffs[0], pu.coeffs[-1]
     d2 = max(q.degree for q in pu.coeffs if not q.is_zero())
@@ -207,16 +211,20 @@ def _search_factor(pu, p):
             specials.append((c, fc))
     lead_divs = monic_divisors(qn)
     trail_divs = [d.scale(c) for d in monic_divisors(q0) for c in range(1, p)]
+    # every polynomial of degree <= d2, constant coefficient varying fastest
+    middles = tuple(
+        FpPoly(cs[::-1], p) for cs in product(range(p), repeat=d2 + 1)
+    )
     for a in range(1, n // 2 + 1):
         for ga in lead_divs:
             for g0 in trail_divs:
-                for middle in _middle_choices(a - 1, d2, p):
+                for middle in product(middles, repeat=a - 1):
                     cand_coeffs = [g0, *middle, ga]
                     if not _specializations_divide(cand_coeffs, specials, p):
                         continue
-                    if _divide_in_polyring(list(pu.coeffs), cand_coeffs, p) is None:
+                    if _divide_in_polyring(pu.coeffs, cand_coeffs, p) is None:
                         continue
-                    cand = _polyinu1_to_laurent(cand_coeffs, p)
+                    cand = PolyInU1(tuple(cand_coeffs), (0, 0), p).to_laurent()
                     if len(cand) >= 2:
                         return cand
     return None
@@ -228,30 +236,6 @@ def _specializations_divide(cand_coeffs, specials, p):
         if gc.is_zero() or not (fc % gc).is_zero():
             return False
     return True
-
-
-def _polyinu1_to_laurent(coeffs, p):
-    terms = {}
-    for i, q in enumerate(coeffs):
-        for j, c in enumerate(q.coeffs):
-            if c:
-                terms[(i, j)] = c
-    return LaurentPoly(terms, p)
-
-
-def _middle_choices(count, dmax, p):
-    if count == 0:
-        yield ()
-        return
-    span = p ** (dmax + 1)
-    for rest in _middle_choices(count - 1, dmax, p):
-        for code in range(span):
-            cs = []
-            c = code
-            for _ in range(dmax + 1):
-                cs.append(c % p)
-                c //= p
-            yield rest + (FpPoly(cs, p),)
 
 
 def certify_irreducible(f: LaurentPoly) -> IrreducibilityCertificate:

@@ -5,8 +5,8 @@ they induce.
 The base norms on F_p[u2] are |a|_g = p^(-ord_g a) for an irreducible g
 and the degree norm |a| = p^(deg a).  Writing f as sum q_i(u2) u1^i, the
 Newton polygon is the lower convex hull of the points (i, -log_p|q_i|),
-ordinates taken as exact rationals with +infinity for q_i = 0.  Each
-segment of slope s yields an extension norm with log_p|u1| = s.
+whose ordinates are integers (+infinity for q_i = 0).  Each segment of
+slope s, an exact rational, yields an extension norm with log_p|u1| = s.
 
 `face_norm_for` runs the reduction that turns a hull face into such a
 norm: swap the variables when the face is vertical, replace u2 by its
@@ -69,10 +69,8 @@ class Valuation:
     def ordinate(self, q: FpPoly):
         """-log_p of the base norm of q (INFINITE for q = 0)."""
         if self.kind == FINITE:
-            v = ord_at(q, self.g) if not q.is_zero() else INFINITE
-        else:
-            v = neg_log_infinity_norm(q)
-        return v if v == INFINITE else Fraction(v)
+            return ord_at(q, self.g)
+        return neg_log_infinity_norm(q)
 
     def coeff_log(self):
         """log_p of the base norm of the coefficient variable itself."""
@@ -83,7 +81,7 @@ class Valuation:
 
 class NewtonPoint(NamedTuple):
     index: int
-    ordinate: object  # Fraction or INFINITE
+    ordinate: object  # int or INFINITE
 
 
 class Segment(NamedTuple):

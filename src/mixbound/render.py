@@ -1,9 +1,10 @@
 """Deterministic SVG and TikZ figures.
 
-Two figure kinds share one entry point: the lattice figure (support dots,
-hull edges, face labels F1..FR counter-clockwise from the smallest
-vertex) and, when a Newton polygon is passed, the Newton figure (finite
-points and lower-hull segments in index/ordinate coordinates).
+Two figure kinds share one entry point and one writer per format: the
+lattice figure (support dots, hull edges, face labels F1..FR
+counter-clockwise from the smallest vertex) and, when a Newton polygon
+is passed, the Newton figure (lower-hull vertices and segments in
+index/ordinate coordinates, no labels).
 
 Output is byte-for-byte reproducible: the viewport is fixed at 40 px per
 lattice unit with a 20 px margin, and every coordinate is formatted from
@@ -61,32 +62,27 @@ def render_polygon(hull, support, faces, newton=None, fmt="svg"):
     """
     if fmt not in ("svg", "tikz"):
         raise ValueError(f"unknown format {fmt!r}")
-    if newton is not None:
-        return _render_newton(newton, fmt)
-    if hull.degeneracy != geometry.POLYGON:
-        raise ValueError("figure rendering needs a non-degenerate hull")
-    pts = sorted(set(tuple(pt) for pt in support) | set(hull.vertices))
-    view = _View([pt[0] for pt in pts], [pt[1] for pt in pts])
-    edges = [(face.start, face.end) for face in faces]
     labels = []
-    for i, face in enumerate(faces):
-        mx = Fraction(face.start[0] + face.end[0], 2)
-        my = Fraction(face.start[1] + face.end[1], 2)
-        nx, ny = face.normal
-        scale = Fraction(LABEL_OFFSET, max(abs(nx), abs(ny)))
-        labels.append((f"F{i + 1}", mx, my, nx * scale, ny * scale))
+    if newton is not None:
+        # NewtonPoints are (index, ordinate) pairs; only the vertices of
+        # the lower hull are drawn, so infinite ordinates never appear
+        pts = list(newton.vertices)
+        edges = list(zip(pts, pts[1:]))
+    else:
+        if hull.degeneracy != geometry.POLYGON:
+            raise ValueError("figure rendering needs a non-degenerate hull")
+        pts = sorted(set(tuple(pt) for pt in support) | set(hull.vertices))
+        edges = [(face.start, face.end) for face in faces]
+        for i, face in enumerate(faces):
+            mx = Fraction(face.start[0] + face.end[0], 2)
+            my = Fraction(face.start[1] + face.end[1], 2)
+            nx, ny = face.normal
+            scale = Fraction(LABEL_OFFSET, max(abs(nx), abs(ny)))
+            labels.append((f"F{i + 1}", mx, my, nx * scale, ny * scale))
+    view = _View([pt[0] for pt in pts], [pt[1] for pt in pts])
     if fmt == "svg":
         return _svg_figure(view, pts, edges, labels)
-    return _tikz_figure(pts, edges, labels, view)
-
-
-def _svg_header(view):
-    w, h = _fmt(view.width), _fmt(view.height)
-    return [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">',
-    ]
+    return _tikz_figure(view, pts, edges, labels)
 
 
 def _svg_line(x1, y1, x2, y2, style):
@@ -99,16 +95,15 @@ AXIS_STYLE = 'stroke="#888888" stroke-width="1"'
 EDGE_STYLE = 'stroke="#000000" stroke-width="2"'
 
 
-def _svg_axes(view):
-    out = []
-    out.append(_svg_line(view.x(view.min_x), view.y(0), view.x(view.max_x), view.y(0), AXIS_STYLE))
-    out.append(_svg_line(view.x(0), view.y(view.min_y), view.x(0), view.y(view.max_y), AXIS_STYLE))
-    return out
-
-
 def _svg_figure(view, pts, edges, labels):
-    out = _svg_header(view)
-    out.extend(_svg_axes(view))
+    w, h = _fmt(view.width), _fmt(view.height)
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+        f'viewBox="0 0 {w} {h}">',
+        _svg_line(view.x(view.min_x), view.y(0), view.x(view.max_x), view.y(0), AXIS_STYLE),
+        _svg_line(view.x(0), view.y(view.min_y), view.x(0), view.y(view.max_y), AXIS_STYLE),
+    ]
     for a, b in edges:
         out.append(_svg_line(view.x(a[0]), view.y(a[1]), view.x(b[0]), view.y(b[1]), EDGE_STYLE))
     for pt in pts:
@@ -127,7 +122,7 @@ def _svg_figure(view, pts, edges, labels):
     return "\n".join(out) + "\n"
 
 
-def _tikz_figure(pts, edges, labels, view):
+def _tikz_figure(view, pts, edges, labels):
     out = ["\\begin{tikzpicture}[x=1cm,y=1cm]"]
     out.append(
         f"\\draw[gray] ({_fmt(view.min_x)},0) -- ({_fmt(view.max_x)},0);"
@@ -137,48 +132,13 @@ def _tikz_figure(pts, edges, labels, view):
     )
     for a, b in edges:
         out.append(
-            f"\\draw[thick] ({a[0]},{a[1]}) -- ({b[0]},{b[1]});"
+            f"\\draw[thick] ({_fmt(a[0])},{_fmt(a[1])}) -- ({_fmt(b[0])},{_fmt(b[1])});"
         )
     for pt in pts:
-        out.append(f"\\fill ({pt[0]},{pt[1]}) circle (2pt);")
+        out.append(f"\\fill ({_fmt(pt[0])},{_fmt(pt[1])}) circle (2pt);")
     for text, mx, my, ox, oy in labels:
         lx = mx + Fraction(ox, UNIT)
         ly = my + Fraction(oy, UNIT)
         out.append(f"\\node at ({_fmt(lx)},{_fmt(ly)}) {{${text}$}};")
-    out.append("\\end{tikzpicture}")
-    return "\n".join(out) + "\n"
-
-
-def _render_newton(newton, fmt):
-    finite = list(newton.vertices)
-    if not finite:
-        raise ValueError("nothing to draw")
-    xs = [pt.index for pt in finite]
-    ys = [pt.ordinate for pt in finite]
-    view = _View(xs, ys)
-    edges = []
-    for a, b in zip(newton.vertices, newton.vertices[1:]):
-        edges.append(((a.index, a.ordinate), (b.index, b.ordinate)))
-    if fmt == "svg":
-        out = _svg_header(view)
-        out.extend(_svg_axes(view))
-        for a, b in edges:
-            out.append(_svg_line(view.x(a[0]), view.y(a[1]), view.x(b[0]), view.y(b[1]), EDGE_STYLE))
-        for pt in finite:
-            out.append(
-                f'<circle cx="{_fmt(view.x(pt.index))}" cy="{_fmt(view.y(pt.ordinate))}" '
-                f'r="{DOT_RADIUS}" fill="#000000"/>'
-            )
-        out.append("</svg>")
-        return "\n".join(out) + "\n"
-    out = ["\\begin{tikzpicture}[x=1cm,y=1cm]"]
-    out.append(f"\\draw[gray] ({_fmt(view.min_x)},0) -- ({_fmt(view.max_x)},0);")
-    out.append(f"\\draw[gray] (0,{_fmt(view.min_y)}) -- (0,{_fmt(view.max_y)});")
-    for a, b in edges:
-        out.append(
-            f"\\draw[thick] ({_fmt(a[0])},{_fmt(a[1])}) -- ({_fmt(b[0])},{_fmt(b[1])});"
-        )
-    for pt in finite:
-        out.append(f"\\fill ({_fmt(pt.index)},{_fmt(pt.ordinate)}) circle (2pt);")
     out.append("\\end{tikzpicture}")
     return "\n".join(out) + "\n"

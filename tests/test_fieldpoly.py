@@ -65,7 +65,7 @@ class TestBasics:
         a = P([2, 1], 5) * P([3, 0, 1], 5)
         b = P([2, 1], 5) * P([4, 1], 5)
         g = gcd(a.scale(3), b.scale(2))
-        assert g.is_monic()
+        assert g.coeffs[-1] == 1
         assert g == P([2, 1], 5).monic()
 
 

@@ -150,6 +150,35 @@ class TestExactDivides:
             q = exact_divides(f, f * g)
             assert q == g
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_divisor_with_u2_content(self, p):
+        # f = (1+u2)(1+u1+u2): its u1-coefficients share the factor 1+u2
+        f = L("1+u2", p) * L("1+u1+u2", p)
+        h = L("u1^-1u2^2+1+u1u2", p)
+        assert exact_divides(f, f * h) == h
+        assert exact_divides(f, f.shift((3, -2))) == L("u1^3u2^-2", p)
+        # the primitive part divides but the content does not
+        assert exact_divides(f, L("1+u1+u2", p) * L("1+u1", p)) is None
+        assert exact_divides(f, L("1+u1+u2", p) * L("1+u1u2^2", p)) is None
+        # the content divides but the primitive part does not
+        assert exact_divides(f, L("1+u2", p) * L("1+u1", p)) is None
+        assert exact_divides(f, L("1+u2", p) * L("1+u1+u2^2", p)) is None
+        # a higher power of the content in the divisor
+        assert exact_divides(L("1+u2", p) * f, f * L("1+u1", p)) is None
+
+    def test_random_divisors_with_u2_content(self):
+        rng = random.Random(4242)
+        for _ in range(150):
+            p = rng.choice([2, 3, 5])
+            c = LaurentPoly({(0, j): rng.randrange(1, p) for j in (0, rng.randint(1, 3))}, p)
+            f = c * random_nonmonomial(rng, p)
+            g = random_laurent(rng, p)
+            assert exact_divides(f, f * g) == g
+            q = exact_divides(f, c * g)
+            assert q is None or f * q == c * g
+            q = exact_divides(f, g)
+            assert q is None or f * q == g
+
     def test_non_multiples_rejected(self, rng):
         rejected = 0
         while rejected < 50:

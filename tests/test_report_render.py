@@ -214,6 +214,18 @@ class TestRender:
         assert svg.count("<circle") == 3  # the infinite point is omitted
         assert 'stroke-width="2"' in svg
 
+    @pytest.mark.parametrize("name, poly, which", [
+        ("triangle_ord", "u2+u1+u1^3u2", "ord"),
+        ("pentagon_deg", "u1^6+u1^5u2+u1^3u2^2+u2+u2^3", "deg"),
+    ])
+    @pytest.mark.parametrize("fmt, ext", [("svg", "svg"), ("tikz", "tex")])
+    def test_newton_figure_matches_golden(self, name, poly, which, fmt, ext):
+        hull, support, faces = self._fig(poly)
+        val = Valuation.finite_at(FpPoly.x(2)) if which == "ord" else Valuation.infinity_deg()
+        np1 = lower_hull(newton_points(as_poly_in_u1(L(poly)), val))
+        text = render_polygon(hull, support, faces, newton=np1, fmt=fmt)
+        assert text == (GOLDEN / f"newton_{name}.{ext}").read_text()
+
     def test_degenerate_hull_rejected(self):
         f = L("1+u1")
         hull = geometry.convex_hull(f.support())
