@@ -91,12 +91,6 @@ class FpPoly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coeff(self, i):
-        """Coefficient of t^i (zero beyond the stored degree)."""
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
     def _check(self, other):
         if not isinstance(other, FpPoly):
             raise TypeError(f"expected FpPoly, got {type(other).__name__}")
@@ -135,14 +129,6 @@ class FpPoly:
     def scale(self, c):
         """Multiply by the scalar c."""
         return FpPoly([c * a for a in self.coeffs], self.p)
-
-    def shift(self, k):
-        """Multiply by t^k (k >= 0)."""
-        if k < 0:
-            raise ValueError("negative shift")
-        if self.is_zero():
-            return self
-        return FpPoly((0,) * k + self.coeffs, self.p)
 
     def __divmod__(self, other):
         other = self._check(other)
@@ -321,29 +307,38 @@ def is_irreducible(a: FpPoly) -> bool:
     return True
 
 
-def factor_monic(a: FpPoly) -> dict:
-    """Factor a != 0 into monic irreducibles, {factor: multiplicity}.
+def irreducible_factors(a: FpPoly, dmax):
+    """Yield (g, m) for the monic irreducible factors g of a != 0 of degree
+    at most dmax, m the multiplicity, in the order _monic_polys_of_degree
+    enumerates them (degree 1 first).
 
-    Trial division against monic irreducibles of increasing degree; fine
-    at desk-scale degrees.
+    Trial division by monic polynomials of increasing degree d.  Once every
+    factor of degree < d is divided out, any monic divisor of degree d is
+    irreducible, and a rest of degree < 2d is irreducible itself, so it
+    ends the search.
     """
     if a.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    factors = {}
     rest = a.monic()
     d = 1
-    while rest.degree >= 1:
-        if d > rest.degree // 2:
-            factors[rest] = factors.get(rest, 0) + 1
-            break
+    while d <= min(dmax, rest.degree // 2):
         for g in _monic_polys_of_degree(d, rest.p):
-            if not is_irreducible(g):
-                continue
+            m = 0
             while g.divides(rest):
-                factors[g] = factors.get(g, 0) + 1
                 rest = rest // g
+                m += 1
+            if m:
+                yield g, m
+                if d > rest.degree // 2:
+                    break
         d += 1
-    return factors
+    if 1 <= rest.degree <= dmax:
+        yield rest, 1
+
+
+def factor_monic(a: FpPoly) -> dict:
+    """Factor a != 0 into monic irreducibles, {factor: multiplicity}."""
+    return dict(irreducible_factors(a, a.degree))
 
 
 def monic_divisors(a: FpPoly):
@@ -366,12 +361,3 @@ def _monic_polys_of_degree(d, p):
         cs.append(1)
         yield FpPoly(cs, p)
 
-
-def irreducibles_up_to_degree(dmax, p):
-    """Monic irreducible polynomials of degree 1..dmax, in degree-lex order."""
-    out = []
-    for d in range(1, dmax + 1):
-        for g in _monic_polys_of_degree(d, p):
-            if is_irreducible(g):
-                out.append(g)
-    return out

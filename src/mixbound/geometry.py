@@ -52,9 +52,6 @@ class LatticePolygon:
     vertices: tuple
     degeneracy: str
 
-    def __iter__(self):
-        return iter(self.vertices)
-
 
 @dataclass(frozen=True)
 class Face:

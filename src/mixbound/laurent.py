@@ -53,10 +53,6 @@ class LaurentPoly:
     def one(cls, p):
         return cls({(0, 0): 1}, p)
 
-    @classmethod
-    def monomial(cls, e, p, c=1):
-        return cls({tuple(e): c}, p)
-
     def terms(self):
         """Terms in lexicographic (e1, e2) order."""
         return self._key

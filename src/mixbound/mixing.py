@@ -21,7 +21,8 @@ from .fieldpoly import (
     FpPoly,
     content as fp_content,
     factor_monic,
-    irreducibles_up_to_degree,
+    gcd as fp_gcd,
+    irreducible_factors,
     monic_divisors,
 )
 from .laurent import (
@@ -97,32 +98,27 @@ def _oriented(f: LaurentPoly, main_axis, inverted):
 def eisenstein_certify(f: LaurentPoly):
     """Try Eisenstein's criterion in all four orientations.
 
-    In each orientation f is rewritten as sum q_i(u2) u1^i; candidate
-    primes g are the irreducible factors of q_0 of degree at most 2.  The
-    criterion needs g | q_i for i < n, g not dividing q_n, g^2 not
-    dividing q_0, and content 1 (so no coefficient factor hides a
-    non-unit).  Returns the first success in a fixed orientation order,
-    or None.
+    In each orientation f is rewritten as sum_{i<=n} q_i(u2) u1^i, and c
+    is gcd(q_0, ..., q_{n-1}).  The criterion needs gcd(c, q_n) = 1 (so no
+    coefficient factor hides a non-unit) and a prime g with g | c and
+    g^2 not dividing q_0; g | c already gives g | q_i for i < n and, with
+    gcd(c, q_n) = 1, g not dividing q_n.  The candidates g are the monic
+    irreducible factors of c of degree at most 2, found by trial division
+    of c, degree 1 first.  Returns the first success in a fixed
+    orientation order, or None.
     """
     if f.is_zero() or f.is_monomial():
         raise DegenerateInput("Eisenstein needs a non-monomial, nonzero polynomial")
     for main_axis, inverted in _ORIENTATIONS:
         pu = as_poly_in_u1(_oriented(f, main_axis, inverted))
-        n = pu.degree
-        if n < 1:
+        if pu.degree < 1:
             continue
         coeffs = pu.coeffs
-        if fp_content(coeffs).degree != 0:
+        c = fp_content(coeffs[:-1])
+        if fp_gcd(c, coeffs[-1]).degree != 0:
             continue
-        q0, qn = coeffs[0], coeffs[-1]
-        for g in irreducibles_up_to_degree(2, f.p):
-            if not g.divides(q0):
-                continue
-            if g.divides(qn):
-                continue
-            if (g * g).divides(q0):
-                continue
-            if all(g.divides(q) for q in coeffs[:-1]):
+        for g, _ in irreducible_factors(c, 2):
+            if not (g * g).divides(coeffs[0]):
                 return IrreducibilityCertificate(
                     "eisenstein", main_axis=main_axis, inverted=inverted, g=g
                 )
@@ -407,7 +403,8 @@ def shape_prefilter(f: LaurentPoly, shape):
     hull = geometry.convex_hull(f.support())
     if hull.degeneracy != geometry.POLYGON:
         raise DegenerateInput("prefilter needs a non-degenerate hull")
-    r = len(geometry.faces(hull))
+    faces = geometry.faces(hull)
+    r = len(faces)
     if len(pts) <= r - 1:
         return ShapeVerdict(
             GEOMETRICALLY_MIXING,
@@ -418,7 +415,7 @@ def shape_prefilter(f: LaurentPoly, shape):
         for i, a in enumerate(pts)
         for b in pts[i + 1 :]
     }
-    face_dirs = geometry.slope_set(geometry.faces(hull))
+    face_dirs = geometry.slope_set(faces)
     missing = sorted(face_dirs - shape_dirs)
     if missing:
         return ShapeVerdict(

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mixbound.fieldpoly import _monic_polys_of_degree, is_irreducible
 from mixbound.laurent import LaurentPoly
 from mixbound.parse import parse_poly
 
@@ -9,6 +10,16 @@ from mixbound.parse import parse_poly
 def L(text, p=2):
     """Laurent polynomial from surface syntax."""
     return parse_poly(text, p)
+
+
+def irreducibles_up_to_degree(dmax, p):
+    """Monic irreducibles over F_p of degree 1..dmax, in degree-lex order."""
+    return [
+        g
+        for d in range(1, dmax + 1)
+        for g in _monic_polys_of_degree(d, p)
+        if is_irreducible(g)
+    ]
 
 
 def random_laurent(rng, p, max_terms=6, span=4):

@@ -23,6 +23,12 @@ class TestAnalyze:
             "lower": 2, "upper": 2, "exact": 2, "conditional": False,
         }
 
+    def test_largest_prime_gets_eisenstein(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--prime", "65521", "--poly", "1+u1+u2")
+        assert code == 0
+        cert = json.loads(out)["irreducibility"]
+        assert cert["method"] == "eisenstein" and cert["g"] == "1+u2"
+
     def test_quartic_note(self, capsys):
         code, out, _ = run(capsys, "analyze", "--prime", "2", "--poly", "1+u1+u2+u2^2")
         data = json.loads(out)

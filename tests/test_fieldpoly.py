@@ -12,12 +12,13 @@ from mixbound.fieldpoly import (
     factor_monic,
     frobenius_pow,
     gcd,
-    irreducibles_up_to_degree,
     is_irreducible,
     monic_divisors,
     neg_log_infinity_norm,
     ord_at,
 )
+
+from conftest import irreducibles_up_to_degree
 
 
 def P(coeffs, p=2):

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from mixbound import geometry
-from mixbound.fieldpoly import FpPoly
-from mixbound.laurent import LaurentPoly, combination_solve, in_ideal
+from mixbound import fieldpoly, geometry
+from mixbound.fieldpoly import FpPoly, content
+from mixbound.laurent import LaurentPoly, as_poly_in_u1, combination_solve, in_ideal
 from mixbound.mixing import (
     CERTIFIED_NON_MIXING,
     GEOMETRICALLY_MIXING,
@@ -26,7 +26,24 @@ from mixbound.mixing import (
     voloch_identity_scan,
 )
 
-from conftest import L, random_nonmonomial
+from conftest import L, irreducibles_up_to_degree, random_nonmonomial
+
+
+def _eisenstein_by_enumeration(f, candidates):
+    # the criterion checked for every monic irreducible of degree <= 2
+    for main_axis, inverted in ((1, False), (1, True), (2, False), (2, True)):
+        g0 = f if main_axis == 1 else f.swap_vars()
+        coeffs = as_poly_in_u1(g0.invert_u2() if inverted else g0).coeffs
+        if len(coeffs) < 2 or content(coeffs).degree != 0:
+            continue
+        for g in candidates:
+            if (
+                all(g.divides(q) for q in coeffs[:-1])
+                and not g.divides(coeffs[-1])
+                and not (g * g).divides(coeffs[0])
+            ):
+                return main_axis, inverted, g
+    return None
 
 
 class TestEisenstein:
@@ -61,6 +78,37 @@ class TestEisenstein:
                 continue
             done += 1
             assert bf.method == "brute_force", f.to_string()
+
+    def test_matches_enumeration_of_irreducibles(self):
+        rng = random.Random(2024)
+        primes = (2, 3, 5, 7, 11, 13)
+        candidates = {p: irreducibles_up_to_degree(2, p) for p in primes}
+        hits = 0
+        for _ in range(600):
+            p = rng.choice(primes)
+            f = random_nonmonomial(rng, p, max_terms=5, span=3)
+            cert = eisenstein_certify(f)
+            got = None if cert is None else (cert.main_axis, cert.inverted, cert.g)
+            assert got == _eisenstein_by_enumeration(f, candidates[p]), f.to_string()
+            hits += cert is not None
+        assert hits >= 100
+
+    def test_large_prime_needs_no_enumeration(self, monkeypatch):
+        p = 65521
+        drawn = 0
+        enumerate_monic = fieldpoly._monic_polys_of_degree
+
+        def counted(d, q):
+            nonlocal drawn
+            for g in enumerate_monic(d, q):
+                drawn += 1
+                if drawn > p:
+                    raise AssertionError(f"more than {p} trial divisors drawn")
+                yield g
+
+        monkeypatch.setattr(fieldpoly, "_monic_polys_of_degree", counted)
+        cert = eisenstein_certify(L("1+u1+u2", p))
+        assert cert.g == FpPoly([1, 1], p)
 
 
 class TestBruteForce:

@@ -17,7 +17,7 @@ from mixbound.newton import (
     newton_points,
 )
 
-from conftest import L
+from conftest import L, irreducibles_up_to_degree
 
 
 def ord_u2():
@@ -212,8 +212,6 @@ class TestFaceNorm:
 class TestNormAxioms:
     def test_base_norm_axioms_sampled(self, rng):
         # |ab| = |a||b| and |a+b| <= max(|a|,|b|) for p^-ord_g and p^deg
-        from mixbound.fieldpoly import irreducibles_up_to_degree
-
         for _ in range(150):
             p = rng.choice([2, 3])
             a = FpPoly([rng.randrange(p) for _ in range(rng.randint(1, 7))], p)

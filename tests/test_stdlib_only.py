@@ -1,0 +1,21 @@
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mixbound"
+
+
+def test_runtime_imports_only_the_standard_library():
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] not in sys.stdlib_module_names:
+                    outside.append(f"{path.name}:{node.lineno} {name}")
+    assert outside == []
