@@ -161,15 +161,21 @@ class FpPoly:
             return other.is_zero()
         return (other % self).is_zero()
 
-    def __pow__(self, e):
+    def __pow__(self, e, mod=None):
+        """self**e; pow(self, e, mod) reduces modulo mod after every product,
+        so no operand reaches degree 2 deg(mod)."""
         if e < 0:
             raise ValueError("negative exponent")
-        result = FpPoly.one(self.p)
-        base = self
+
+        def reduce(a):
+            return a if mod is None else a % mod
+
+        result = reduce(FpPoly.one(self.p))
+        base = reduce(self)
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = reduce(result * base)
+            base = reduce(base * base)
             e >>= 1
         return result
 
@@ -237,23 +243,6 @@ def content(polys) -> FpPoly:
     return acc.monic()
 
 
-def frobenius_pow(a: FpPoly, e: int) -> FpPoly:
-    """a**(p**e), computed by spreading exponents by a factor p**e.
-
-    Coefficients are fixed by the p-th power map on F_p, so the result is
-    a with t replaced by t**(p**e).
-    """
-    if e < 0:
-        raise ValueError("negative Frobenius exponent")
-    if e == 0 or a.is_zero():
-        return a
-    step = a.p**e
-    out = [0] * (a.degree * step + 1)
-    for i, c in enumerate(a.coeffs):
-        out[i * step] = c
-    return FpPoly(out, a.p)
-
-
 def ord_at(a: FpPoly, g: FpPoly):
     """Multiplicity of g in a: the largest m with g**m | a.
 
@@ -280,11 +269,6 @@ def neg_log_infinity_norm(a: FpPoly):
     return -a.degree
 
 
-def _pth_power_mod(a: FpPoly, mod: FpPoly) -> FpPoly:
-    # a^p mod `mod`, via exponent spreading (coefficients are Frobenius-fixed)
-    return frobenius_pow(a, 1) % mod
-
-
 def is_irreducible(a: FpPoly) -> bool:
     """Deterministic irreducibility test over F_p.
 
@@ -301,7 +285,7 @@ def is_irreducible(a: FpPoly) -> bool:
     t = FpPoly.x(a.p)
     h = t % a
     for _ in range(n // 2):
-        h = _pth_power_mod(h, a)
+        h = pow(h, a.p, a)
         if gcd(a, h - t).degree >= 1:
             return False
     return True

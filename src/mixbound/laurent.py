@@ -2,21 +2,22 @@
 single principal ideal <f>.
 
 A LaurentPoly is a finite map from exponent vectors (e1, e2) in Z^2 to
-nonzero residues mod p.  Monomials are units, so divisibility questions
-are settled on the normalized polynomial parts: exact division is long
-division in (F_p[u2])[u1], which decides divisibility because F_p[u2] is
-a domain and normalization makes every Laurent quotient a polynomial.
+nonzero residues mod p.
+
+Every division modulo f goes through `NormalForm`.  After a unimodular
+change of exponents the quotient F_p[u^±]/<f> is a free F_p[u2'^±]-module
+of finite rank, and `NormalForm` reduces every element to its unique
+representative (its normal form, NF).  g lies in <f> exactly when NF(g)
+is empty, and `NormalForm.divmod` also returns the quotient q, the sum of
+the multiples of f the reduction subtracted; that is how `exact_divides`
+and `in_ideal` are answered.
 
 `combination_solve` searches for module relations
-    m_1 u^{a_1} + ... + m_r u^{a_r} = q f
-in the quotient F_p[u^±]/<f>.  After a unimodular change of exponents
-that quotient is a free F_p[u2'^±]-module of finite rank, and
-`NormalForm` reduces every element to its unique representative (its
-normal form, NF).  A relation is a linear dependence among the NFs of
-the monomials u^{a_i + w}, so a cell whose m_i range over the window
-[-W, W]^2 is one homogeneous system over F_p with r (2W+1)^2 columns and
-no cofactor unknowns; q is recovered by exact division only when a
-relation exists.
+    m_1 u^{a_1} + ... + m_r u^{a_r} = q f.
+A relation is a linear dependence among the NFs of the monomials
+u^{a_i + w}, so a cell whose m_i range over the window [-W, W]^2 is one
+homogeneous system over F_p with r (2W+1)^2 columns and no cofactor
+unknowns; the reduction records q only when a relation exists.
 """
 
 from __future__ import annotations
@@ -215,58 +216,23 @@ def as_poly_in_u1(f: LaurentPoly) -> PolyInU1:
     return PolyInU1(tuple(coeffs), shift, f.p)
 
 
-def _divide_in_polyring(num_coeffs, den_coeffs, p):
-    # exact division of polynomials in (F_p[u2])[u1]; None when not exact.
-    # When den | num every intermediate leading coefficient divides exactly,
-    # so a failed coefficient division proves non-divisibility.
-    rem = list(num_coeffs)
-    dn = len(den_coeffs) - 1
-    lead = den_coeffs[-1]
-    if len(rem) - 1 < dn:
-        return None
-    qlen = len(rem) - dn
-    quotient = [FpPoly.zero(p)] * qlen
-    for i in range(len(rem) - 1, dn - 1, -1):
-        c = rem[i]
-        if c.is_zero():
-            continue
-        qc, r = divmod(c, lead)
-        if not r.is_zero():
-            return None
-        quotient[i - dn] = qc
-        for j, dc in enumerate(den_coeffs):
-            rem[i - dn + j] = rem[i - dn + j] - qc * dc
-    if any(not r.is_zero() for r in rem):
-        return None
-    return quotient
-
-
 def exact_divides(f: LaurentPoly, g: LaurentPoly):
     """Quotient q with g = f * q in the Laurent ring, or None.
 
-    Both operands are normalized to polynomial form and divided in
-    (F_p[u2])[u1].  If f divides g, the quotient of the normalized parts
-    is a polynomial (neither part is divisible by u1 or u2, and u1, u2
-    are prime), and since F_p[u2] is a domain every leading-coefficient
-    division of the long division is exact; so a failed step proves that
-    f does not divide g.  The monomial shifts recombine into the quotient
-    afterwards.
+    `NormalForm.divmod` reduces g modulo f and records the multiples of f
+    it subtracts: f divides g exactly when the normal form is empty, and
+    the recorded multiples then sum to q.  A monomial f = c u^e is a
+    unit: its width is 0, every term is cancelled, and q = c^-1 u^-e g.
     """
     if f.is_zero():
         raise ValueError("division by the zero polynomial")
-    if g.is_zero():
-        return LaurentPoly.zero(f.p)
-    fu = as_poly_in_u1(f)
-    gu = as_poly_in_u1(g)
-    coeffs = _divide_in_polyring(gu.coeffs, fu.coeffs, f.p)
-    if coeffs is None:
-        return None
-    shift = (gu.shift[0] - fu.shift[0], gu.shift[1] - fu.shift[1])
-    return PolyInU1(tuple(coeffs), shift, f.p).to_laurent()
+    q, r = NormalForm(f).divmod(g)
+    return None if r else q
 
 
 def in_ideal(g: LaurentPoly, f: LaurentPoly) -> bool:
-    """Membership of g in the principal Laurent ideal <f>.
+    """Membership of g in the principal Laurent ideal <f>: the normal form
+    of g modulo f is empty.
 
     f must not be a monomial (monomials are units, the quotient ring is
     trivial and membership is vacuous)."""
@@ -274,9 +240,7 @@ def in_ideal(g: LaurentPoly, f: LaurentPoly) -> bool:
         raise ValueError("the zero ideal needs no membership test")
     if f.is_monomial():
         raise ValueError("monomial generator: <f> is the unit ideal")
-    if g.is_zero():
-        return True
-    return exact_divides(f, g) is not None
+    return not NormalForm(f)(g)
 
 
 class NormalForm:
@@ -291,12 +255,14 @@ class NormalForm:
     F_p[u2'^±] with basis 1, u1', ..., u1'^(width-1).
 
     A normal form is a dict {(u1'-degree, u2'-exponent): residue}; it is
-    empty exactly when the element lies in <f>.
+    empty exactly when the element lies in <f>.  `divmod` also returns
+    the quotient, the sum of the multiples of f the reduction subtracted.
+    A monomial f has width 0: it is a unit and every NF is empty.
     """
 
     def __init__(self, f: LaurentPoly):
-        if f.is_zero() or f.is_monomial():
-            raise ValueError("normal forms need a non-monomial, nonzero f")
+        if f.is_zero():
+            raise ValueError("normal forms need a nonzero f")
         # a t fails only when (1, t) is normal to an edge of the hull of
         # support(f), and the hull has finitely many edges
         t = 0
@@ -309,6 +275,7 @@ class NormalForm:
         self.p = f.p
         self.t = t
         self.width = hi - lo
+        self._lo = lo
         gen = [(e1 + t * e2 - lo, e2, c) for (e1, e2), c in f.terms()]
         (_, self._lead_e2, lead), = [g for g in gen if g[0] == self.width]
         (_, self._trail_e2, trail), = [g for g in gen if g[0] == 0]
@@ -327,8 +294,17 @@ class NormalForm:
         d1, d2 = e[0] + self.t * e[1], e[1]
         return self._reduce({(j + d1, k + d2): c for (j, k), c in nf.items()})
 
-    def _reduce(self, terms):
-        p, width = self.p, self.width
+    def divmod(self, g: LaurentPoly):
+        """(q, NF(g)) with g - q f the element whose normal form is NF(g)."""
+        t = self.t
+        quotient = {}
+        nf = self._reduce({(e1 + t * e2, e2): c for (e1, e2), c in g.terms()},
+                          quotient)
+        q = LaurentPoly({(j - t * k, k): c for (j, k), c in quotient.items()}, self.p)
+        return q, nf
+
+    def _reduce(self, terms, quotient=None):
+        p, width, lo = self.p, self.width, self._lo
         rows = {}
         for (j, k), c in terms.items():
             rows.setdefault(j, {})[k] = c
@@ -343,6 +319,15 @@ class NormalForm:
                     target[key] = v
                 else:
                     target.pop(key, None)
+
+        if quotient is not None:
+            # each call subtracts scale * u1'^(offset - lo) u2'^shift * f
+            # (f in the sheared exponents): record that multiple
+            plain = subtract
+
+            def subtract(scale, shift, body, offset):
+                quotient[(offset - lo, shift)] = scale
+                plain(scale, shift, body, offset)
 
         # degrees >= width: cancel against the lead monomial of f, which
         # only writes to lower degrees that stay >= 0
@@ -376,7 +361,7 @@ def combination_solve(f: LaurentPoly, points, window):
     Its nullspace is the space V of valid m-tuples.
 
     The witness is fixed by V alone: append the cofactor q of each
-    relation (found by exact division) in lex order after the m blocks,
+    relation (from `NormalForm.divmod`) in lex order after the m blocks,
     and take the basis of these (m, q) vectors in which each vector's
     last nonzero entry is a 1 that no other vector has.  Among that
     basis the lexicographically smallest vector wins.
@@ -391,7 +376,11 @@ def combination_solve(f: LaurentPoly, points, window):
     equal to 1, which makes witnesses reproducible across runs.
 
     Returns the list of m_i or None.  The result is re-verified by
-    expansion and ideal membership before being returned.
+    expansion and ideal membership before being returned.  That check
+    reduces with the same `NormalForm` that built the system, so it
+    catches a wrong kernel vector, not a fault in the reduction; the
+    check independent of it is `mixing.make_witness`, which multiplies
+    the quotient back.
     """
     if f.is_zero() or f.is_monomial():
         raise ValueError("relation search needs a non-monomial, nonzero f")
@@ -400,7 +389,7 @@ def combination_solve(f: LaurentPoly, points, window):
         raise ValueError("relation points must be distinct")
     if window < 0:
         raise ValueError("window must be nonnegative")
-    ms = _solve_blocks(f, NormalForm(f), pts, _window_box(window),
+    ms = _solve_blocks(NormalForm(f), pts, _window_box(window),
                        active=tuple(range(len(pts))))
     if ms is None:
         return None
@@ -412,8 +401,8 @@ def combination_solve(f: LaurentPoly, points, window):
     return ms
 
 
-def _solve_blocks(f, nf, pts, box, active):
-    p = f.p
+def _solve_blocks(nf, pts, box, active):
+    p = nf.p
     columns = [(i, w) for i in active for w in box]
     images = []
     for i in active:
@@ -427,7 +416,7 @@ def _solve_blocks(f, nf, pts, box, active):
     relations = linalg.nullspace(rows, len(columns), p)
     survivors = []
     offenders = set()
-    for vec in _canonical_basis(f, pts, columns, relations):
+    for vec in _canonical_basis(nf, pts, columns, relations):
         ms = _extract_ms(vec, columns, pts, p)
         bad = [i for i in active if not nf(ms[i])]
         if bad:
@@ -440,27 +429,27 @@ def _solve_blocks(f, nf, pts, box, active):
         remaining = tuple(i for i in active if i != bad)
         if len(remaining) < 2:
             continue
-        ms = _solve_blocks(f, nf, pts, box, remaining)
+        ms = _solve_blocks(nf, pts, box, remaining)
         if ms is not None:
             return ms
     return None
 
 
-def _canonical_basis(f, pts, columns, relations):
+def _canonical_basis(nf, pts, columns, relations):
     # the basis of {(m, q) : sum m_i u^{a_i} = q f} with q's coefficients
     # in lex order after the m blocks, reduced so that each vector's last
     # nonzero entry is a 1 that no other vector has: the row-reduced
     # echelon form taken over the reversed column order
-    p = f.p
+    p = nf.p
     graphs = []
     for rel in relations:
         terms = {}
         for val, (i, (w1, w2)) in zip(rel, columns):
             e = (pts[i][0] + w1, pts[i][1] + w2)
             terms[e] = terms.get(e, 0) + val
-        q = exact_divides(f, LaurentPoly(terms, p))
-        if q is None:
-            raise RuntimeError("normal form and exact division disagree")
+        q, r = nf.divmod(LaurentPoly(terms, p))
+        if r:
+            raise RuntimeError("kernel vector is not a relation")
         graphs.append((rel, q))
     qcols = sorted(set().union(*(q.support() for _, q in graphs)))
     rows = [list(rel) + [q.coeff(v) for v in qcols] for rel, q in graphs]

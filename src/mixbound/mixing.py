@@ -28,7 +28,6 @@ from .fieldpoly import (
 from .laurent import (
     LaurentPoly,
     PolyInU1,
-    _divide_in_polyring,
     as_poly_in_u1,
     combination_solve,
     exact_divides,
@@ -171,7 +170,7 @@ def brute_force_certify(f: LaurentPoly):
             if swap:
                 factor = factor.swap_vars()
             return IrreducibilityCertificate("reducible", factor=factor)
-    factor = _search_factor(pu, p)
+    factor = _search_factor(f, pu)
     if factor is not None:
         return IrreducibilityCertificate("reducible", factor=factor)
     return IrreducibilityCertificate("brute_force", searched_bidegree=(d1, d2))
@@ -194,12 +193,16 @@ def _u2_poly_to_laurent(q: FpPoly, p):
     return LaurentPoly({(0, i): c for i, c in enumerate(q.coeffs) if c}, p)
 
 
-def _search_factor(pu, p):
+def _search_factor(f, pu):
+    p = f.p
     n = pu.degree
     q0, qn = pu.coeffs[0], pu.coeffs[-1]
     d2 = max(q.degree for q in pu.coeffs if not q.is_zero())
     # a divisor specializes to a divisor at every u2 = c (where f stays
-    # nonzero), which rejects most candidates with a few scalar divisions
+    # nonzero), which rejects most candidates with a few scalar divisions.
+    # pu is normalized, so u2 = 0 is always one of them: it rejects every
+    # candidate divisible by u2, which can divide f in the Laurent ring
+    # but never in the polynomial ring the factor is searched in
     specials = []
     for c in range(p):
         fc = FpPoly([q.eval(c) for q in pu.coeffs], p)
@@ -218,10 +221,8 @@ def _search_factor(pu, p):
                     cand_coeffs = [g0, *middle, ga]
                     if not _specializations_divide(cand_coeffs, specials, p):
                         continue
-                    if _divide_in_polyring(pu.coeffs, cand_coeffs, p) is None:
-                        continue
                     cand = PolyInU1(tuple(cand_coeffs), (0, 0), p).to_laurent()
-                    if len(cand) >= 2:
+                    if exact_divides(cand, f) is not None:
                         return cand
     return None
 
@@ -351,20 +352,18 @@ def relation_sum(f, shape, k, ms) -> LaurentPoly:
 def make_witness(f: LaurentPoly, shape, k, ms) -> Witness:
     """Build a Witness, re-verifying the relation by direct expansion.
 
-    The expansion and the divisibility test go through the plain ring
-    operations and never reuse any artifact of the linear solve; a tuple
-    that does not satisfy the relation raises WitnessError.
+    The relation is expanded afresh and divided by f with `exact_divides`,
+    never reusing any artifact of the linear solve, and the quotient is
+    checked by multiplying it back: quotient * f must equal the expanded
+    sum.  A tuple that does not satisfy the relation raises WitnessError.
     """
     ms = tuple(ms)
     if all(m.is_zero() for m in ms):
         raise WitnessError("witness coefficients are all zero")
     combo = relation_sum(f, shape, k, ms)
-    if combo.is_zero():
-        quotient = LaurentPoly.zero(f.p)
-    else:
-        quotient = exact_divides(f, combo)
-        if quotient is None:
-            raise WitnessError("relation fails re-verification by expansion")
+    quotient = exact_divides(f, combo)
+    if quotient is None or quotient * f != combo:
+        raise WitnessError("relation fails re-verification by expansion")
     constant = all(m.support() <= {(0, 0)} for m in ms)
     return Witness(k, ms, constant, quotient)
 
@@ -374,7 +373,10 @@ def frobenius_closure_holds(f, shape, witness: Witness, powers=(1, 2)) -> bool:
 
     Constant coefficients are fixed by the p-th power map, so a constant
     witness must keep working at every dilation k p^j; this checks it by
-    explicit expansion rather than by that argument.
+    explicit expansion rather than by that argument.  Membership is
+    decided by `in_ideal`, the same `NormalForm` reduction the relation
+    solver uses, so this is not independent of it; only `make_witness`'s
+    multiply-back (at k, not at k p^j) is.
     """
     for j in powers:
         kk = witness.k * f.p**j

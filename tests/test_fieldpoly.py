@@ -10,7 +10,6 @@ from mixbound.fieldpoly import (
     FpPoly,
     content,
     factor_monic,
-    frobenius_pow,
     gcd,
     is_irreducible,
     monic_divisors,
@@ -96,29 +95,41 @@ class TestRingAxioms:
 
 
 class TestFrobenius:
+    # a**(p**e) is a with t replaced by t**(p**e); pow(a, n, m) computes it
+    # modulo m by square-and-multiply
     def test_squaring_char2(self):
-        assert frobenius_pow(P([1, 1, 1]), 1) == P([1, 0, 1, 0, 1])
+        assert pow(P([1, 1, 1]), 2) == P([1, 0, 1, 0, 1])
+        assert pow(P([1, 1, 1]), 2, P([1, 1, 0, 1])) == P([1, 0, 1, 0, 1]) % P([1, 1, 0, 1])
 
     def test_identity_case(self):
-        a = P([1, 0, 1, 1])
-        assert frobenius_pow(a, 0) == a
+        a, m = P([1, 0, 1, 1, 1]), P([1, 1, 1])
+        assert pow(a, 1) == a
+        assert pow(a, 1, m) == a % m
+        assert pow(a, 0, m) == FpPoly.one(2)
+        assert pow(a, 5, P([1])).is_zero()
 
     def test_example_e2(self):
-        assert frobenius_pow(P([1, 1]), 2) == P([1, 0, 0, 0, 1])
+        assert pow(P([1, 1]), 4) == P([1, 0, 0, 0, 1])
+        assert pow(P([1, 1]), 4, P([0, 0, 0, 1])) == P([1])
 
     def test_against_repeated_multiplication(self):
         rng = random.Random(7)
         for _ in range(60):
             p = rng.choice([2, 3, 5])
             a = P([rng.randrange(p) for _ in range(rng.randint(0, 9))], p)
-            e = rng.randint(0, 3)
-            expected = a
-            for _ in range(e):
-                acc = FpPoly.one(p)
-                for _ in range(p):
-                    acc = acc * expected
-                expected = acc
-            assert frobenius_pow(a, e) == expected
+            m = P([rng.randrange(p) for _ in range(rng.randint(1, 5))] + [1], p)
+            n = rng.choice([0, 1, 2, p, p * p, rng.randint(3, 40)])
+            expected = FpPoly.one(p)
+            for _ in range(n):
+                expected = expected * a
+            assert pow(a, n) == expected
+            assert pow(a, n, m) == expected % m
+            if n in (p, p * p):
+                # coefficients are fixed, exponents scale by n
+                spread = [0] * (n * len(a.coeffs))
+                for i, c in enumerate(a.coeffs):
+                    spread[i * n] = c
+                assert expected == P(spread, p)
 
 
 class TestOrd:
@@ -177,6 +188,30 @@ class TestIrreducibility:
                     continue
                 seen += 1
                 assert is_irreducible(a) == self._oracle(a)
+
+
+    def test_large_prime_builds_no_large_operand(self, monkeypatch):
+        # t^p mod a by square-and-multiply: every product stays below
+        # degree 2 deg(a), where spreading t to t^p would build degree p
+        p = 65521
+        built = []
+        init = FpPoly.__init__
+
+        def recording(self, coeffs, q):
+            init(self, coeffs, q)
+            built.append(len(self.coeffs) - 1)
+
+        monkeypatch.setattr(FpPoly, "__init__", recording)
+        for c in (2, 3, 5, 7, 17):
+            built.clear()
+            # t^2 - c is irreducible exactly when c is a non-residue (Euler)
+            a = P([-c, 0, 1], p)
+            assert is_irreducible(a) == (pow(c, (p - 1) // 2, p) == p - 1)
+            assert built and max(built) < 2 * a.degree
+        built.clear()
+        a = P([5, 0, 3, 1], p)
+        is_irreducible(a)
+        assert max(built) < 2 * a.degree
 
 
 class TestContentAndDivisors:

@@ -13,7 +13,7 @@ from mixbound.laurent import (
     normalize,
 )
 
-from conftest import L, random_laurent, random_nonmonomial
+from conftest import L, long_divide, random_laurent, random_nonmonomial
 
 
 class TestLaurentBasics:
@@ -179,6 +179,36 @@ class TestExactDivides:
             q = exact_divides(f, g)
             assert q is None or f * q == g
 
+    def test_monomial_divisor(self):
+        rng = random.Random(31)
+        for _ in range(100):
+            p = rng.choice([2, 3, 5, 7])
+            e = (rng.randint(-4, 4), rng.randint(-4, 4))
+            c = rng.randrange(1, p)
+            g = random_laurent(rng, p)
+            want = g.scale(pow(c, -1, p)).shift((-e[0], -e[1]))
+            assert exact_divides(LaurentPoly({e: c}, p), g) == want
+        assert exact_divides(L("u1^2u2^-1"), LaurentPoly({}, 2)) == LaurentPoly({}, 2)
+
+    def test_matches_long_division(self):
+        # half the pairs are products, a quarter of the divisors carry
+        # u2-content, and the dividend's exponents may be negative
+        rng = random.Random(1999)
+        divisible = 0
+        for i in range(2000):
+            p = rng.choice([2, 3, 5, 7])
+            f = random_nonmonomial(rng, p)
+            if i % 4 == 0:
+                f = f * LaurentPoly({(0, j): rng.randrange(1, p) for j in (0, rng.randint(1, 3))}, p)
+            g = random_laurent(rng, p)
+            if i % 2:
+                g = f * g
+            want = long_divide(f, g)
+            assert exact_divides(f, g) == want
+            assert in_ideal(g, f) == (want is not None)
+            divisible += want is not None
+        assert 1000 <= divisible < 2000
+
     def test_non_multiples_rejected(self, rng):
         rejected = 0
         while rejected < 50:
@@ -222,7 +252,21 @@ class TestNormalForm:
             assert nf(g + h * f) == nf(g)
             assert all(0 <= j < nf.width for j, _ in nf(g))
             for elem in (g, h * f, g + h * f):
-                assert (not nf(elem)) == in_ideal(elem, f)
+                assert (not nf(elem)) == (long_divide(f, elem) is not None)
+
+    def test_divmod_returns_the_quotient(self, rng):
+        for _ in range(150):
+            p = rng.choice([2, 3, 5])
+            f = random_nonmonomial(rng, p, max_terms=4, span=3)
+            g, h = random_laurent(rng, p), random_laurent(rng, p)
+            nf = NormalForm(f)
+            for elem in (g, h * f, g + h * f):
+                q, r = nf.divmod(elem)
+                assert r == nf(elem)
+                # r is written in the sheared exponents (e1 + t e2, e2)
+                rest = LaurentPoly({(j - nf.t * k, k): c for (j, k), c in r.items()}, p)
+                assert q * f + rest == elem
+            assert nf.divmod(h * f)[0] == h == long_divide(f, h * f)
 
     def test_shift_multiplies_by_monomial(self, rng):
         for _ in range(100):

@@ -127,6 +127,46 @@ class TestBruteForce:
         assert cert.method == "brute_force"
         assert cert.searched_bidegree == (1, 1)
 
+    @pytest.mark.parametrize(
+        "p, poly, factor",
+        [
+            # the content of one of the two variable orders
+            (2, "1+u1*u2+u1^2*u2+u1^3+u1^3*u2", "1+u1+u1^2"),
+            (2, "u2^2+u1+u1*u2^2+u1^2", "1+u1"),
+            (2, "1+u2^3+u1^2+u1^2*u2+u1^2*u2^2", "1+u2+u2^2"),
+            (2, "1+u2+u1+u1*u2^2", "1+u2"),
+            (3, "u1^-1+1+u2+u1+u1*u2+u1^2*u2", "1+u1+u1^2"),
+            (3, "1+u2+u2^2+u1*u2+u1*u2^2+u1*u2^3", "1+u2+u2^2"),
+            (3, "2+2*u2^2+u1+2*u1*u2+u1*u2^2+u1^2*u2", "2+u1"),
+            (3, "1+u2+u2^2+u2^3+u1+u1*u2", "1+u2"),
+            # the search over factors of u1-degree 1..n//2
+            (2, "1+u2+u1+u1*u2+u1*u2^2+u1^2*u2", "1+u1*u2"),
+            (2, "1+u2+u1+u1*u2^2+u1^2+u1^3+u1^3*u2", "1+u1+u1*u2"),
+            (2, "u2+u2^3+u1*u2^3+u1^2+u1^2*u2+u1^2*u2^2+u1^3", "1+u2^2+u1"),
+            (2, "u2^2+u1*u2+u1*u2^2+u1^3", "u2+u1"),
+            (3, "1+u2+2*u1+2*u1*u2+u1*u2^2+u1^2+u1^2*u2", "1+u2+u1"),
+            (3, "u2+u1+u1*u2^2+u1^2*u2", "1+u1*u2"),
+            (3, "1+2*u2^2+u2^4+u1+u1*u2+u1*u2^2+u1*u2^3+u1^2*u2", "1+u2^2+u1*u2"),
+            (3, "u1^-1+2*u2+u1*u2^2", "1+u1*u2"),
+            # u2 (1+u2+u1) divides these in the Laurent ring and comes first
+            (2, "u2+u2^2+u1+u1^2+u1^2*u2+u1^2*u2^2+u1^3*u2", "1+u2+u1"),
+            (3, "u2+u2^2+u1+2*u1*u2+u1^2+u1^2*u2+u1^2*u2^2+u1^3*u2", "1+u2+u1"),
+            # one variable only: the smallest univariate factor
+            (2, "1+u1+u1^2+u1^3", "1+u1"),
+            (2, "1+u2^3", "1+u2"),
+            (2, "1+u2^2+u2^4", "1+u2+u2^2"),
+            (2, "1+u1+u1^3+u1^4", "1+u1"),
+            (3, "2+u1+2*u1^2+u1^3", "1+u1^2"),
+            (3, "2+u1^3", "2+u1"),
+            (3, "1+2*u2+2*u2^2+u2^3", "1+u2"),
+            (3, "1+2*u1^2+u1^4", "1+u1^2"),
+        ],
+    )
+    def test_recorded_factors(self, p, poly, factor):
+        # which factor is found first depends on the order of the search
+        cert = brute_force_certify(L(poly, p))
+        assert (cert.method, cert.factor.to_string()) == ("reducible", factor)
+
     def test_out_of_range_returns_none(self):
         assert brute_force_certify(L("1+u1^5+u2")) is None
         assert brute_force_certify(L("1+u1+u2", 5)) is None
