@@ -11,7 +11,7 @@ inside machine integers before reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 NEG_INF = float("-inf")
 INFINITE = float("inf")
@@ -33,17 +33,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldConfig:
-    """The prime modulus shared by every value of one computation."""
-
+class _FieldConfigFields(NamedTuple):
     p: int
 
-    def __post_init__(self):
+
+class FieldConfig(_FieldConfigFields):
+    """The prime modulus shared by every value of one computation."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 2 <= self.p < MAX_PRIME:
             raise ValueError(f"prime modulus must lie in [2, 2^16), got {self.p}")
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
+        return self
 
 
 class FpPoly:

@@ -9,8 +9,8 @@ smallest vertex so that face numbering is reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 POINT = "point"
 SEGMENT = "segment"
@@ -45,16 +45,14 @@ def canonical_direction(v):
     return d
 
 
-@dataclass(frozen=True)
-class LatticePolygon:
+class LatticePolygon(NamedTuple):
     """Convex hull of a finite point set: extreme points only, CCW."""
 
     vertices: tuple
     degeneracy: str
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """One edge of a hull, with primitive direction and outward normal."""
 
     start: tuple

@@ -22,7 +22,7 @@ unknowns; the reduction records q only when a relation exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .fieldpoly import FpPoly
@@ -158,8 +158,13 @@ class LaurentPoly:
         return "+".join(parts)
 
 
-@dataclass(frozen=True)
-class PolyInU1:
+class _PolyInU1Fields(NamedTuple):
+    coeffs: tuple
+    shift: tuple
+    p: int
+
+
+class PolyInU1(_PolyInU1Fields):
     """f written as sum q_i(u2) u1^i after clearing negative exponents.
 
     `shift` is the monomial multiplier that was divided out, so that
@@ -167,13 +172,13 @@ class PolyInU1:
     and last coefficients are nonzero.
     """
 
-    coeffs: tuple
-    shift: tuple
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.coeffs or self.coeffs[0].is_zero() or self.coeffs[-1].is_zero():
             raise ValueError("PolyInU1 requires nonzero first and last coefficients")
+        return self
 
     @property
     def degree(self):

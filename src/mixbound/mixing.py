@@ -12,9 +12,9 @@ dilation k propagates to k p^j for every j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from . import geometry
 from .fieldpoly import (
@@ -39,6 +39,7 @@ KMAX_DEFAULT = 16
 WINDOWS_DEFAULT = (0, 1, 2)
 BRUTE_FORCE_BIDEGREE = (4, 4)
 BRUTE_FORCE_PRIMES = (2, 3)
+VOLOCH_MMAX = 1 << 16
 
 CERTIFIED_NON_MIXING = "certified_non_mixing"
 GEOMETRICALLY_MIXING = "geometrically_mixing"
@@ -58,8 +59,7 @@ class WitnessError(RuntimeError):
 # irreducibility certification
 
 
-@dataclass(frozen=True)
-class IrreducibilityCertificate:
+class IrreducibilityCertificate(NamedTuple):
     """How (or whether) irreducibility of f was established.
 
     method is one of 'eisenstein', 'brute_force', 'reducible',
@@ -250,8 +250,7 @@ def certify_irreducible(f: LaurentPoly) -> IrreducibilityCertificate:
 # order-of-mixing bounds
 
 
-@dataclass(frozen=True)
-class MixingReport:
+class MixingReport(NamedTuple):
     f: LaurentPoly
     p: int
     irreducibility: IrreducibilityCertificate
@@ -323,8 +322,7 @@ def order_bounds(f: LaurentPoly) -> MixingReport:
 # shapes and witnesses
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A verified relation sum_i m_i u^{k n_i} = quotient * f."""
 
     k: int
@@ -333,8 +331,7 @@ class Witness:
     quotient: LaurentPoly | None
 
 
-@dataclass(frozen=True)
-class ShapeVerdict:
+class ShapeVerdict(NamedTuple):
     kind: str
     witness: Witness | None = None
     reason: str | None = None
@@ -540,8 +537,7 @@ def three_shape_classify(
 # sequence diagnostics
 
 
-@dataclass(frozen=True)
-class FaceAlignment:
+class FaceAlignment(NamedTuple):
     face_index: int
     maximizer: tuple
     runner_up: tuple
@@ -549,8 +545,7 @@ class FaceAlignment:
     offset: int
 
 
-@dataclass(frozen=True)
-class DiagnosticsEntry:
+class DiagnosticsEntry(NamedTuple):
     label: int
     points: tuple
     alignments: tuple
@@ -605,8 +600,7 @@ def sequence_diagnostics(f: LaurentPoly, entries):
 # the univariate identity scan
 
 
-@dataclass(frozen=True)
-class VolochScan:
+class VolochScan(NamedTuple):
     mmax: int
     solutions: tuple
     frobenius_checked: tuple
@@ -633,9 +627,14 @@ def voloch_identity_scan(mmax: int) -> VolochScan:
     (1+t+t^2)^(2^e) = 1 + t^(2^e) + t^(2^(e+1)), which pins down the
     leading behaviour responsible for the emptiness, is verified by
     repeated squaring.
+
+    The scan is quadratic in mmax (about 3 s at the limit), so mmax must
+    lie in [1, VOLOCH_MMAX].
     """
     if mmax < 1:
         raise ValueError("mmax must be positive")
+    if mmax > VOLOCH_MMAX:
+        raise ValueError(f"mmax must be at most {VOLOCH_MMAX}")
     base = 0b111
     power = 1
     solutions = []

@@ -18,7 +18,6 @@ face's primitive outward normal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -30,8 +29,14 @@ FINITE = "finite"
 INFINITY_DEG = "infinity"
 
 
-@dataclass(frozen=True)
-class Valuation:
+class _ValuationFields(NamedTuple):
+    kind: str
+    g: FpPoly | None = None
+    coeff_axis: int = 2
+    inverted: bool = False
+
+
+class Valuation(_ValuationFields):
     """A base norm on the coefficient ring, plus coordinate bookkeeping.
 
     kind is FINITE (p^-ord_g) or INFINITY_DEG (p^deg).  coeff_axis names
@@ -40,12 +45,10 @@ class Valuation:
     before the polynomial was rewritten.
     """
 
-    kind: str
-    g: FpPoly | None = None
-    coeff_axis: int = 2
-    inverted: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in (FINITE, INFINITY_DEG):
             raise ValueError(f"unknown valuation kind {self.kind!r}")
         if self.coeff_axis not in (1, 2):
@@ -57,6 +60,7 @@ class Valuation:
                 raise ValueError("finite valuation needs an irreducible g")
         elif self.g is not None:
             raise ValueError("degree valuation takes no polynomial")
+        return self
 
     @classmethod
     def finite_at(cls, g, coeff_axis=2, inverted=False):
@@ -90,8 +94,7 @@ class Segment(NamedTuple):
     end: int
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     """Lower convex hull of Newton points: vertices where the slope
     changes, and the segments between them with strictly increasing
     slopes."""
@@ -100,17 +103,22 @@ class NewtonPolygon:
     segments: tuple
 
 
-@dataclass(frozen=True)
-class ExtendedNorm:
-    """Logs (base p) of |u1| and |u2| under one extension norm."""
-
+class _ExtendedNormFields(NamedTuple):
     log_u1: Fraction
     log_u2: Fraction
     source: tuple
 
-    def __post_init__(self):
+
+class ExtendedNorm(_ExtendedNormFields):
+    """Logs (base p) of |u1| and |u2| under one extension norm."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.log_u1 == 0 and self.log_u2 == 0:
             raise ValueError("trivial norm vector (0, 0)")
+        return self
 
     def vector(self):
         return (self.log_u1, self.log_u2)
@@ -185,8 +193,7 @@ def extended_norms(f: LaurentPoly, val: Valuation):
     return out
 
 
-@dataclass(frozen=True)
-class FaceNewtonData:
+class FaceNewtonData(NamedTuple):
     """Everything the face-to-norm reduction produced for one face."""
 
     face: geometry.Face

@@ -11,8 +11,8 @@ files are involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import geometry
 from ._golden import FIGURE1_SVG, FIGURE4_SVG
@@ -58,8 +58,7 @@ LEDRAPPIER = _poly({(0, 0): 1, (1, 0): 1, (0, 1): 1})
 QUARTIC = _poly({(0, 0): 1, (1, 0): 1, (0, 1): 1, (0, 2): 1})
 
 
-@dataclass(frozen=True)
-class ReferenceEntry:
+class ReferenceEntry(NamedTuple):
     key: str
     p: int
     poly: LaurentPoly
@@ -94,8 +93,7 @@ def notes_for(f: LaurentPoly):
 # the replay
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     expected: object
     got: object

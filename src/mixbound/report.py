@@ -94,12 +94,11 @@ def build_report(report: MixingReport, shape_verdicts=None, extra_notes=()):
         "hull_vertices": [list(v) for v in hull.vertices],
         "degeneracy": hull.degeneracy,
     }
+    face_list = geometry.faces(hull)
+    out["faces"] = [face_json(fc) for fc in face_list]
     if hull.degeneracy == geometry.POLYGON:
-        face_list = geometry.faces(hull)
-        out["faces"] = [face_json(fc) for fc in face_list]
         out["newton"] = [newton_json(face_newton_data(f, fc)) for fc in face_list]
     else:
-        out["faces"] = [face_json(fc) for fc in geometry.faces(hull)]
         out["newton"] = []
     out["bounds"] = {
         "lower": report.lower_bound,

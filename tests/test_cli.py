@@ -189,6 +189,12 @@ class TestVolochScan:
         assert data["frobenius_checked"] == list(range(8))
         assert data["frobenius_failures"] == []
 
+    def test_mmax_above_limit_is_invalid_input(self, capsys):
+        code, out, err = run(capsys, "voloch-scan", "--mmax", "100000000")
+        assert code == 2
+        assert out == ""
+        assert err == "invalid input: mmax must be at most 65536\n"
+
 
 class TestVerifyPaper:
     def test_exit_0_and_all_pass(self, capsys):

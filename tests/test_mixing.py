@@ -482,6 +482,12 @@ class TestVolochScan:
         with pytest.raises(ValueError):
             voloch_identity_scan(0)
 
+    def test_mmax_is_bounded(self):
+        with pytest.raises(ValueError, match="mmax must be at most 65536"):
+            voloch_identity_scan(65537)
+        with pytest.raises(ValueError, match="mmax must be at most 65536"):
+            voloch_identity_scan(100_000_000)
+
 
 class TestOracleEquivalence:
     def _brute_force_constants(self, f, pts, k):

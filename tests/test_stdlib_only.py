@@ -1,4 +1,6 @@
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,3 +37,22 @@ def test_no_private_names_imported_across_modules():
                 if alias.name.startswith("_"):
                     private.append(f"{path.name}:{node.lineno} {alias.name}")
     assert private == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every mixbound command pays for what `import mixbound.cli` loads;
+    # dataclasses (and the inspect, ast and tokenize it pulls in) cost
+    # more start-up than most commands spend on their work
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import mixbound.cli\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True, text=True, check=True,
+    )
+    loaded = set(done.stdout.split())
+    assert "mixbound.cli" in loaded
+    assert loaded & {"dataclasses", "inspect"} == set()
