@@ -1,15 +1,14 @@
 """Integer convex-hull geometry for exponent vectors in Z^2.
 
 Everything is exact: orientation predicates are integer cross products
-(Python integers never overflow) and ratios are `fractions.Fraction`.
-Hulls are stored counter-clockwise starting at the lexicographically
-smallest vertex so that face numbering is reproducible.
+and edge directions are primitive integer vectors (Python integers never
+overflow).  Hulls are stored counter-clockwise starting at the
+lexicographically smallest vertex so that face numbering is reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 POINT = "point"
@@ -123,56 +122,3 @@ def faces(poly: LatticePolygon):
 def slope_set(face_list):
     """Face directions deduplicated up to sign (canonical primitive form)."""
     return {canonical_direction(f.direction) for f in face_list}
-
-
-def _ccw_arrangement(points):
-    # distinct triple -> CCW-ordered tuple, or None when collinear
-    a, b, c = points
-    s = cross(a, b, c)
-    if s == 0:
-        return None
-    return (a, b, c) if s > 0 else (a, c, b)
-
-
-def _ratio_of(u, v):
-    # u = q * v for a single rational q, else None
-    if v == (0, 0):
-        return None
-    q = Fraction(u[1], v[1]) if v[0] == 0 else Fraction(u[0], v[0])
-    if (q * v[0], q * v[1]) != (u[0], u[1]):
-        return None
-    return q
-
-
-def triangle_homothety(shape, poly: LatticePolygon):
-    """Cyclic assignment of a 3-point shape onto a triangle's vertices with
-    all corresponding vertex differences equal to a single rational multiple.
-
-    Returns (assignment, ratio) where assignment[i] maps onto vertex i and
-    ratio may be negative (a point-reflected copy); None when no single
-    ratio works or the shape is collinear.
-    """
-    if poly.degeneracy != POLYGON or len(poly.vertices) != 3:
-        raise ValueError("expected a non-degenerate triangle hull")
-    pts = [tuple(p) for p in shape]
-    if len(set(pts)) != 3:
-        return None
-    arranged = _ccw_arrangement(pts)
-    if arranged is None:
-        return None
-    d = poly.vertices
-    tdiff = [
-        (d[(i + 1) % 3][0] - d[i][0], d[(i + 1) % 3][1] - d[i][1]) for i in range(3)
-    ]
-    for r in range(3):
-        rot = arranged[r:] + arranged[:r]
-        sdiff = [
-            (rot[(i + 1) % 3][0] - rot[i][0], rot[(i + 1) % 3][1] - rot[i][1])
-            for i in range(3)
-        ]
-        q = _ratio_of(sdiff[0], tdiff[0])
-        if q is None or q == 0:
-            continue
-        if all(_ratio_of(sdiff[i], tdiff[i]) == q for i in (1, 2)):
-            return rot, q
-    return None

@@ -4,7 +4,7 @@ The geometry of the hull of f bounds the order of mixing: an R-gon hull
 with f irreducible gives R-1 <= order < |S(f)|, so support = hull
 vertices pins the order exactly.  Shapes of lattice points are classified
 by combining that bound, the face-direction prefilter, the triangle
-homothety test, and an explicit search for module relations
+edge-direction test, and an explicit search for module relations
 sum m_i u^{k n_i} = 0 mod f.  Only relations with constant m_i certify
 non-mixing: constants are fixed by the p-th power map, so one relation at
 dilation k propagates to k p^j for every j.
@@ -40,6 +40,7 @@ WINDOWS_DEFAULT = (0, 1, 2)
 BRUTE_FORCE_BIDEGREE = (4, 4)
 BRUTE_FORCE_PRIMES = (2, 3)
 VOLOCH_MMAX = 1 << 16
+FROBENIUS_POWERS = (1, 2)
 
 CERTIFIED_NON_MIXING = "certified_non_mixing"
 GEOMETRICALLY_MIXING = "geometrically_mixing"
@@ -52,7 +53,8 @@ class DegenerateInput(ValueError):
 
 
 class WitnessError(RuntimeError):
-    """A relation witness failed its independent re-verification."""
+    """A relation witness or an irreducibility certificate failed its
+    independent re-verification."""
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +168,7 @@ def brute_force_certify(f: LaurentPoly):
         if c.degree != 0:
             # the view really involves its main variable, so content times
             # primitive part is a genuine non-unit factorization
-            factor = _u2_poly_to_laurent(c, p)
+            factor = PolyInU1((c,), (0, 0), p).to_laurent()
             if swap:
                 factor = factor.swap_vars()
             return IrreducibilityCertificate("reducible", factor=factor)
@@ -183,14 +185,10 @@ def _univariate_verdict(q: FpPoly, swap, bidegree):
     if factors == {q.monic(): 1}:
         return IrreducibilityCertificate("brute_force", searched_bidegree=bidegree)
     g = sorted(factors, key=lambda h: h.coeffs)[0]
-    factor = _u2_poly_to_laurent(g, q.p)
+    factor = PolyInU1((g,), (0, 0), q.p).to_laurent()
     if swap:
         factor = factor.swap_vars()
     return IrreducibilityCertificate("reducible", factor=factor)
-
-
-def _u2_poly_to_laurent(q: FpPoly, p):
-    return LaurentPoly({(0, i): c for i, c in enumerate(q.coeffs) if c}, p)
 
 
 def _search_factor(f, pu):
@@ -236,9 +234,15 @@ def _specializations_divide(cand_coeffs, specials, p):
 
 
 def certify_irreducible(f: LaurentPoly) -> IrreducibilityCertificate:
-    """Eisenstein first, then the brute-force fallback, else 'unverified'."""
+    """Eisenstein first, then the brute-force fallback, else 'unverified'.
+
+    An Eisenstein certificate is re-checked by `verify_eisenstein` before
+    it is returned; one that fails raises WitnessError.
+    """
     cert = eisenstein_certify(f)
     if cert is not None:
+        if not verify_eisenstein(f, cert):
+            raise WitnessError("Eisenstein certificate fails re-verification")
         return cert
     cert = brute_force_certify(f)
     if cert is not None:
@@ -365,8 +369,8 @@ def make_witness(f: LaurentPoly, shape, k, ms) -> Witness:
     return Witness(k, ms, constant, quotient)
 
 
-def frobenius_closure_holds(f, shape, witness: Witness, powers=(1, 2)) -> bool:
-    """Directly expand the relation at k p^j for the given j's.
+def frobenius_closure_holds(f, shape, witness: Witness) -> bool:
+    """Directly expand the relation at k p^j for each j in FROBENIUS_POWERS.
 
     Constant coefficients are fixed by the p-th power map, so a constant
     witness must keep working at every dilation k p^j; this checks it by
@@ -375,7 +379,7 @@ def frobenius_closure_holds(f, shape, witness: Witness, powers=(1, 2)) -> bool:
     solver uses, so this is not independent of it; only `make_witness`'s
     multiply-back (at k, not at k p^j) is.
     """
-    for j in powers:
+    for j in FROBENIUS_POWERS:
         kk = witness.k * f.p**j
         if not in_ideal(relation_sum(f, shape, kk, witness.coefficients), f):
             return False
@@ -495,7 +499,11 @@ def three_shape_classify(
 
     R > 3 settles it (order of mixing is at least 3).  For a triangle
     hull the shape must be a positive homothet of the vertex triangle to
-    stand any chance of being non-mixing; matches go to the witness
+    stand any chance of being non-mixing.  Two counter-clockwise
+    triangles are positive homothets exactly when their edges have the
+    same primitive directions, and point reflections of each other
+    exactly when those directions are negated; so the shape's own hull
+    is compared with f's by face directions.  Matches go to the witness
     search, point-reflected matches are left unresolved, and everything
     else is geometrically mixing.  Collinear shapes fall outside the
     triangle argument and are reported unresolved.
@@ -506,29 +514,31 @@ def three_shape_classify(
     hull = geometry.convex_hull(f.support())
     if hull.degeneracy != geometry.POLYGON:
         raise DegenerateInput("classification needs a non-degenerate hull")
-    r = len(geometry.faces(hull))
+    faces = geometry.faces(hull)
+    r = len(faces)
     if r > 3:
         return ShapeVerdict(
             GEOMETRICALLY_MIXING, reason=f"R-1 = {r - 1} >= 3: all 3-shapes mix"
         )
-    if geometry.cross(pts[0], pts[1], pts[2]) == 0:
+    hull_dirs = {fc.direction for fc in faces}
+    shape_hull = geometry.convex_hull(pts)
+    if shape_hull.degeneracy != geometry.POLYGON:
         return ShapeVerdict(
             UNRESOLVED,
             note="collinear shape: the triangle similarity argument does not apply",
         )
-    hom = geometry.triangle_homothety(pts, hull)
-    if hom is None:
-        return ShapeVerdict(
-            GEOMETRICALLY_MIXING,
-            reason="shape differences are not positively proportional to the "
-            "hull triangle's",
-        )
-    _, ratio = hom
-    if ratio < 0:
+    shape_dirs = {fc.direction for fc in geometry.faces(shape_hull)}
+    if shape_dirs == {(-a, -b) for a, b in hull_dirs}:
         return ShapeVerdict(
             UNRESOLVED,
             note="point-reflected copy of the hull triangle: outside the scope "
             "of the similarity argument",
+        )
+    if shape_dirs != hull_dirs:
+        return ShapeVerdict(
+            GEOMETRICALLY_MIXING,
+            reason="shape differences are not positively proportional to the "
+            "hull triangle's",
         )
     return shape_witness_search(f, pts, kmax=kmax, windows=windows)
 

@@ -181,7 +181,7 @@ def verify_paper_checks():
     checks.append(Check("support shape relation persists at k=2 and k=4", True,
                         verdict.witness is not None
                         and frobenius_closure_holds(LEDRAPPIER, [(0, 0), (1, 0), (0, 1)],
-                                                    verdict.witness, powers=(1, 2))))
+                                                    verdict.witness)))
 
     v1 = three_shape_classify(QUARTIC, [(0, 0), (1, 0), (0, 1)])
     checks.append(Check("quartic unit-triangle shape", GEOMETRICALLY_MIXING, v1.kind))

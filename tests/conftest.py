@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from mixbound.fieldpoly import FpPoly, _monic_polys_of_degree, is_irreducible
+from mixbound.geometry import POLYGON, cross
 from mixbound.laurent import LaurentPoly, PolyInU1, as_poly_in_u1
 from mixbound.parse import parse_poly
 
@@ -54,6 +56,61 @@ def long_divide(f, g):
         return None
     shift = (gu.shift[0] - fu.shift[0], gu.shift[1] - fu.shift[1])
     return PolyInU1(tuple(quotient), shift, p).to_laurent()
+
+
+def _ccw_arrangement(points):
+    # distinct triple -> CCW-ordered tuple, or None when collinear
+    a, b, c = points
+    s = cross(a, b, c)
+    if s == 0:
+        return None
+    return (a, b, c) if s > 0 else (a, c, b)
+
+
+def _ratio_of(u, v):
+    # u = q * v for a single rational q, else None
+    if v == (0, 0):
+        return None
+    q = Fraction(u[1], v[1]) if v[0] == 0 else Fraction(u[0], v[0])
+    if (q * v[0], q * v[1]) != (u[0], u[1]):
+        return None
+    return q
+
+
+def triangle_homothety(shape, poly):
+    """Cyclic assignment of a 3-point shape onto a triangle's vertices with
+    all corresponding vertex differences equal to a single rational multiple.
+
+    The reference for `mixing.three_shape_classify`'s edge-direction test,
+    sharing no code with it.  Returns (assignment, ratio) where
+    assignment[i] maps onto vertex i and ratio may be negative (a
+    point-reflected copy); None when no single ratio works or the shape is
+    collinear.
+    """
+    if poly.degeneracy != POLYGON or len(poly.vertices) != 3:
+        raise ValueError("expected a non-degenerate triangle hull")
+    pts = [tuple(p) for p in shape]
+    if len(set(pts)) != 3:
+        return None
+    arranged = _ccw_arrangement(pts)
+    if arranged is None:
+        return None
+    d = poly.vertices
+    tdiff = [
+        (d[(i + 1) % 3][0] - d[i][0], d[(i + 1) % 3][1] - d[i][1]) for i in range(3)
+    ]
+    for r in range(3):
+        rot = arranged[r:] + arranged[:r]
+        sdiff = [
+            (rot[(i + 1) % 3][0] - rot[i][0], rot[(i + 1) % 3][1] - rot[i][1])
+            for i in range(3)
+        ]
+        q = _ratio_of(sdiff[0], tdiff[0])
+        if q is None or q == 0:
+            continue
+        if all(_ratio_of(sdiff[i], tdiff[i]) == q for i in (1, 2)):
+            return rot, q
+    return None
 
 
 def random_laurent(rng, p, max_terms=6, span=4):

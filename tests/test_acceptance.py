@@ -130,7 +130,7 @@ def test_criterion_4_non_mixing_witness():
         for m, n in zip(w.coefficients, shape):
             combo = combo + m.shift((k * n[0], k * n[1]))
         assert in_ideal(combo, f)
-    assert frobenius_closure_holds(f, shape, w, powers=(1, 2))
+    assert frobenius_closure_holds(f, shape, w)
     _report(4, "support shape certified non-mixing; relation persists at k=2,4")
 
 

@@ -13,8 +13,9 @@ from mixbound.geometry import (
     cross,
     faces,
     slope_set,
-    triangle_homothety,
 )
+
+from conftest import triangle_homothety
 
 
 def contains(poly, pt):

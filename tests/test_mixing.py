@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mixbound import fieldpoly, geometry
+from mixbound import fieldpoly, geometry, mixing
 from mixbound.fieldpoly import FpPoly, content
 from mixbound.laurent import LaurentPoly, as_poly_in_u1, combination_solve, in_ideal
 from mixbound.mixing import (
@@ -11,6 +11,7 @@ from mixbound.mixing import (
     RELATION_FOUND,
     UNRESOLVED,
     DegenerateInput,
+    ShapeVerdict,
     WitnessError,
     brute_force_certify,
     certify_irreducible,
@@ -26,7 +27,7 @@ from mixbound.mixing import (
     voloch_identity_scan,
 )
 
-from conftest import L, irreducibles_up_to_degree, random_nonmonomial
+from conftest import L, irreducibles_up_to_degree, random_nonmonomial, triangle_homothety
 
 
 def _eisenstein_by_enumeration(f, candidates):
@@ -109,6 +110,13 @@ class TestEisenstein:
         monkeypatch.setattr(fieldpoly, "_monic_polys_of_degree", counted)
         cert = eisenstein_certify(L("1+u1+u2", p))
         assert cert.g == FpPoly([1, 1], p)
+
+    def test_wrong_certificate_never_reaches_a_report(self, monkeypatch):
+        f = L("u1^2+u1u2^2+u2^3+u2")
+        wrong = eisenstein_certify(f)._replace(g=FpPoly([1, 1], 2))
+        monkeypatch.setattr(mixing, "eisenstein_certify", lambda _: wrong)
+        with pytest.raises(WitnessError):
+            order_bounds(f)
 
 
 class TestBruteForce:
@@ -278,7 +286,7 @@ class TestWitness:
     def test_frobenius_closure(self):
         f = L("1+u1+u2")
         w = make_witness(f, [(0, 0), (1, 0), (0, 1)], 1, (L("1"), L("1"), L("1")))
-        assert frobenius_closure_holds(f, [(0, 0), (1, 0), (0, 1)], w, powers=(1, 2))
+        assert frobenius_closure_holds(f, [(0, 0), (1, 0), (0, 1)], w)
 
 
 class TestPrefilter:
@@ -419,6 +427,55 @@ class TestThreeShapeClassify:
         v = three_shape_classify(L("1+u1+u2+u2^2"), [(0, 0), (-1, 0), (0, -2)])
         assert v.kind == UNRESOLVED
         assert "reflected" in v.note
+
+    def test_matches_triangle_homothety(self, monkeypatch):
+        # the edge-direction rule against the rational-ratio oracle; the
+        # witness search is replaced, so only the geometry decides
+        searched = ShapeVerdict("searched")
+        monkeypatch.setattr(mixing, "shape_witness_search", lambda *a, **k: searched)
+        rng = random.Random(0x3A)
+        seen = {"collinear": 0, "searched": 0, "reflected": 0, "mixing": 0}
+        pairs = 0
+        while pairs < 2400:
+            corners = {(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(3)}
+            hull = geometry.convex_hull(corners)
+            if hull.degeneracy != geometry.POLYGON:
+                continue
+            if rng.random() < 0.5:
+                q = rng.choice((-3, -2, -1, 1, 2, 3))
+                tx, ty = rng.randint(-6, 6), rng.randint(-6, 6)
+                shape = [(q * a + tx, q * b + ty) for a, b in hull.vertices]
+                if rng.random() < 0.3:
+                    i = rng.randrange(3)
+                    dx, dy = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
+                    shape[i] = (shape[i][0] + dx, shape[i][1] + dy)
+                rng.shuffle(shape)
+            else:
+                shape = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3)]
+            if len(set(shape)) != 3:
+                continue
+            pairs += 1
+            v = three_shape_classify(LaurentPoly({c: 1 for c in corners}, 2), shape)
+            hom = triangle_homothety(shape, hull)
+            if geometry.cross(*shape) == 0:
+                seen["collinear"] += 1
+                assert v.kind == UNRESOLVED and "collinear" in v.note
+            elif hom is None:
+                seen["mixing"] += 1
+                assert v.kind == GEOMETRICALLY_MIXING
+                assert "not positively proportional" in v.reason
+            elif hom[1] > 0:
+                seen["searched"] += 1
+                assert v is searched
+            else:
+                seen["reflected"] += 1
+                assert v.kind == UNRESOLVED and "reflected" in v.note
+        assert min(seen.values()) >= 30, seen
+
+    def test_shape_beyond_coordinate_cap_rejected(self):
+        far = (0, geometry.COORD_LIMIT + 1)
+        with pytest.raises(ValueError, match="out of range"):
+            three_shape_classify(L("1+u1+u2+u2^2"), [(0, 0), (1, 0), far])
 
     def test_never_certifies_when_r_exceeds_3(self, rng):
         f = L("u1^6+u1^5u2+u1^3u2^2+u2+u2^3")

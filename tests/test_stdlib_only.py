@@ -39,6 +39,26 @@ def test_no_private_names_imported_across_modules():
     assert private == []
 
 
+def test_every_module_level_definition_is_used():
+    # a function or class that nothing in the package names, reads as an
+    # attribute or imports is a helper nothing calls
+    defined, used = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.lineno, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = [f"{name}:{line} {ident}" for name, line, ident in defined if ident not in used]
+    assert defined and unused == []
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # every mixbound command pays for what `import mixbound.cli` loads;
     # dataclasses (and the inspect, ast and tokenize it pulls in) cost
