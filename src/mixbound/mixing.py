@@ -150,6 +150,8 @@ def brute_force_certify(f: LaurentPoly):
     u1 (caught by the coefficient content in one of the two variable
     orders) or a factor of u1-degree between 1 and n//2, whose extreme
     u1-coefficients divide those of f; only such candidates are tried.
+    The filter looks each candidate's values at u2 = c up in precomputed
+    sets of the divisors of f(c, u1); exact_divides is the final test.
     """
     if f.is_zero() or f.is_monomial():
         raise DegenerateInput("nothing to certify for a unit")
@@ -196,48 +198,55 @@ def _search_factor(f, pu):
     n = pu.degree
     q0, qn = pu.coeffs[0], pu.coeffs[-1]
     d2 = max(q.degree for q in pu.coeffs if not q.is_zero())
-    # a divisor specializes to a divisor at every u2 = c (where f stays
-    # nonzero), which rejects most candidates with a few scalar divisions.
-    # pu is normalized, so u2 = 0 is always one of them: it rejects every
-    # candidate divisible by u2, which can divide f in the Laurent ring
-    # but never in the polynomial ring the factor is searched in
-    specials = []
+    # a divisor specializes to a divisor at every u2 = c where f stays
+    # nonzero; the divisor sets and the candidates' values there are
+    # computed once, so the filter only looks values up and exact_divides
+    # is the final test.  pu is normalized, so u2 = 0 is always a point:
+    # it rejects every candidate divisible by u2, which can divide f in
+    # the Laurent ring but never in the polynomial ring searched here
+    points, divisor_sets = [], []
     for c in range(p):
         fc = FpPoly([q.eval(c) for q in pu.coeffs], p)
         if not fc.is_zero():
-            specials.append((c, fc))
-    lead_divs = monic_divisors(qn)
-    trail_divs = [d.scale(c) for d in monic_divisors(q0) for c in range(1, p)]
+            points.append(c)
+            divisor_sets.append({d.scale(u).coeffs for d in monic_divisors(fc) for u in range(1, p)})
+
+    def with_values(polys):
+        return [(g, tuple(g.eval(c) for c in points)) for g in polys]
+
+    lead_divs = with_values(monic_divisors(qn))
+    trail_divs = with_values(d.scale(c) for d in monic_divisors(q0) for c in range(1, p))
     # every polynomial of degree <= d2, constant coefficient varying fastest
-    middles = tuple(
-        FpPoly(cs[::-1], p) for cs in product(range(p), repeat=d2 + 1)
-    )
+    middles = with_values(FpPoly(cs[::-1], p) for cs in product(range(p), repeat=d2 + 1))
     for a in range(1, n // 2 + 1):
-        for ga in lead_divs:
-            for g0 in trail_divs:
+        for ga, va in lead_divs:
+            for g0, v0 in trail_divs:
+                # the middle values each point's divisors allow; a middle
+                # passes when its value vectors lie in `allowed`
+                per_point = [
+                    [xs for xs in product(range(p), repeat=a - 1)
+                     if FpPoly((x0, *xs, xa), p).coeffs in divs]
+                    for x0, xa, divs in zip(v0, va, divisor_sets)
+                ]
+                allowed = {tuple(zip(*combo)) for combo in product(*per_point)}
+                if not allowed:
+                    continue
                 for middle in product(middles, repeat=a - 1):
-                    cand_coeffs = [g0, *middle, ga]
-                    if not _specializations_divide(cand_coeffs, specials, p):
+                    if tuple(v for _, v in middle) not in allowed:
                         continue
-                    cand = PolyInU1(tuple(cand_coeffs), (0, 0), p).to_laurent()
+                    cand = PolyInU1((g0, *(g for g, _ in middle), ga), (0, 0), p).to_laurent()
                     if exact_divides(cand, f) is not None:
                         return cand
     return None
 
 
-def _specializations_divide(cand_coeffs, specials, p):
-    for c, fc in specials:
-        gc = FpPoly([q.eval(c) for q in cand_coeffs], p)
-        if gc.is_zero() or not (fc % gc).is_zero():
-            return False
-    return True
-
-
 def certify_irreducible(f: LaurentPoly) -> IrreducibilityCertificate:
     """Eisenstein first, then the brute-force fallback, else 'unverified'.
 
-    An Eisenstein certificate is re-checked by `verify_eisenstein` before
-    it is returned; one that fails raises WitnessError.
+    An Eisenstein certificate is re-checked by `verify_eisenstein`, and a
+    'reducible' one by multiplying its factor by the exact quotient back
+    to f, with neither side a monomial (a unit); a certificate that fails
+    raises WitnessError.
     """
     cert = eisenstein_certify(f)
     if cert is not None:
@@ -245,9 +254,13 @@ def certify_irreducible(f: LaurentPoly) -> IrreducibilityCertificate:
             raise WitnessError("Eisenstein certificate fails re-verification")
         return cert
     cert = brute_force_certify(f)
-    if cert is not None:
-        return cert
-    return IrreducibilityCertificate("unverified")
+    if cert is None:
+        return IrreducibilityCertificate("unverified")
+    if cert.method == "reducible":
+        q = exact_divides(cert.factor, f)
+        if q is None or q * cert.factor != f or q.is_monomial() or cert.factor.is_monomial():
+            raise WitnessError("reducible certificate fails re-verification")
+    return cert
 
 
 # ---------------------------------------------------------------------------

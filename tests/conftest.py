@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from mixbound.fieldpoly import FpPoly, _monic_polys_of_degree, is_irreducible
+from mixbound.fieldpoly import FpPoly, _monic_polys_of_degree, is_irreducible, monic_divisors
 from mixbound.geometry import POLYGON, cross
-from mixbound.laurent import LaurentPoly, PolyInU1, as_poly_in_u1
+from mixbound.laurent import LaurentPoly, PolyInU1, as_poly_in_u1, exact_divides
 from mixbound.parse import parse_poly
 
 
@@ -111,6 +112,55 @@ def triangle_homothety(shape, poly):
         if all(_ratio_of(sdiff[i], tdiff[i]) == q for i in (1, 2)):
             return rot, q
     return None
+
+
+def _search_factor(f, pu):
+    """First factor of u1-degree 1..n//2 found by the brute-force search, or None.
+
+    The reference for `mixing._search_factor`, in the same candidate
+    order: each candidate's specializations at u2 = c are rebuilt as
+    polynomials and f(c, u1) is divided by them, where the library looks
+    precomputed values up in precomputed divisor sets.
+    """
+    p = f.p
+    n = pu.degree
+    q0, qn = pu.coeffs[0], pu.coeffs[-1]
+    d2 = max(q.degree for q in pu.coeffs if not q.is_zero())
+    # a divisor specializes to a divisor at every u2 = c (where f stays
+    # nonzero), which rejects most candidates with a few scalar divisions.
+    # pu is normalized, so u2 = 0 is always one of them: it rejects every
+    # candidate divisible by u2, which can divide f in the Laurent ring
+    # but never in the polynomial ring the factor is searched in
+    specials = []
+    for c in range(p):
+        fc = FpPoly([q.eval(c) for q in pu.coeffs], p)
+        if not fc.is_zero():
+            specials.append((c, fc))
+    lead_divs = monic_divisors(qn)
+    trail_divs = [d.scale(c) for d in monic_divisors(q0) for c in range(1, p)]
+    # every polynomial of degree <= d2, constant coefficient varying fastest
+    middles = tuple(
+        FpPoly(cs[::-1], p) for cs in product(range(p), repeat=d2 + 1)
+    )
+    for a in range(1, n // 2 + 1):
+        for ga in lead_divs:
+            for g0 in trail_divs:
+                for middle in product(middles, repeat=a - 1):
+                    cand_coeffs = [g0, *middle, ga]
+                    if not _specializations_divide(cand_coeffs, specials, p):
+                        continue
+                    cand = PolyInU1(tuple(cand_coeffs), (0, 0), p).to_laurent()
+                    if exact_divides(cand, f) is not None:
+                        return cand
+    return None
+
+
+def _specializations_divide(cand_coeffs, specials, p):
+    for c, fc in specials:
+        gc = FpPoly([q.eval(c) for q in cand_coeffs], p)
+        if gc.is_zero() or not (fc % gc).is_zero():
+            return False
+    return True
 
 
 def random_laurent(rng, p, max_terms=6, span=4):

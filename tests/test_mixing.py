@@ -11,6 +11,7 @@ from mixbound.mixing import (
     RELATION_FOUND,
     UNRESOLVED,
     DegenerateInput,
+    IrreducibilityCertificate,
     ShapeVerdict,
     WitnessError,
     brute_force_certify,
@@ -27,7 +28,13 @@ from mixbound.mixing import (
     voloch_identity_scan,
 )
 
-from conftest import L, irreducibles_up_to_degree, random_nonmonomial, triangle_homothety
+from conftest import (
+    L,
+    _search_factor as search_factor_by_division,
+    irreducibles_up_to_degree,
+    random_nonmonomial,
+    triangle_homothety,
+)
 
 
 def _eisenstein_by_enumeration(f, candidates):
@@ -207,6 +214,83 @@ class TestBruteForce:
             from mixbound.laurent import exact_divides
 
             assert exact_divides(q, f) is not None
+
+    def test_matches_division_oracle(self, rng, monkeypatch):
+        # inputs that reach the factor search: bidegree <= (4, 4), both
+        # extents at least 1, trivial content in both variable orders;
+        # every other input is a product of two such boxes
+        def box(p, d1, d2):
+            while True:
+                terms = {
+                    (i, j): rng.randrange(p)
+                    for i in range(d1 + 1) for j in range(d2 + 1) if rng.random() < 0.5
+                }
+                g = LaurentPoly(terms, p)
+                if len(g) >= 2:
+                    return g
+
+        def reaches_search(f):
+            pu, pv = as_poly_in_u1(f), as_poly_in_u1(f.swap_vars())
+            return all(
+                1 <= view.degree <= 4 and content(view.coeffs).degree == 0 for view in (pu, pv)
+            )
+
+        def summary(cert):
+            factor = cert.factor.to_string() if cert.factor is not None else None
+            return cert.method, factor, cert.searched_bidegree
+
+        inputs, products, reducible = 0, 0, 0
+        while inputs < 420:
+            p = rng.choice((2, 3))
+            is_product = inputs % 2 == 1
+            if is_product:
+                a1, a2 = rng.randint(1, 3), rng.randint(0, 3)
+                f = box(p, a1, a2) * box(p, rng.randint(1, 4 - a1), rng.randint(0, 4 - a2))
+            else:
+                f = box(p, rng.randint(1, 4), rng.randint(1, 4))
+            f = f.shift((rng.randint(-2, 2), rng.randint(-2, 2)))
+            if not reaches_search(f):
+                continue
+            cert = brute_force_certify(f)
+            with monkeypatch.context() as m:
+                m.setattr(mixing, "_search_factor", search_factor_by_division)
+                expected = brute_force_certify(f)
+            assert summary(cert) == summary(expected), f.to_string()
+            inputs += 1
+            products += is_product
+            reducible += cert.method == "reducible"
+        assert products >= 150
+        assert 150 <= reducible <= inputs - 150
+
+    def test_filter_does_not_divide(self, monkeypatch):
+        # the division oracle divides 25682 times on this input
+        f = L("2*u2^4+2*u1*u2+u1^2*u2^3+u1^3+2*u1^4*u2^3+2*u1^4*u2^4", 3)
+        calls = []
+        divmod_original = FpPoly.__divmod__
+
+        def counted_divmod(a, b):
+            calls.append(None)
+            return divmod_original(a, b)
+
+        monkeypatch.setattr(FpPoly, "__divmod__", counted_divmod)
+        assert brute_force_certify(f).method == "brute_force"
+        assert len(calls) < 200
+
+    @pytest.mark.parametrize(
+        "factor",
+        [
+            lambda f: L("1+u1"),  # not a divisor
+            lambda f: L("u1"),  # a unit
+            lambda f: f * L("u1^-1"),  # a unit cofactor
+        ],
+        ids=["non-divisor", "unit-factor", "unit-cofactor"],
+    )
+    def test_wrong_reducible_certificate_never_reaches_a_report(self, monkeypatch, factor):
+        f = L("1+u1+u2+u1u2+u1^2+u2^2")
+        wrong = IrreducibilityCertificate("reducible", factor=factor(f))
+        monkeypatch.setattr(mixing, "brute_force_certify", lambda _: wrong)
+        with pytest.raises(WitnessError):
+            order_bounds(f)
 
 
 class TestOrderBounds:

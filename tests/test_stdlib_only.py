@@ -9,7 +9,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "mixbound"
 
 def test_runtime_imports_only_the_standard_library():
     outside = []
-    for path in sorted(SRC.glob("*.py")):
+    paths = sorted(SRC.glob("*.py"))
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -20,14 +21,15 @@ def test_runtime_imports_only_the_standard_library():
             for name in names:
                 if name.split(".")[0] not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno} {name}")
-    assert outside == []
+    assert paths and outside == []
 
 
 def test_no_private_names_imported_across_modules():
     # an underscore name is a module's own business: another module that
     # needs it should get a public function instead
     private = []
-    for path in sorted(SRC.glob("*.py")):
+    paths = sorted(SRC.glob("*.py"))
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if not isinstance(node, ast.ImportFrom):
                 continue
@@ -36,7 +38,7 @@ def test_no_private_names_imported_across_modules():
             for alias in node.names:
                 if alias.name.startswith("_"):
                     private.append(f"{path.name}:{node.lineno} {alias.name}")
-    assert private == []
+    assert paths and private == []
 
 
 def test_every_module_level_definition_is_used():
