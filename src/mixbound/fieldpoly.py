@@ -252,12 +252,16 @@ def ord_at(a: FpPoly, g: FpPoly):
     """Multiplicity of g in a: the largest m with g**m | a.
 
     Returns INFINITE for a = 0.  g must be non-constant (and should be
-    irreducible for the valuation reading).
+    irreducible for the valuation reading).  At g = t the multiplicity is
+    the index of the lowest nonzero coefficient, read off without dividing;
+    any other g is divided out one factor at a time.
     """
     if g.degree == NEG_INF or g.degree < 1:
         raise ValueError("ord_at needs a non-constant divisor")
     if a.is_zero():
         return INFINITE
+    if g.coeffs == (0, 1):
+        return next(i for i, c in enumerate(a.coeffs) if c)
     m = 0
     while True:
         q, r = divmod(a, g)

@@ -8,12 +8,14 @@ Newton polygon is the lower convex hull of the points (i, -log_p|q_i|),
 whose ordinates are integers (+infinity for q_i = 0).  Each segment of
 slope s, an exact rational, yields an extension norm with log_p|u1| = s.
 
-`face_norm_for` runs the reduction that turns a hull face into such a
-norm: swap the variables when the face is vertical, replace u2 by its
-inverse when the face points upward, read the slope off the Newton
-polygon, and map the resulting log-vector back through the recorded
-coordinate changes.  The outcome is always a positive multiple of the
-face's primitive outward normal.
+`face_newton_data` runs the reduction that turns hull faces into such
+norms: swap the variables when a face is vertical, replace u2 by its
+inverse when it points upward, read the slope off the Newton polygon,
+and map the resulting log-vector back through the recorded coordinate
+changes.  The outcome is always a positive multiple of the face's
+primitive outward normal.  There are at most four coordinate changes,
+and the reduction runs once per change: faces that share one share its
+Newton polygon.
 """
 
 from __future__ import annotations
@@ -204,52 +206,58 @@ class FaceNewtonData(NamedTuple):
     norm: ExtendedNorm
 
 
-def face_newton_data(f: LaurentPoly, face: geometry.Face) -> FaceNewtonData:
-    """Run the face-to-norm reduction and keep the intermediate data.
+def face_newton_data(f: LaurentPoly, faces) -> list:
+    """Run the face-to-norm reduction and keep the intermediate data, one
+    record per face, in the order given.
 
-    The face must belong to the hull of the support of f.  Vertical faces
+    Every face must belong to the hull of the support of f.  Vertical faces
     are handled by exchanging u1 and u2; upward faces by replacing u2
     with its inverse; afterwards the face is a lower face and its slope
-    appears among the Newton-polygon slopes for ord_{u2}.
+    appears among the Newton-polygon slopes for ord_{u2}.  The Newton
+    polygon of each coordinate change is computed once, for all the faces
+    that use it.
     """
-    hull = geometry.convex_hull(f.support())
-    if face not in geometry.faces(hull):
+    hull_faces = geometry.faces(geometry.convex_hull(f.support()))
+    if any(face not in hull_faces for face in faces):
         raise ValueError("face does not belong to the hull of f")
-    swap = face.direction[0] == 0
-    n1 = (face.normal[1], face.normal[0]) if swap else face.normal
-    inverted = n1[1] > 0
-    val = Valuation.finite_at(
-        FpPoly.x(f.p), coeff_axis=1 if swap else 2, inverted=inverted
-    )
-    (a, b), (c, d) = _transform_matrix(val)
-    dvec = (
-        a * face.direction[0] + b * face.direction[1],
-        c * face.direction[0] + d * face.direction[1],
-    )
-    target = Fraction(dvec[1], dvec[0])
-    poly = _transformed(f, val)
-    points = tuple(newton_points(poly, val))
-    np = lower_hull(points)
-    for seg in np.segments:
-        if seg.slope == target:
-            vec = _map_back((seg.slope, val.coeff_log()), val)
-            norm = ExtendedNorm(vec[0], vec[1], (face, val))
-            _assert_outward(norm, face)
-            return FaceNewtonData(face, val, points, np, seg, norm)
-    raise AssertionError(
-        f"no Newton segment with slope {target} for face {face.start}->{face.end}"
-    )
+    shared = {}
+    out = []
+    for face in faces:
+        swap = face.direction[0] == 0
+        inverted = (face.normal[0] if swap else face.normal[1]) > 0
+        if (swap, inverted) not in shared:
+            val = Valuation.finite_at(
+                FpPoly.x(f.p), coeff_axis=1 if swap else 2, inverted=inverted
+            )
+            points = tuple(newton_points(_transformed(f, val), val))
+            shared[swap, inverted] = (val, points, lower_hull(points), val.coeff_log())
+        val, points, np, coeff_log = shared[swap, inverted]
+        (a, b), (c, d) = _transform_matrix(val)
+        dx, dy = face.direction
+        target = Fraction(c * dx + d * dy, a * dx + b * dy)
+        seg = next((seg for seg in np.segments if seg.slope == target), None)
+        if seg is None:
+            raise AssertionError(
+                f"no Newton segment with slope {target} for face {face.start}->{face.end}"
+            )
+        vec = _map_back((seg.slope, coeff_log), val)
+        norm = ExtendedNorm(vec[0], vec[1], (face, val))
+        _assert_outward(norm, face)
+        out.append(FaceNewtonData(face, val, points, np, seg, norm))
+    return out
 
 
 def face_norm_for(f: LaurentPoly, face: geometry.Face) -> ExtendedNorm:
     """The norm whose log-vector is an outward normal to the given face."""
-    return face_newton_data(f, face).norm
+    return face_newton_data(f, [face])[0].norm
 
 
 def _assert_outward(norm: ExtendedNorm, face: geometry.Face):
-    v = norm.vector()
+    # the vector times the positive product of its denominators, in integers
+    a, b = norm.log_u1, norm.log_u2
+    x, y = a.numerator * b.denominator, b.numerator * a.denominator
     n = face.normal
-    if v[0] * n[1] != v[1] * n[0] or v[0] * n[0] + v[1] * n[1] <= 0:
+    if x * n[1] != y * n[0] or x * n[0] + y * n[1] <= 0:
         raise AssertionError(
-            f"norm vector {v} is not a positive multiple of face normal {n}"
+            f"norm vector {norm.vector()} is not a positive multiple of face normal {n}"
         )

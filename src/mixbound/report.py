@@ -17,6 +17,8 @@ from .newton import face_newton_data
 
 
 def rational(x):
+    if type(x) is int:
+        return {"num": x, "den": 1}
     f = Fraction(x)
     return {"num": f.numerator, "den": f.denominator}
 
@@ -97,7 +99,7 @@ def build_report(report: MixingReport, shape_verdicts=None, extra_notes=()):
     face_list = geometry.faces(hull)
     out["faces"] = [face_json(fc) for fc in face_list]
     if hull.degeneracy == geometry.POLYGON:
-        out["newton"] = [newton_json(face_newton_data(f, fc)) for fc in face_list]
+        out["newton"] = [newton_json(data) for data in face_newton_data(f, face_list)]
     else:
         out["newton"] = []
     out["bounds"] = {

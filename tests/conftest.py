@@ -4,9 +4,23 @@ from itertools import product
 
 import pytest
 
-from mixbound.fieldpoly import FpPoly, _monic_polys_of_degree, is_irreducible, monic_divisors
+from mixbound import geometry
+from mixbound.fieldpoly import (
+    INFINITE,
+    FpPoly,
+    _monic_polys_of_degree,
+    is_irreducible,
+    monic_divisors,
+)
 from mixbound.geometry import POLYGON, cross
 from mixbound.laurent import LaurentPoly, PolyInU1, as_poly_in_u1, exact_divides
+from mixbound.newton import (
+    ExtendedNorm,
+    FaceNewtonData,
+    NewtonPoint,
+    Valuation,
+    lower_hull,
+)
 from mixbound.parse import parse_poly
 
 
@@ -112,6 +126,64 @@ def triangle_homothety(shape, poly):
         if all(_ratio_of(sdiff[i], tdiff[i]) == q for i in (1, 2)):
             return rot, q
     return None
+
+
+def ord_by_division(a, g):
+    """Multiplicity of g in a by dividing g out one factor at a time;
+    INFINITE for a = 0.  The reference for `fieldpoly.ord_at`."""
+    if a.is_zero():
+        return INFINITE
+    m = 0
+    while True:
+        q, r = divmod(a, g)
+        if not r.is_zero():
+            return m
+        a, m = q, m + 1
+
+
+def face_newton_data_per_face(f, face):
+    """The face-to-norm reduction for a single face, from scratch.
+
+    The reference for `newton.face_newton_data`, which shares one Newton
+    polygon among the faces of a coordinate change: here the hull, the
+    rewritten polynomial and its Newton polygon are rebuilt for the one
+    face, and every ordinate is found by `ord_by_division`.
+    """
+    hull = geometry.convex_hull(f.support())
+    if face not in geometry.faces(hull):
+        raise ValueError("face does not belong to the hull of f")
+    swap = face.direction[0] == 0
+    n1 = (face.normal[1], face.normal[0]) if swap else face.normal
+    inverted = n1[1] > 0
+    t = FpPoly.x(f.p)
+    val = Valuation.finite_at(t, coeff_axis=1 if swap else 2, inverted=inverted)
+    # exponent map applied to f: swap first, then invert
+    m = ((0, 1), (1, 0)) if swap else ((1, 0), (0, 1))
+    if inverted:
+        m = (m[0], (-m[1][0], -m[1][1]))
+    (a, b), (c, d) = m
+    dvec = (
+        a * face.direction[0] + b * face.direction[1],
+        c * face.direction[0] + d * face.direction[1],
+    )
+    target = Fraction(dvec[1], dvec[0])
+    poly = as_poly_in_u1(f.map_exponents(m))
+    points = tuple(
+        NewtonPoint(i, ord_by_division(q, t)) for i, q in enumerate(poly.coeffs)
+    )
+    np = lower_hull(points)
+    coeff_log = Fraction(-ord_by_division(t, t))
+    for seg in np.segments:
+        if seg.slope == target:
+            # log-vectors pull back through the transpose of the exponent map
+            lam, cl = seg.slope, -coeff_log if inverted else coeff_log
+            vec = (cl, lam) if swap else (lam, cl)
+            norm = ExtendedNorm(vec[0], vec[1], (face, val))
+            n = face.normal
+            assert vec[0] * n[1] == vec[1] * n[0]
+            assert vec[0] * n[0] + vec[1] * n[1] > 0
+            return FaceNewtonData(face, val, points, np, seg, norm)
+    raise AssertionError(f"no Newton segment with slope {target}")
 
 
 def _search_factor(f, pu):

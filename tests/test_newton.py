@@ -1,11 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from mixbound import geometry
+from mixbound import geometry, newton
 from mixbound.fieldpoly import INFINITE, FpPoly, neg_log_infinity_norm, ord_at
 from mixbound.laurent import LaurentPoly, as_poly_in_u1
+from mixbound.mixing import order_bounds
 from mixbound.newton import (
     ExtendedNorm,
     NewtonPoint,
@@ -16,8 +18,9 @@ from mixbound.newton import (
     lower_hull,
     newton_points,
 )
+from mixbound.report import build_report
 
-from conftest import L, irreducibles_up_to_degree
+from conftest import L, face_newton_data_per_face, irreducibles_up_to_degree
 
 
 def ord_u2():
@@ -200,13 +203,86 @@ class TestFaceNorm:
                 if pt.ordinate != INFINITE:
                     assert (pt.index, int(pt.ordinate)) in g.support()
 
+    def test_foreign_face_in_list_rejected(self):
+        f = L("1+u1+u2")
+        own = geometry.faces(geometry.convex_hull(f.support()))[0]
+        other = geometry.faces(geometry.convex_hull({(0, 0), (2, 0), (0, 2)}))[1]
+        with pytest.raises(ValueError):
+            face_newton_data(f, [own, other])
+
     def test_intermediate_data_consistency(self):
         f = L("u2+u1+u1^3u2")
         fs = geometry.faces(geometry.convex_hull(f.support()))
-        data = face_newton_data(f, fs[1])
+        data = face_newton_data(f, [fs[1]])[0]
         assert data.segment.slope == Fraction(1, 2)
         assert data.valuation.kind == "finite"
         assert not data.valuation.inverted
+
+
+class TestSharedReduction:
+    """face_newton_data computes one Newton polygon per coordinate change
+    and shares it among that change's faces."""
+
+    def test_matches_per_face_oracle(self):
+        rng = random.Random(20261018)
+        groups, shared = set(), 0
+        done = 0
+        while done < 1000:
+            p = rng.choice([2, 3, 5, 7])
+            terms = {
+                (rng.randint(-3, 6), rng.randint(-3, 6)): rng.randint(1, p - 1)
+                for _ in range(rng.randint(3, 7))
+            }
+            f = LaurentPoly(terms, p)
+            if f.is_zero() or f.is_monomial():
+                continue
+            hull = geometry.convex_hull(f.support())
+            if hull.degeneracy != geometry.POLYGON:
+                continue
+            done += 1
+            fs = geometry.faces(hull)
+            rng.shuffle(fs)  # records come back in input order
+            got = face_newton_data(f, fs)
+            want = [face_newton_data_per_face(f, face) for face in fs]
+            assert got == want, f.to_string()
+            assert repr(got) == repr(want), f.to_string()
+            keys = [(d.valuation.coeff_axis, d.valuation.inverted) for d in got]
+            groups.update(keys)
+            shared += len(set(keys)) < len(keys)
+        assert groups == {(1, False), (1, True), (2, False), (2, True)}
+        assert shared > 0
+
+    @pytest.mark.parametrize(
+        "text, p, face_count",
+        [
+            ("u1^6+u1^5u2+u1^3u2^2+u2+u2^3", 2, 5),
+            ("u1+u1^2+u1^3u2+u1^3u2^2+u1^2u2^3+u1u2^3+u2^2+u2", 3, 8),
+        ],
+    )
+    def test_build_report_counts(self, monkeypatch, text, p, face_count):
+        # counts, not a clock: one newton_points call per coordinate change
+        # (the per-face reduction made one per face) and no division for
+        # any ordinate
+        rep = order_bounds(L(text, p))
+        calls = Counter()
+        points, div = newton.newton_points, FpPoly.__divmod__
+
+        def counted_points(*args):
+            calls["newton_points"] += 1
+            return points(*args)
+
+        def counted_divmod(a, b):
+            calls["divmod"] += 1
+            return div(a, b)
+
+        monkeypatch.setattr(newton, "newton_points", counted_points)
+        monkeypatch.setattr(FpPoly, "__divmod__", counted_divmod)
+        out = build_report(rep)
+        assert len(out["newton"]) == face_count
+        changes = {(d["valuation"]["coeff_axis"], d["valuation"]["inverted"])
+                   for d in out["newton"]}
+        assert calls["newton_points"] == len(changes) <= 4 < face_count
+        assert calls["divmod"] == 0
 
 
 class TestNormAxioms:
