@@ -17,13 +17,13 @@ from typing import NamedTuple
 from . import geometry
 from ._golden import FIGURE1_SVG, FIGURE4_SVG
 from .fieldpoly import FpPoly
-from .laurent import LaurentPoly, as_poly_in_u1, normalize
+from .laurent import LaurentPoly, as_poly_in_u1, in_ideal, normalize
 from .mixing import (
     CERTIFIED_NON_MIXING,
     GEOMETRICALLY_MIXING,
     RELATION_FOUND,
-    frobenius_closure_holds,
     order_bounds,
+    relation_sum,
     shape_witness_search,
     three_shape_classify,
     voloch_identity_scan,
@@ -171,17 +171,20 @@ def verify_paper_checks():
     checks.append(Check("quartic bounds", (2, 3, None),
                         (rep4.lower_bound, rep4.upper_bound, rep4.exact_order)))
 
-    verdict = shape_witness_search(LEDRAPPIER, [(0, 0), (1, 0), (0, 1)])
+    support_shape = [(0, 0), (1, 0), (0, 1)]
+    verdict = shape_witness_search(LEDRAPPIER, support_shape)
     checks.append(Check("support shape certified non-mixing", CERTIFIED_NON_MIXING,
                         verdict.kind))
     checks.append(Check("support shape witness", ("k=1", "1", "1", "1"),
                         ("k=%d" % verdict.witness.k,
                          *(m.to_string() for m in verdict.witness.coefficients))
                         if verdict.witness else None))
-    checks.append(Check("support shape relation persists at k=2 and k=4", True,
-                        verdict.witness is not None
-                        and frobenius_closure_holds(LEDRAPPIER, [(0, 0), (1, 0), (0, 1)],
-                                                    verdict.witness)))
+    # expanded and reduced modulo f at k = 2 and 4 themselves, not by the
+    # Frobenius argument the certificate rests on
+    ms = verdict.witness.coefficients if verdict.witness else ()
+    persists = bool(ms) and all(
+        in_ideal(relation_sum(LEDRAPPIER, support_shape, k, ms), LEDRAPPIER) for k in (2, 4))
+    checks.append(Check("support shape relation persists at k=2 and k=4", True, persists))
 
     v1 = three_shape_classify(QUARTIC, [(0, 0), (1, 0), (0, 1)])
     checks.append(Check("quartic unit-triangle shape", GEOMETRICALLY_MIXING, v1.kind))

@@ -13,7 +13,8 @@ from mixbound.fieldpoly import (
     monic_divisors,
 )
 from mixbound.geometry import POLYGON, cross
-from mixbound.laurent import LaurentPoly, PolyInU1, as_poly_in_u1, exact_divides
+from mixbound.laurent import LaurentPoly, PolyInU1, as_poly_in_u1, exact_divides, in_ideal
+from mixbound.mixing import relation_sum
 from mixbound.newton import (
     ExtendedNorm,
     FaceNewtonData,
@@ -126,6 +127,22 @@ def triangle_homothety(shape, poly):
         if all(_ratio_of(sdiff[i], tdiff[i]) == q for i in (1, 2)):
             return rot, q
     return None
+
+
+def frobenius_closure_by_expansion(f, shape, witness):
+    """Whether the witness's relation, expanded afresh at k p and k p^2,
+    lies in <f>.
+
+    The reference for `mixing.frobenius_closure_holds`, which checks the
+    relation at k alone and lets the p-th power map carry it to every
+    k p^j: here both dilations are expanded term by term and reduced
+    modulo f by `in_ideal`, about (k p^2)^2 term updates.
+    """
+    for j in (1, 2):
+        kk = witness.k * f.p**j
+        if not in_ideal(relation_sum(f, shape, kk, witness.coefficients), f):
+            return False
+    return True
 
 
 def ord_by_division(a, g):

@@ -104,6 +104,18 @@ class TestShapeTest:
         assert data["witness"]["k"] == 1
         assert data["witness"]["coefficients"] == ["1", "1", "1"]
 
+    def test_certified_at_the_largest_prime(self, capsys):
+        code, out, _ = run(
+            capsys, "shape-test", "--prime", "65521", "--poly", "1+u1+u2",
+            "--shape", "(0,0);(1,0);(0,1)",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["kind"] == "certified_non_mixing"
+        assert data["witness"]["k"] == 1
+        assert data["witness"]["coefficients"] == ["1", "1", "1"]
+        assert data["witness"]["quotient"] == "1"
+
     def test_geometrically_mixing(self, capsys):
         code, out, _ = run(
             capsys, "shape-test", "--prime", "2", "--poly", "1+u1+u2+u2^2",

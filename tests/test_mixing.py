@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mixbound import fieldpoly, geometry, mixing
+from mixbound import fieldpoly, geometry, laurent, mixing
 from mixbound.fieldpoly import FpPoly, content
 from mixbound.laurent import LaurentPoly, as_poly_in_u1, combination_solve, in_ideal
 from mixbound.mixing import (
@@ -31,6 +31,7 @@ from mixbound.mixing import (
 from conftest import (
     L,
     _search_factor as search_factor_by_division,
+    frobenius_closure_by_expansion,
     irreducibles_up_to_degree,
     random_nonmonomial,
     triangle_homothety,
@@ -117,6 +118,23 @@ class TestEisenstein:
         monkeypatch.setattr(fieldpoly, "_monic_polys_of_degree", counted)
         cert = eisenstein_certify(L("1+u1+u2", p))
         assert cert.g == FpPoly([1, 1], p)
+
+    def test_verify_skips_zero_coefficients(self, monkeypatch):
+        # every g divides 0: the 255 zero u1-coefficients of 1+u1^256+u2
+        # below the top one cost no division
+        f = L("1+u1^256+u2")
+        cert = eisenstein_certify(f)
+        calls = []
+        divmod_original = FpPoly.__divmod__
+
+        def counted_divmod(a, b):
+            calls.append(None)
+            return divmod_original(a, b)
+
+        monkeypatch.setattr(FpPoly, "__divmod__", counted_divmod)
+        assert verify_eisenstein(f, cert)
+        assert len(calls) <= 8
+        assert certify_irreducible(f) == cert
 
     def test_wrong_certificate_never_reaches_a_report(self, monkeypatch):
         f = L("u1^2+u1u2^2+u2^3+u2")
@@ -371,6 +389,75 @@ class TestWitness:
         f = L("1+u1+u2")
         w = make_witness(f, [(0, 0), (1, 0), (0, 1)], 1, (L("1"), L("1"), L("1")))
         assert frobenius_closure_holds(f, [(0, 0), (1, 0), (0, 1)], w)
+
+
+class TestFrobeniusClosure:
+    SHAPE = [(0, 0), (1, 0), (0, 1)]
+    ONES = (L("1"), L("1"), L("1"))
+
+    def test_agrees_with_expansion_on_certified_witnesses(self, rng):
+        done = 0
+        while done < 60:
+            p = rng.choice([2, 3, 5, 7, 11, 13])
+            f = random_nonmonomial(rng, p, max_terms=4, span=2)
+            if geometry.convex_hull(f.support()).degeneracy != geometry.POLYGON:
+                continue
+            done += 1
+            shape = sorted(f.support())
+            v = shape_witness_search(f, shape, kmax=1, windows=(0,))
+            assert v.kind == CERTIFIED_NON_MIXING
+            assert frobenius_closure_holds(f, shape, v.witness) == frobenius_closure_by_expansion(
+                f, shape, v.witness
+            ), f.to_string()
+
+    def test_non_constant_witness_rejected(self):
+        f = L("1+u1+u2+u2^2")
+        shape = [(0, 0), (1, 0), (0, 2)]
+        v = three_shape_classify(f, shape)
+        assert v.kind == RELATION_FOUND
+        assert not frobenius_closure_holds(f, shape, v.witness)
+
+    def test_tampered_witness_rejected(self):
+        f = L("1+u1+u2")
+        w = make_witness(f, self.SHAPE, 1, self.ONES)
+        assert frobenius_closure_holds(f, self.SHAPE, w)
+        assert not frobenius_closure_holds(f, self.SHAPE, w._replace(quotient=L("u1")))
+        assert not frobenius_closure_holds(f, self.SHAPE, w._replace(quotient=None))
+        # at k = 2 the relation is (1+u1+u2)^2, whose quotient is not 1
+        assert not frobenius_closure_holds(f, self.SHAPE, w._replace(k=2))
+
+    def test_tampered_witness_never_certified(self, monkeypatch):
+        build = mixing.make_witness
+        monkeypatch.setattr(
+            mixing, "make_witness", lambda *args: build(*args)._replace(quotient=L("u1"))
+        )
+        with pytest.raises(WitnessError):
+            shape_witness_search(L("1+u1+u2"), self.SHAPE, kmax=1, windows=(0,))
+
+    def test_no_reduction_modulo_f(self, monkeypatch):
+        f = L("1+u1+u2")
+        w = make_witness(f, self.SHAPE, 1, self.ONES)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("frobenius_closure_holds reduced modulo f")
+
+        monkeypatch.setattr(laurent.NormalForm, "_reduce", refuse)
+        assert frobenius_closure_holds(f, self.SHAPE, w)
+
+    def test_certification_builds_one_witness(self, monkeypatch):
+        # a W = 1 cell that returns constants is certified with the
+        # witness already built for it: one exact division, not two
+        divisions = []
+
+        def counted(*args):
+            divisions.append(args)
+            return laurent.exact_divides(*args)
+
+        monkeypatch.setattr(mixing, "combination_solve", lambda f, pts, w: self.ONES if w else None)
+        monkeypatch.setattr(mixing, "exact_divides", counted)
+        v = shape_witness_search(L("1+u1+u2"), self.SHAPE, kmax=1, windows=(0, 1))
+        assert v.kind == CERTIFIED_NON_MIXING
+        assert len(divisions) == 1
 
 
 class TestPrefilter:

@@ -42,16 +42,24 @@ def test_no_private_names_imported_across_modules():
 
 
 def test_every_module_level_definition_is_used():
-    # a function or class that nothing in the package names, reads as an
-    # attribute or imports is a helper nothing calls
+    # a function, class or constant that nothing in the package reads,
+    # reads as an attribute or imports is dead code; dunder names such as
+    # __all__ are read by Python itself
     defined, used = [], set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.append((path.name, node.lineno, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.extend(
+                    (path.name, node.lineno, t.id)
+                    for t in targets
+                    if isinstance(t, ast.Name) and not t.id.startswith("__")
+                )
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
