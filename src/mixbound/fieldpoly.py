@@ -64,8 +64,8 @@ class FpPoly:
         cs = [c % p for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "p", p)
+        _set_coeffs(self, tuple(cs))
+        _set_p(self, p)
 
     def __setattr__(self, name, value):
         raise AttributeError("FpPoly is immutable")
@@ -225,6 +225,11 @@ class FpPoly:
                 exp = "" if i == 1 else f"^{i}"
                 parts.append(f"{head}{var}{exp}")
         return "+".join(parts)
+
+
+# the slots' own setters: FpPoly.__setattr__ refuses every assignment, and
+# these cost less per construction than object.__setattr__
+_set_coeffs, _set_p = FpPoly.coeffs.__set__, FpPoly.p.__set__
 
 
 def gcd(a: FpPoly, b: FpPoly) -> FpPoly:

@@ -134,10 +134,6 @@ class LaurentPoly:
         """Exchange u1 and u2."""
         return self.map_exponents(((0, 1), (1, 0)))
 
-    def invert_u2(self):
-        """Substitute u2 -> u2^(-1)."""
-        return self.map_exponents(((1, 0), (0, -1)))
-
     def __repr__(self):
         return f"LaurentPoly({self.to_string()!r}, p={self.p})"
 
@@ -204,21 +200,30 @@ def normalize(f: LaurentPoly):
     return (s1, s2), f.shift((-s1, -s2))
 
 
-def as_poly_in_u1(f: LaurentPoly) -> PolyInU1:
-    """Normalized view of f as a polynomial in u1 over F_p[u2]."""
-    shift, g = normalize(f)
-    n = max(e1 for e1, _ in g.support())
-    cols = [{} for _ in range(n + 1)]
-    for (e1, e2), c in g.terms():
-        cols[e1][e2] = c
-    coeffs = []
-    for col in cols:
-        if col:
-            deg = max(col)
-            coeffs.append(FpPoly([col.get(i, 0) for i in range(deg + 1)], f.p))
-        else:
-            coeffs.append(FpPoly.zero(f.p))
-    return PolyInU1(tuple(coeffs), shift, f.p)
+def as_poly_in_u1(f: LaurentPoly, swap=False, inverted=False) -> PolyInU1:
+    """Normalized view of f as a polynomial in u1 over F_p[u2], after an
+    optional change of variables: exchange u1 and u2 when `swap`, then
+    replace u2 by its inverse when `inverted`.
+
+    f's terms are read once: each exponent is mapped, the minima give
+    `shift` (in the new variables), and the shifted terms fill the
+    u1-columns directly.  Errors on f = 0.
+    """
+    if f.is_zero():
+        raise ValueError("cannot normalize the zero polynomial")
+    sign = -1 if inverted else 1
+    terms = [(b, sign * a, c) if swap else (a, sign * b, c) for (a, b), c in f.terms()]
+    s1 = min(t[0] for t in terms)
+    s2 = min(t[1] for t in terms)
+    cols = [{} for _ in range(max(t[0] for t in terms) - s1 + 1)]
+    for e1, e2, c in terms:
+        cols[e1 - s1][e2 - s2] = c
+    zero = FpPoly.zero(f.p)
+    coeffs = [
+        FpPoly([col.get(i, 0) for i in range(max(col) + 1)], f.p) if col else zero
+        for col in cols
+    ]
+    return PolyInU1(tuple(coeffs), (s1, s2), f.p)
 
 
 def exact_divides(f: LaurentPoly, g: LaurentPoly):

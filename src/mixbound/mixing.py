@@ -82,46 +82,43 @@ class IrreducibilityCertificate(NamedTuple):
         return self.method in ("eisenstein", "brute_force")
 
 
-_ORIENTATIONS = (
-    (1, False),
-    (1, True),
-    (2, False),
-    (2, True),
-)
-
-
-def _oriented(f: LaurentPoly, main_axis, inverted):
-    g = f if main_axis == 1 else f.swap_vars()
-    return g.invert_u2() if inverted else g
-
-
 def eisenstein_certify(f: LaurentPoly):
     """Try Eisenstein's criterion in all four orientations.
 
-    In each orientation f is rewritten as sum_{i<=n} q_i(u2) u1^i, and c
-    is gcd(q_0, ..., q_{n-1}).  The criterion needs gcd(c, q_n) = 1 (so no
-    coefficient factor hides a non-unit) and a prime g with g | c and
-    g^2 not dividing q_0; g | c already gives g | q_i for i < n and, with
-    gcd(c, q_n) = 1, g not dividing q_n.  The candidates g are the monic
-    irreducible factors of c of degree at most 2, found by trial division
-    of c, degree 1 first.  Returns the first success in a fixed
-    orientation order, or None.
+    In each orientation f is rewritten as sum_{i<=n} q_i(u2) u1^i by one
+    `as_poly_in_u1` call, and c is gcd(q_0, ..., q_{n-1}).  The criterion
+    needs a prime g with g | c and g^2 not dividing q_0, and gcd(c, q_n)
+    = 1 (so no coefficient factor hides a non-unit); g | c already gives
+    g | q_i for i < n and, with gcd(c, q_n) = 1, g not dividing q_n.  A
+    constant c has no prime factor and takes no gcd.  The candidates g are
+    the monic irreducible factors of c of degree at most 2, found by trial
+    division of c, degree 1 first.  Returns the first success in the order
+    (main_axis, inverted) = (1, False), (1, True), (2, False), (2, True).
+
+    Inverting u2 turns each q_i into u2^(D - deg q_i) times its reversal,
+    D the largest degree of the q_i.  When a q_i below q_n has degree D,
+    the inverted c is the reversal of c's part prime to u2, and reversal
+    maps candidates prime to u2 onto each other with every condition kept
+    (normalization leaves c or q_n prime to u2); so the inverted
+    orientation certifies nothing new and is skipped without a rewrite.
     """
     if f.is_zero() or f.is_monomial():
         raise DegenerateInput("Eisenstein needs a non-monomial, nonzero polynomial")
-    for main_axis, inverted in _ORIENTATIONS:
-        pu = as_poly_in_u1(_oriented(f, main_axis, inverted))
-        if pu.degree < 1:
-            continue
-        coeffs = pu.coeffs
-        c = fp_content(coeffs[:-1])
-        if fp_gcd(c, coeffs[-1]).degree != 0:
-            continue
-        for g, _ in irreducible_factors(c, 2):
-            if not (g * g).divides(coeffs[0]):
-                return IrreducibilityCertificate(
-                    "eisenstein", main_axis=main_axis, inverted=inverted, g=g
-                )
+    for main_axis in (1, 2):
+        for inverted in (False, True):
+            pu = as_poly_in_u1(f, swap=main_axis == 2, inverted=inverted)
+            if pu.degree < 1:
+                break
+            coeffs = pu.coeffs
+            c = fp_content(coeffs[:-1])
+            if c.degree > 0 and fp_gcd(c, coeffs[-1]).degree == 0:
+                for g, _ in irreducible_factors(c, 2):
+                    if not (g * g).divides(coeffs[0]):
+                        return IrreducibilityCertificate(
+                            "eisenstein", main_axis=main_axis, inverted=inverted, g=g
+                        )
+            if max(q.degree for q in coeffs[:-1]) == max(q.degree for q in coeffs):
+                break
     return None
 
 
@@ -129,7 +126,7 @@ def verify_eisenstein(f: LaurentPoly, cert: IrreducibilityCertificate) -> bool:
     """Re-check every Eisenstein condition recorded in the certificate."""
     if cert.method != "eisenstein":
         return False
-    pu = as_poly_in_u1(_oriented(f, cert.main_axis, cert.inverted))
+    pu = as_poly_in_u1(f, swap=cert.main_axis == 2, inverted=cert.inverted)
     if pu.degree < 1 or fp_content(pu.coeffs).degree != 0:
         return False
     g = cert.g
@@ -149,17 +146,19 @@ def brute_force_certify(f: LaurentPoly):
     u1 (caught by the coefficient content in one of the two variable
     orders) or a factor of u1-degree between 1 and n//2, whose extreme
     u1-coefficients divide those of f; only such candidates are tried.
-    The filter looks each candidate's values at u2 = c up in precomputed
-    sets of the divisors of f(c, u1); exact_divides is the final test.
+    Two filters look a candidate g up in precomputed sets of divisors:
+    its values at u2 = c must divide f(c, u1), and g(c, u2) at u1 = c != 0
+    must divide f(c, u2).  exact_divides is the final test.  Inputs out
+    of range return None before f is rewritten.
     """
     if f.is_zero() or f.is_monomial():
         raise DegenerateInput("nothing to certify for a unit")
     p = f.p
-    pu = as_poly_in_u1(f)
-    pv = as_poly_in_u1(f.swap_vars())
-    d1, d2 = pu.degree, pv.degree
+    # the bidegree of the normalized polynomial is the span of the exponents
+    d1, d2 = (max(e) - min(e) for e in zip(*f.support()))
     if p not in BRUTE_FORCE_PRIMES or d1 > BRUTE_FORCE_BIDEGREE[0] or d2 > BRUTE_FORCE_BIDEGREE[1]:
         return None
+    pu, pv = as_poly_in_u1(f), as_poly_in_u1(f, swap=True)
     if d1 == 0:
         return _univariate_verdict(pu.coeffs[0], swap=False, bidegree=(d1, d2))
     if d2 == 0:
@@ -202,21 +201,30 @@ def _search_factor(f, pu):
     # computed once, so the filter only looks values up and exact_divides
     # is the final test.  pu is normalized, so u2 = 0 is always a point:
     # it rejects every candidate divisible by u2, which can divide f in
-    # the Laurent ring but never in the polynomial ring searched here
+    # the Laurent ring but never in the polynomial ring searched here.
+    # The same holds at u1 = c; u1 = 0 adds nothing, since g0 divides q0
+    def divisors(fc):
+        return {d.scale(u).coeffs for d in monic_divisors(fc) for u in range(1, p)}
+
     points, divisor_sets = [], []
     for c in range(p):
         fc = FpPoly([q.eval(c) for q in pu.coeffs], p)
         if not fc.is_zero():
             points.append(c)
-            divisor_sets.append({d.scale(u).coeffs for d in monic_divisors(fc) for u in range(1, p)})
+            divisor_sets.append(divisors(fc))
+    u1_points = [(c, divisors(fc)) for c in range(1, p)
+                 if not (fc := _at_u1(pu.coeffs, c)).is_zero()]
 
     def with_values(polys):
         return [(g, tuple(g.eval(c) for c in points)) for g in polys]
 
     lead_divs = with_values(monic_divisors(qn))
     trail_divs = with_values(d.scale(c) for d in monic_divisors(q0) for c in range(1, p))
-    # every polynomial of degree <= d2, constant coefficient varying fastest
-    middles = with_values(FpPoly(cs[::-1], p) for cs in product(range(p), repeat=d2 + 1))
+    # every polynomial of degree <= d2, constant coefficient varying
+    # fastest; only factors of u1-degree >= 2, so n >= 4, have middles
+    middles = with_values(
+        FpPoly(cs[::-1], p) for cs in product(range(p), repeat=d2 + 1)
+    ) if n >= 4 else []
     for a in range(1, n // 2 + 1):
         for ga, va in lead_divs:
             for g0, v0 in trail_divs:
@@ -233,10 +241,22 @@ def _search_factor(f, pu):
                 for middle in product(middles, repeat=a - 1):
                     if tuple(v for _, v in middle) not in allowed:
                         continue
-                    cand = PolyInU1((g0, *(g for g, _ in middle), ga), (0, 0), p).to_laurent()
+                    coeffs = (g0, *(g for g, _ in middle), ga)
+                    if any(_at_u1(coeffs, c).coeffs not in divs for c, divs in u1_points):
+                        continue
+                    cand = PolyInU1(coeffs, (0, 0), p).to_laurent()
                     if exact_divides(cand, f) is not None:
                         return cand
     return None
+
+
+def _at_u1(coeffs, c):
+    # sum_i c^i coeffs[i]: the polynomial in u2 left by setting u1 = c
+    out = [0] * max(len(q.coeffs) for q in coeffs)
+    for i, q in enumerate(coeffs):
+        for j, x in enumerate(q.coeffs):
+            out[j] += c**i * x
+    return FpPoly(out, coeffs[0].p)
 
 
 def certify_irreducible(f: LaurentPoly) -> IrreducibilityCertificate:
@@ -456,7 +476,8 @@ def shape_witness_search(
     certifies non-mixing.  Until a relation is found, the schedule's
     windows W > 0 then look for polynomial relations, which are reported
     as RELATION_FOUND without certifying (W = 0 in the schedule is the
-    constant cell, already solved).  The verdict is
+    constant cell, already solved; having found no constant relation at
+    this k, no W > 0 cell returns one).  The verdict is
     deterministic: the certified witness with smallest k wins, else the
     first relation in (k, window) order, else UNRESOLVED.
     """
@@ -482,10 +503,7 @@ def shape_witness_search(
                     continue
                 ms = combination_solve(f, dil, w)
                 if ms is not None:
-                    witness = make_witness(f, pts, k, ms)
-                    if witness.constant_flag:
-                        return _certify(f, pts, witness, searched)
-                    relation = witness
+                    relation = make_witness(f, pts, k, ms)
                     break
     if relation is not None:
         return ShapeVerdict(RELATION_FOUND, witness=relation, searched=searched,

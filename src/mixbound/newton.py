@@ -13,9 +13,10 @@ norms: swap the variables when a face is vertical, replace u2 by its
 inverse when it points upward, read the slope off the Newton polygon,
 and map the resulting log-vector back through the recorded coordinate
 changes.  The outcome is always a positive multiple of the face's
-primitive outward normal.  There are at most four coordinate changes,
-and the reduction runs once per change: faces that share one share its
-Newton polygon.
+primitive outward normal.  Both coordinate changes happen inside the
+one rewrite `as_poly_in_u1(f, swap, inverted)`, which reads f's terms
+once.  There are at most four coordinate changes, and the reduction
+runs once per change: faces that share one share its Newton polygon.
 """
 
 from __future__ import annotations
@@ -157,15 +158,6 @@ def lower_hull(points) -> NewtonPolygon:
     return NewtonPolygon(tuple(hull), segments)
 
 
-def _transform_matrix(val: Valuation):
-    # exponent map applied to f before rewriting: swap first, then invert
-    swap = val.coeff_axis == 1
-    m = ((0, 1), (1, 0)) if swap else ((1, 0), (0, 1))
-    if val.inverted:
-        m = (m[0], (-m[1][0], -m[1][1]))
-    return m
-
-
 def _map_back(w, val: Valuation):
     # log-vectors pull back through the transpose of the exponent map
     lam, c = w
@@ -176,16 +168,12 @@ def _map_back(w, val: Valuation):
     return (lam, c)
 
 
-def _transformed(f: LaurentPoly, val: Valuation) -> PolyInU1:
-    return as_poly_in_u1(f.map_exponents(_transform_matrix(val)))
-
-
 def extended_norms(f: LaurentPoly, val: Valuation):
     """All extensions of the base norm to the quotient by f, one per
     Newton-polygon segment, expressed in the original coordinates."""
     if f.is_zero() or f.is_monomial():
         raise ValueError("norm extensions need a non-monomial, nonzero f")
-    poly = _transformed(f, val)
+    poly = as_poly_in_u1(f, swap=val.coeff_axis == 1, inverted=val.inverted)
     np = lower_hull(newton_points(poly, val))
     coeff_log = val.coeff_log()
     out = []
@@ -229,12 +217,13 @@ def face_newton_data(f: LaurentPoly, faces) -> list:
             val = Valuation.finite_at(
                 FpPoly.x(f.p), coeff_axis=1 if swap else 2, inverted=inverted
             )
-            points = tuple(newton_points(_transformed(f, val), val))
+            poly = as_poly_in_u1(f, swap=swap, inverted=inverted)
+            points = tuple(newton_points(poly, val))
             shared[swap, inverted] = (val, points, lower_hull(points), val.coeff_log())
         val, points, np, coeff_log = shared[swap, inverted]
-        (a, b), (c, d) = _transform_matrix(val)
-        dx, dy = face.direction
-        target = Fraction(c * dx + d * dy, a * dx + b * dy)
+        # the face's slope after the same change of variables
+        dx, dy = face.direction[::-1] if swap else face.direction
+        target = Fraction(-dy if inverted else dy, dx)
         seg = next((seg for seg in np.segments if seg.slope == target), None)
         if seg is None:
             raise AssertionError(

@@ -8,8 +8,6 @@ appears anywhere in a report.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import geometry
 from .fieldpoly import INFINITE
 from .mixing import MixingReport, ShapeVerdict, Witness
@@ -17,10 +15,8 @@ from .newton import face_newton_data
 
 
 def rational(x):
-    if type(x) is int:
-        return {"num": x, "den": 1}
-    f = Fraction(x)
-    return {"num": f.numerator, "den": f.denominator}
+    # ints and Fractions both carry a reduced numerator and denominator
+    return {"num": x.numerator, "den": x.denominator}
 
 
 def ordinate(x):

@@ -13,7 +13,14 @@ from mixbound.fieldpoly import (
     monic_divisors,
 )
 from mixbound.geometry import POLYGON, cross
-from mixbound.laurent import LaurentPoly, PolyInU1, as_poly_in_u1, exact_divides, in_ideal
+from mixbound.laurent import (
+    LaurentPoly,
+    PolyInU1,
+    as_poly_in_u1,
+    exact_divides,
+    in_ideal,
+    normalize,
+)
 from mixbound.mixing import relation_sum
 from mixbound.newton import (
     ExtendedNorm,
@@ -38,6 +45,38 @@ def irreducibles_up_to_degree(dmax, p):
         for g in _monic_polys_of_degree(d, p)
         if is_irreducible(g)
     ]
+
+
+ORIENTATION_MATRICES = {
+    # (swap, inverted) -> the exponent map: swap first, then invert u2
+    (False, False): ((1, 0), (0, 1)),
+    (False, True): ((1, 0), (0, -1)),
+    (True, False): ((0, 1), (1, 0)),
+    (True, True): ((0, 1), (-1, 0)),
+}
+
+
+def poly_in_u1_by_normalize(f):
+    """f as a polynomial in u1 over F_p[u2], built in three steps.
+
+    The reference for `laurent.as_poly_in_u1`, which reads f's terms once
+    and applies the change of variables itself: here f (already mapped
+    by the caller) is normalized into a new LaurentPoly, and its terms
+    then fill one dict per u1-column.
+    """
+    shift, g = normalize(f)
+    n = max(e1 for e1, _ in g.support())
+    cols = [{} for _ in range(n + 1)]
+    for (e1, e2), c in g.terms():
+        cols[e1][e2] = c
+    coeffs = []
+    for col in cols:
+        if col:
+            deg = max(col)
+            coeffs.append(FpPoly([col.get(i, 0) for i in range(deg + 1)], f.p))
+        else:
+            coeffs.append(FpPoly.zero(f.p))
+    return PolyInU1(tuple(coeffs), shift, f.p)
 
 
 def long_divide(f, g):
@@ -174,17 +213,14 @@ def face_newton_data_per_face(f, face):
     inverted = n1[1] > 0
     t = FpPoly.x(f.p)
     val = Valuation.finite_at(t, coeff_axis=1 if swap else 2, inverted=inverted)
-    # exponent map applied to f: swap first, then invert
-    m = ((0, 1), (1, 0)) if swap else ((1, 0), (0, 1))
-    if inverted:
-        m = (m[0], (-m[1][0], -m[1][1]))
+    m = ORIENTATION_MATRICES[swap, inverted]
     (a, b), (c, d) = m
     dvec = (
         a * face.direction[0] + b * face.direction[1],
         c * face.direction[0] + d * face.direction[1],
     )
     target = Fraction(dvec[1], dvec[0])
-    poly = as_poly_in_u1(f.map_exponents(m))
+    poly = poly_in_u1_by_normalize(f.map_exponents(m))
     points = tuple(
         NewtonPoint(i, ord_by_division(q, t)) for i, q in enumerate(poly.coeffs)
     )
@@ -209,7 +245,8 @@ def _search_factor(f, pu):
     The reference for `mixing._search_factor`, in the same candidate
     order: each candidate's specializations at u2 = c are rebuilt as
     polynomials and f(c, u1) is divided by them, where the library looks
-    precomputed values up in precomputed divisor sets.
+    precomputed values up in precomputed divisor sets and adds a second
+    filter at u1 = c.
     """
     p = f.p
     n = pu.degree

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,7 +14,14 @@ from mixbound.laurent import (
     normalize,
 )
 
-from conftest import L, long_divide, random_laurent, random_nonmonomial
+from conftest import (
+    L,
+    ORIENTATION_MATRICES,
+    long_divide,
+    poly_in_u1_by_normalize,
+    random_laurent,
+    random_nonmonomial,
+)
 
 
 class TestLaurentBasics:
@@ -85,6 +93,33 @@ class TestPolyInU1:
             if f.is_zero():
                 continue
             assert as_poly_in_u1(f).to_laurent() == f
+
+    def test_one_pass_rewrite_matches_oracle(self, rng):
+        # exponents run over [-4, 4]; every third input is squeezed into
+        # one u1-column and every third into one row
+        shapes = Counter()
+        for i in range(1200):
+            p = rng.choice([2, 3, 5, 7])
+            f = random_laurent(rng, p)
+            if i % 3 == 1:
+                f = LaurentPoly({(-2, e2): c for (_, e2), c in f.terms()}, p)
+            elif i % 3 == 2:
+                f = LaurentPoly({(e1, -3): c for (e1, _), c in f.terms()}, p)
+            assert as_poly_in_u1(f) == poly_in_u1_by_normalize(f), f.to_string()
+            for (swap, inverted), m in ORIENTATION_MATRICES.items():
+                got = as_poly_in_u1(f, swap=swap, inverted=inverted)
+                assert got == poly_in_u1_by_normalize(f.map_exponents(m)), f.to_string()
+            exps = f.support()
+            shapes["negative"] += any(min(e) < 0 for e in exps)
+            shapes["column"] += len({e1 for e1, _ in exps}) == 1
+            shapes["row"] += len({e2 for _, e2 in exps}) == 1
+        assert min(shapes.values()) >= 300
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("inverted", [False, True])
+    def test_rewrite_rejects_zero(self, swap, inverted):
+        with pytest.raises(ValueError):
+            as_poly_in_u1(LaurentPoly({}, 2), swap=swap, inverted=inverted)
 
 
 class TestMul:

@@ -30,28 +30,38 @@ from mixbound.mixing import (
 
 from conftest import (
     L,
+    ORIENTATION_MATRICES,
     _search_factor as search_factor_by_division,
     frobenius_closure_by_expansion,
     irreducibles_up_to_degree,
+    poly_in_u1_by_normalize,
     random_nonmonomial,
     triangle_homothety,
 )
 
 
+def _eisenstein_in(f, main_axis, inverted, candidates):
+    # the first candidate g meeting the criterion in one orientation
+    m = ORIENTATION_MATRICES[main_axis == 2, inverted]
+    coeffs = poly_in_u1_by_normalize(f.map_exponents(m)).coeffs
+    if len(coeffs) < 2 or content(coeffs).degree != 0:
+        return None
+    for g in candidates:
+        if (
+            all(g.divides(q) for q in coeffs[:-1])
+            and not g.divides(coeffs[-1])
+            and not (g * g).divides(coeffs[0])
+        ):
+            return g
+    return None
+
+
 def _eisenstein_by_enumeration(f, candidates):
     # the criterion checked for every monic irreducible of degree <= 2
     for main_axis, inverted in ((1, False), (1, True), (2, False), (2, True)):
-        g0 = f if main_axis == 1 else f.swap_vars()
-        coeffs = as_poly_in_u1(g0.invert_u2() if inverted else g0).coeffs
-        if len(coeffs) < 2 or content(coeffs).degree != 0:
-            continue
-        for g in candidates:
-            if (
-                all(g.divides(q) for q in coeffs[:-1])
-                and not g.divides(coeffs[-1])
-                and not (g * g).divides(coeffs[0])
-            ):
-                return main_axis, inverted, g
+        g = _eisenstein_in(f, main_axis, inverted, candidates)
+        if g is not None:
+            return main_axis, inverted, g
     return None
 
 
@@ -136,6 +146,63 @@ class TestEisenstein:
         assert len(calls) <= 8
         assert certify_irreducible(f) == cert
 
+    def test_constant_content_takes_no_gcd(self, monkeypatch):
+        # c = gcd(q_0, ..., q_{n-1}) is a constant in all four orientations,
+        # so no prime g divides it and gcd(c, q_n) is never computed
+        f = L("1+u1^2+u2^2+u1*u2", 5)
+        for swap in (False, True):
+            for inverted in (False, True):
+                coeffs = as_poly_in_u1(f, swap=swap, inverted=inverted).coeffs
+                assert content(coeffs[:-1]).degree == 0
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return fieldpoly.gcd(*args)
+
+        monkeypatch.setattr(mixing, "fp_gcd", counted)
+        assert eisenstein_certify(f) is None
+        assert calls == []
+
+    def test_inverted_orientation_adds_nothing_when_top_degree_is_below_q_n(self, rng):
+        # when some q_i below q_n has the top u2-degree D, inverting u2 turns
+        # c into the reversal of its part prime to u2, and the enumeration
+        # finds an inverted certificate only where it finds a plain one
+        candidates = {p: irreducibles_up_to_degree(2, p) for p in (2, 3, 5)}
+        checked, inverted_hits = 0, 0
+        while checked < 600:
+            p = rng.choice((2, 3, 5))
+            f = random_nonmonomial(rng, p, max_terms=5, span=3)
+            for main_axis in (1, 2):
+                coeffs = as_poly_in_u1(f, swap=main_axis == 2).coeffs
+                degrees = [q.degree for q in coeffs]
+                if len(coeffs) < 2 or max(degrees[:-1]) < max(degrees):
+                    continue
+                checked += 1
+                c = content(coeffs[:-1])
+                v = next(i for i, x in enumerate(c.coeffs) if x)
+                inverted = as_poly_in_u1(f, swap=main_axis == 2, inverted=True).coeffs
+                assert content(inverted[:-1]) == FpPoly(c.coeffs[v:][::-1], p).monic()
+                g = _eisenstein_in(f, main_axis, True, candidates[p])
+                if g is not None:
+                    inverted_hits += 1
+                    assert _eisenstein_in(f, main_axis, False, candidates[p]) is not None
+        assert inverted_hits >= 20
+
+    def test_inverted_orientation_is_not_rewritten(self, monkeypatch):
+        # the top u2-degree 2 is reached below q_n in both variable orders,
+        # so only the two plain orientations are rewritten
+        f = L("1+u1^2+u2^2+u1*u2", 5)
+        calls = []
+
+        def counted(g, swap=False, inverted=False):
+            calls.append((swap, inverted))
+            return as_poly_in_u1(g, swap=swap, inverted=inverted)
+
+        monkeypatch.setattr(mixing, "as_poly_in_u1", counted)
+        assert eisenstein_certify(f) is None
+        assert calls == [(False, False), (True, False)]
+
     def test_wrong_certificate_never_reaches_a_report(self, monkeypatch):
         f = L("u1^2+u1u2^2+u2^3+u2")
         wrong = eisenstein_certify(f)._replace(g=FpPoly([1, 1], 2))
@@ -203,6 +270,15 @@ class TestBruteForce:
     def test_out_of_range_returns_none(self):
         assert brute_force_certify(L("1+u1^5+u2")) is None
         assert brute_force_certify(L("1+u1+u2", 5)) is None
+
+    def test_out_of_range_input_is_not_rewritten(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("f was rewritten for an input out of range")
+
+        monkeypatch.setattr(mixing, "as_poly_in_u1", refuse)
+        assert brute_force_certify(L("1+u1+u2+u1u2+u1^2+u2^2", 5)) is None
+        assert brute_force_certify(L("u1^-1+u1^4+u2", 3)) is None
+        assert brute_force_certify(L("u2^-3+u1+u2^2")) is None
 
     def test_certify_orchestration(self):
         # Eisenstein wins when available, brute force fills in, and inputs
@@ -293,6 +369,23 @@ class TestBruteForce:
         monkeypatch.setattr(FpPoly, "__divmod__", counted_divmod)
         assert brute_force_certify(f).method == "brute_force"
         assert len(calls) < 200
+
+    def test_second_filter_spares_exact_divisions(self, monkeypatch):
+        # the filter at u2 = c alone lets 146 candidates through to
+        # exact_divides on this input; the filter at u1 = c stops most
+        f = L("u1^2*u2^4+2*u1^3*u2^3+u1^4*u2^4+u1^5+2*u1^5*u2^2+2*u1^6", 3)
+        with monkeypatch.context() as m:
+            m.setattr(mixing, "_search_factor", search_factor_by_division)
+            expected = brute_force_certify(f)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return laurent.exact_divides(*args)
+
+        monkeypatch.setattr(mixing, "exact_divides", counted)
+        assert brute_force_certify(f) == expected
+        assert len(calls) <= 10
 
     @pytest.mark.parametrize(
         "factor",
@@ -444,16 +537,39 @@ class TestFrobeniusClosure:
         monkeypatch.setattr(laurent.NormalForm, "_reduce", refuse)
         assert frobenius_closure_holds(f, self.SHAPE, w)
 
+    def test_only_the_constant_cell_finds_constants(self, rng):
+        # when the W = 0 cell finds no relation at some k, no W > 0 cell
+        # at that k returns one with constant coefficients, so a relation
+        # from a W > 0 cell never needs the certification path
+        done, relations = 0, 0
+        while done < 200:
+            p = rng.choice([2, 3, 5, 7])
+            f = random_nonmonomial(rng, p, max_terms=4, span=2)
+            r, shape = rng.randint(2, 4), set()
+            while len(shape) < r:
+                shape.add((rng.randint(-2, 2), rng.randint(-2, 2)))
+            k = rng.randint(1, 3)
+            dil = [(k * a, k * b) for a, b in sorted(shape)]
+            if combination_solve(f, dil, 0) is not None:
+                continue
+            done += 1
+            for w in (1, 2):
+                ms = combination_solve(f, dil, w)
+                if ms is not None:
+                    relations += 1
+                    assert not all(m.support() <= {(0, 0)} for m in ms), f.to_string()
+        assert relations >= 100
+
     def test_certification_builds_one_witness(self, monkeypatch):
-        # a W = 1 cell that returns constants is certified with the
-        # witness already built for it: one exact division, not two
+        # the constant cell's relation is certified with the witness
+        # already built for it: one exact division, not two
         divisions = []
 
         def counted(*args):
             divisions.append(args)
             return laurent.exact_divides(*args)
 
-        monkeypatch.setattr(mixing, "combination_solve", lambda f, pts, w: self.ONES if w else None)
+        monkeypatch.setattr(mixing, "combination_solve", lambda f, pts, w: None if w else self.ONES)
         monkeypatch.setattr(mixing, "exact_divides", counted)
         v = shape_witness_search(L("1+u1+u2"), self.SHAPE, kmax=1, windows=(0, 1))
         assert v.kind == CERTIFIED_NON_MIXING
