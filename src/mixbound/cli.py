@@ -15,7 +15,6 @@ import sys
 
 from . import geometry, refexamples, report as report_mod
 from .fieldpoly import FieldConfig, FpPoly
-from .laurent import as_poly_in_u1
 from .mixing import (
     DegenerateInput,
     KMAX_DEFAULT,
@@ -26,7 +25,7 @@ from .mixing import (
     three_shape_classify,
     voloch_identity_scan,
 )
-from .newton import Valuation, lower_hull, newton_points
+from .newton import Valuation, newton_polygon
 from .parse import ParseError, parse_family_line, parse_points, parse_poly
 from .render import render_polygon
 
@@ -71,14 +70,12 @@ def _cmd_analyze(args):
         _emit(out)
     degenerate = rep.degenerate_verdict is not None
     if not degenerate:
-        hull = rep.hull
-        faces = geometry.faces(hull)
         if args.svg:
             with open(args.svg, "w") as fh:
-                fh.write(render_polygon(hull, f.support(), faces))
+                fh.write(render_polygon(rep.hull, f.support()))
         if args.tikz:
             with open(args.tikz, "w") as fh:
-                fh.write(render_polygon(hull, f.support(), faces, fmt="tikz"))
+                fh.write(render_polygon(rep.hull, f.support(), fmt="tikz"))
     return EXIT_DEGENERATE if degenerate else EXIT_OK
 
 
@@ -179,7 +176,6 @@ def _cmd_render(args):
     hull = geometry.convex_hull(f.support())
     if hull.degeneracy != geometry.POLYGON:
         raise DegenerateInput("figure rendering needs a non-degenerate hull")
-    faces = geometry.faces(hull)
     newton = None
     if args.newton:
         val = (
@@ -187,8 +183,8 @@ def _cmd_render(args):
             if args.newton == "ord"
             else Valuation.infinity_deg()
         )
-        newton = lower_hull(newton_points(as_poly_in_u1(f), val))
-    text = render_polygon(hull, f.support(), faces, newton=newton, fmt=args.format)
+        newton = newton_polygon(f, val)[1]
+    text = render_polygon(hull, f.support(), newton=newton, fmt=args.format)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

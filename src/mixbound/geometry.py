@@ -61,6 +61,22 @@ class Face(NamedTuple):
     lattice_length: int
 
 
+def lower_chain(points):
+    """One pass of the monotone chain over points sorted by x (then y).
+
+    Each point is kept only while the chain turns strictly left at it, so
+    the result is the lower hull of the points, collinear interior points
+    dropped; over the points in reverse order it is the upper hull.
+    Points are indexable pairs whose coordinates may be any exact numbers.
+    """
+    out = []
+    for pt in points:
+        while len(out) > 1 and cross(out[-2], out[-1], pt) <= 0:
+            out.pop()
+        out.append(pt)
+    return out
+
+
 def convex_hull(points) -> LatticePolygon:
     """Monotone-chain hull; vertices are exactly the extreme points, CCW.
 
@@ -74,17 +90,8 @@ def convex_hull(points) -> LatticePolygon:
         _check_coord(pt)
     if len(pts) == 1:
         return LatticePolygon((pts[0],), POINT)
-
-    def chain(seq):
-        out = []
-        for pt in seq:
-            while len(out) > 1 and cross(out[-2], out[-1], pt) <= 0:
-                out.pop()
-            out.append(pt)
-        return out
-
-    lower = chain(pts)
-    upper = chain(reversed(pts))
+    lower = lower_chain(pts)
+    upper = lower_chain(reversed(pts))
     verts = lower[:-1] + upper[:-1]
     if len(verts) == 2:
         return LatticePolygon(tuple(sorted(verts)), SEGMENT)

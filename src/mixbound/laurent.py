@@ -253,6 +253,14 @@ def in_ideal(g: LaurentPoly, f: LaurentPoly) -> bool:
     return not NormalForm(f)(g)
 
 
+def relation_sum(f: LaurentPoly, shape, k, ms) -> LaurentPoly:
+    """The relation sum m_i u^(k n_i) over the points n_i of shape."""
+    combo = LaurentPoly.zero(f.p)
+    for m, n in zip(ms, shape):
+        combo = combo + m.shift((k * n[0], k * n[1]))
+    return combo
+
+
 class NormalForm:
     """Normal forms of Laurent polynomials modulo <f>.
 
@@ -403,10 +411,7 @@ def combination_solve(f: LaurentPoly, points, window):
                        active=tuple(range(len(pts))))
     if ms is None:
         return None
-    combo = LaurentPoly.zero(f.p)
-    for m, a in zip(ms, pts):
-        combo = combo + m.shift(a)
-    if not in_ideal(combo, f):
+    if not in_ideal(relation_sum(f, pts, 1, ms), f):
         raise RuntimeError("solver returned a vector that fails re-verification")
     return ms
 

@@ -32,8 +32,9 @@ from .laurent import (
     as_poly_in_u1,
     combination_solve,
     exact_divides,
+    relation_sum,
 )
-from .newton import face_norm_for
+from .newton import face_newton_data
 
 KMAX_DEFAULT = 16
 WINDOWS_DEFAULT = (0, 1, 2)
@@ -375,13 +376,6 @@ class ShapeVerdict(NamedTuple):
     note: str | None = None
 
 
-def relation_sum(f, shape, k, ms) -> LaurentPoly:
-    combo = LaurentPoly.zero(f.p)
-    for m, n in zip(ms, shape):
-        combo = combo + m.shift((k * n[0], k * n[1]))
-    return combo
-
-
 def make_witness(f: LaurentPoly, shape, k, ms) -> Witness:
     """Build a Witness, re-verifying the relation by direct expansion.
 
@@ -604,16 +598,14 @@ def sequence_diagnostics(f: LaurentPoly, entries):
     hull = geometry.convex_hull(f.support())
     if hull.degeneracy != geometry.POLYGON:
         raise DegenerateInput("diagnostics need a non-degenerate hull")
-    face_list = geometry.faces(hull)
-    norms = [face_norm_for(f, face) for face in face_list]
+    faces_norms = [(d.face, d.norm.vector()) for d in face_newton_data(f)]
     out = []
     for label, points in entries:
         pts = _clean_shape(points)
         if len(pts) < 2:
             raise ValueError("each tuple needs at least two points")
         alignments = []
-        for idx, (face, norm) in enumerate(zip(face_list, norms)):
-            v1, v2 = norm.vector()
+        for idx, (face, (v1, v2)) in enumerate(faces_norms):
             scored = sorted(pts, key=lambda n: (-(v1 * n[0] + v2 * n[1]), n))
             top, second = scored[0], scored[1]
             gap = (v1 * top[0] + v2 * top[1]) - (v1 * second[0] + v2 * second[1])

@@ -8,15 +8,19 @@ Newton polygon is the lower convex hull of the points (i, -log_p|q_i|),
 whose ordinates are integers (+infinity for q_i = 0).  Each segment of
 slope s, an exact rational, yields an extension norm with log_p|u1| = s.
 
-`face_newton_data` runs the reduction that turns hull faces into such
-norms: swap the variables when a face is vertical, replace u2 by its
-inverse when it points upward, read the slope off the Newton polygon,
-and map the resulting log-vector back through the recorded coordinate
-changes.  The outcome is always a positive multiple of the face's
-primitive outward normal.  Both coordinate changes happen inside the
-one rewrite `as_poly_in_u1(f, swap, inverted)`, which reads f's terms
-once.  There are at most four coordinate changes, and the reduction
-runs once per change: faces that share one share its Newton polygon.
+`newton_polygon` is the one place a Newton polygon is built: it rewrites
+f through the coordinate changes a valuation records, in the one rewrite
+`as_poly_in_u1(f, swap, inverted)` that reads f's terms once, takes the
+lower hull of the Newton points with `geometry.lower_chain` (the monotone
+chain of the convex hull), and maps each segment's log-vector back to the
+original coordinates.  `extended_norms` keeps every segment.
+`face_newton_data` runs the reduction that turns the faces of f's hull
+into norms: swap the variables when a face is vertical, replace u2 by
+its inverse when it points upward, and pick the segment with the face's
+slope.  The outcome is always a positive multiple of the face's
+primitive outward normal.  There are at most four coordinate changes,
+and the Newton polygon is built once per change: faces that share one
+share its polygon.
 """
 
 from __future__ import annotations
@@ -142,15 +146,7 @@ def lower_hull(points) -> NewtonPolygon:
     finite = [pt for pt in points if pt.ordinate != INFINITE]
     if not finite:
         raise ValueError("no finite Newton points")
-    hull = []
-    for pt in finite:
-        while len(hull) > 1:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # pop unless the chain turns strictly left at hull[-1]
-            if (x2 - x1) * (pt.ordinate - y1) - (pt.index - x1) * (y2 - y1) > 0:
-                break
-            hull.pop()
-        hull.append(pt)
+    hull = geometry.lower_chain(finite)
     segments = tuple(
         Segment(Fraction(b.ordinate - a.ordinate, b.index - a.index), a.index, b.index)
         for a, b in zip(hull, hull[1:])
@@ -158,14 +154,24 @@ def lower_hull(points) -> NewtonPolygon:
     return NewtonPolygon(tuple(hull), segments)
 
 
-def _map_back(w, val: Valuation):
+def newton_polygon(f: LaurentPoly, val: Valuation):
+    """The Newton polygon of f under val, and the norm each segment yields.
+
+    f is rewritten as a polynomial in u1 after the coordinate changes val
+    records.  Returns the Newton points, their lower hull, and one
+    log-vector (log_p|u1|, log_p|u2|) per segment, pulled back to the
+    original coordinates.
+    """
+    poly = as_poly_in_u1(f, swap=val.coeff_axis == 1, inverted=val.inverted)
+    points = tuple(newton_points(poly, val))
+    polygon = lower_hull(points)
     # log-vectors pull back through the transpose of the exponent map
-    lam, c = w
-    if val.inverted:
-        c = -c
-    if val.coeff_axis == 1:
-        return (c, lam)
-    return (lam, c)
+    c = -val.coeff_log() if val.inverted else val.coeff_log()
+    vectors = tuple(
+        (c, seg.slope) if val.coeff_axis == 1 else (seg.slope, c)
+        for seg in polygon.segments
+    )
+    return points, polygon, vectors
 
 
 def extended_norms(f: LaurentPoly, val: Valuation):
@@ -173,14 +179,10 @@ def extended_norms(f: LaurentPoly, val: Valuation):
     Newton-polygon segment, expressed in the original coordinates."""
     if f.is_zero() or f.is_monomial():
         raise ValueError("norm extensions need a non-monomial, nonzero f")
-    poly = as_poly_in_u1(f, swap=val.coeff_axis == 1, inverted=val.inverted)
-    np = lower_hull(newton_points(poly, val))
-    coeff_log = val.coeff_log()
-    out = []
-    for seg in np.segments:
-        vec = _map_back((seg.slope, coeff_log), val)
-        out.append(ExtendedNorm(vec[0], vec[1], (seg.slope, val)))
-    return out
+    _, polygon, vectors = newton_polygon(f, val)
+    return [
+        ExtendedNorm(a, b, (seg.slope, val)) for seg, (a, b) in zip(polygon.segments, vectors)
+    ]
 
 
 class FaceNewtonData(NamedTuple):
@@ -194,51 +196,48 @@ class FaceNewtonData(NamedTuple):
     norm: ExtendedNorm
 
 
-def face_newton_data(f: LaurentPoly, faces) -> list:
-    """Run the face-to-norm reduction and keep the intermediate data, one
-    record per face, in the order given.
+def face_newton_data(f: LaurentPoly) -> list:
+    """Run the face-to-norm reduction on every face of the hull of the
+    support of f, keeping the intermediate data: one record per face, in
+    `geometry.faces` order.
 
-    Every face must belong to the hull of the support of f.  Vertical faces
-    are handled by exchanging u1 and u2; upward faces by replacing u2
-    with its inverse; afterwards the face is a lower face and its slope
-    appears among the Newton-polygon slopes for ord_{u2}.  The Newton
-    polygon of each coordinate change is computed once, for all the faces
-    that use it.
+    Vertical faces are handled by exchanging u1 and u2; upward faces by
+    replacing u2 with its inverse; afterwards the face is a lower face
+    and its slope appears among the Newton-polygon slopes for ord_{u2}.
+    The Newton polygon of each coordinate change is computed once, for
+    all the faces that use it.
     """
-    hull_faces = geometry.faces(geometry.convex_hull(f.support()))
-    if any(face not in hull_faces for face in faces):
-        raise ValueError("face does not belong to the hull of f")
     shared = {}
     out = []
-    for face in faces:
+    for face in geometry.faces(geometry.convex_hull(f.support())):
         swap = face.direction[0] == 0
         inverted = (face.normal[0] if swap else face.normal[1]) > 0
         if (swap, inverted) not in shared:
             val = Valuation.finite_at(
                 FpPoly.x(f.p), coeff_axis=1 if swap else 2, inverted=inverted
             )
-            poly = as_poly_in_u1(f, swap=swap, inverted=inverted)
-            points = tuple(newton_points(poly, val))
-            shared[swap, inverted] = (val, points, lower_hull(points), val.coeff_log())
-        val, points, np, coeff_log = shared[swap, inverted]
+            shared[swap, inverted] = (val, *newton_polygon(f, val))
+        val, points, np, vectors = shared[swap, inverted]
         # the face's slope after the same change of variables
         dx, dy = face.direction[::-1] if swap else face.direction
         target = Fraction(-dy if inverted else dy, dx)
-        seg = next((seg for seg in np.segments if seg.slope == target), None)
-        if seg is None:
+        i = next((i for i, seg in enumerate(np.segments) if seg.slope == target), None)
+        if i is None:
             raise AssertionError(
                 f"no Newton segment with slope {target} for face {face.start}->{face.end}"
             )
-        vec = _map_back((seg.slope, coeff_log), val)
-        norm = ExtendedNorm(vec[0], vec[1], (face, val))
+        norm = ExtendedNorm(*vectors[i], (face, val))
         _assert_outward(norm, face)
-        out.append(FaceNewtonData(face, val, points, np, seg, norm))
+        out.append(FaceNewtonData(face, val, points, np, np.segments[i], norm))
     return out
 
 
 def face_norm_for(f: LaurentPoly, face: geometry.Face) -> ExtendedNorm:
     """The norm whose log-vector is an outward normal to the given face."""
-    return face_newton_data(f, [face])[0].norm
+    for data in face_newton_data(f):
+        if data.face == face:
+            return data.norm
+    raise ValueError("face does not belong to the hull of f")
 
 
 def _assert_outward(norm: ExtendedNorm, face: geometry.Face):

@@ -17,18 +17,17 @@ from typing import NamedTuple
 from . import geometry
 from ._golden import FIGURE1_SVG, FIGURE4_SVG
 from .fieldpoly import FpPoly
-from .laurent import LaurentPoly, as_poly_in_u1, in_ideal, normalize
+from .laurent import LaurentPoly, in_ideal, normalize, relation_sum
 from .mixing import (
     CERTIFIED_NON_MIXING,
     GEOMETRICALLY_MIXING,
     RELATION_FOUND,
     order_bounds,
-    relation_sum,
     shape_witness_search,
     three_shape_classify,
     voloch_identity_scan,
 )
-from .newton import Valuation, lower_hull, newton_points, extended_norms
+from .newton import Valuation, newton_polygon
 from .render import render_polygon
 
 PENTAGON_NOTE = (
@@ -109,16 +108,13 @@ def _frac(x):
 
 
 def _newton_strings(f, val):
-    points = newton_points(as_poly_in_u1(f), val)
+    points, polygon, vectors = newton_polygon(f, val)
     rendered = ";".join(
         f"({pt.index},{'inf' if pt.ordinate == float('inf') else _frac(pt.ordinate)})"
         for pt in points
     )
-    hullp = lower_hull(points)
-    slopes = ",".join(_frac(s.slope) for s in hullp.segments)
-    norms = ";".join(
-        f"({_frac(n.log_u1)},{_frac(n.log_u2)})" for n in extended_norms(f, val)
-    )
+    slopes = ",".join(_frac(s.slope) for s in polygon.segments)
+    norms = ";".join(f"({_frac(a)},{_frac(b)})" for a, b in vectors)
     return rendered, slopes, norms
 
 
@@ -211,5 +207,4 @@ def verify_paper_checks():
 
 
 def _render_svg(f):
-    hull = geometry.convex_hull(f.support())
-    return render_polygon(hull, f.support(), geometry.faces(hull))
+    return render_polygon(geometry.convex_hull(f.support()), f.support())

@@ -54,11 +54,12 @@ class _View:
         return self.height - (MARGIN + (Fraction(e2) - self.min_y) * UNIT)
 
 
-def render_polygon(hull, support, faces, newton=None, fmt="svg"):
+def render_polygon(hull, support, newton=None, fmt="svg"):
     """Render the lattice figure, or the Newton figure when one is given.
 
-    The hull must be a genuine polygon (figures of degenerate hulls are
-    refused).  fmt is 'svg' or 'tikz'.
+    The lattice figure draws and labels the faces of the hull, which must
+    be a genuine polygon (figures of degenerate hulls are refused).  fmt
+    is 'svg' or 'tikz'.
     """
     if fmt not in ("svg", "tikz"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -72,6 +73,7 @@ def render_polygon(hull, support, faces, newton=None, fmt="svg"):
         if hull.degeneracy != geometry.POLYGON:
             raise ValueError("figure rendering needs a non-degenerate hull")
         pts = sorted(set(tuple(pt) for pt in support) | set(hull.vertices))
+        faces = geometry.faces(hull)
         edges = [(face.start, face.end) for face in faces]
         for i, face in enumerate(faces):
             mx = Fraction(face.start[0] + face.end[0], 2)

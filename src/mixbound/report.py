@@ -92,10 +92,9 @@ def build_report(report: MixingReport, shape_verdicts=None, extra_notes=()):
         "hull_vertices": [list(v) for v in hull.vertices],
         "degeneracy": hull.degeneracy,
     }
-    face_list = geometry.faces(hull)
-    out["faces"] = [face_json(fc) for fc in face_list]
+    out["faces"] = [face_json(fc) for fc in geometry.faces(hull)]
     if hull.degeneracy == geometry.POLYGON:
-        out["newton"] = [newton_json(data) for data in face_newton_data(f, face_list)]
+        out["newton"] = [newton_json(data) for data in face_newton_data(f)]
     else:
         out["newton"] = []
     out["bounds"] = {

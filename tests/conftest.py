@@ -20,14 +20,15 @@ from mixbound.laurent import (
     exact_divides,
     in_ideal,
     normalize,
+    relation_sum,
 )
-from mixbound.mixing import relation_sum
 from mixbound.newton import (
     ExtendedNorm,
     FaceNewtonData,
     NewtonPoint,
+    NewtonPolygon,
+    Segment,
     Valuation,
-    lower_hull,
 )
 from mixbound.parse import parse_poly
 
@@ -197,13 +198,39 @@ def ord_by_division(a, g):
         a, m = q, m + 1
 
 
+def lower_hull_unshared(points):
+    """Lower hull of Newton points by a monotone chain of its own.
+
+    The reference for `newton.lower_hull`, which runs the chain that
+    `geometry.convex_hull` shares: here the turn test is written out.
+    """
+    finite = [pt for pt in points if pt.ordinate != INFINITE]
+    if not finite:
+        raise ValueError("no finite Newton points")
+    hull = []
+    for pt in finite:
+        while len(hull) > 1:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            # pop unless the chain turns strictly left at hull[-1]
+            if (x2 - x1) * (pt.ordinate - y1) - (pt.index - x1) * (y2 - y1) > 0:
+                break
+            hull.pop()
+        hull.append(pt)
+    segments = tuple(
+        Segment(Fraction(b.ordinate - a.ordinate, b.index - a.index), a.index, b.index)
+        for a, b in zip(hull, hull[1:])
+    )
+    return NewtonPolygon(tuple(hull), segments)
+
+
 def face_newton_data_per_face(f, face):
     """The face-to-norm reduction for a single face, from scratch.
 
     The reference for `newton.face_newton_data`, which shares one Newton
     polygon among the faces of a coordinate change: here the hull, the
     rewritten polynomial and its Newton polygon are rebuilt for the one
-    face, and every ordinate is found by `ord_by_division`.
+    face, every ordinate is found by `ord_by_division`, and the lower hull
+    by `lower_hull_unshared`.
     """
     hull = geometry.convex_hull(f.support())
     if face not in geometry.faces(hull):
@@ -224,7 +251,7 @@ def face_newton_data_per_face(f, face):
     points = tuple(
         NewtonPoint(i, ord_by_division(q, t)) for i, q in enumerate(poly.coeffs)
     )
-    np = lower_hull(points)
+    np = lower_hull_unshared(points)
     coeff_log = Fraction(-ord_by_division(t, t))
     for seg in np.segments:
         if seg.slope == target:

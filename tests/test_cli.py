@@ -4,6 +4,8 @@ import pathlib
 from mixbound.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+# eight hull faces that share four coordinate changes
+OCTAGON = "u1+u1^2+u1^3u2+u1^3u2^2+u1^2u2^3+u1u2^3+u2^2+u2"
 
 
 def run(capsys, *argv):
@@ -72,6 +74,11 @@ class TestAnalyze:
     def test_zero_poly_exit_3(self, capsys):
         code, _, err = run(capsys, "analyze", "--prime", "2", "--poly", "u1+u1")
         assert code == 3
+
+    def test_octagon_stdout_bytes(self, capsys):
+        code, out, err = run(capsys, "analyze", "--prime", "3", "--poly", OCTAGON)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "octagon_analyze.json").read_text()
 
     def test_pretty_output(self, capsys):
         code, out, _ = run(
@@ -178,6 +185,14 @@ class TestSeqDiagnose:
         )
         assert code == 0
         assert [d["label"] for d in json.loads(out)] == [1, 4]
+
+    def test_octagon_stdout_bytes(self, capsys):
+        code, out, err = run(
+            capsys, "seq-diagnose", "--prime", "3", "--poly", OCTAGON,
+            "--tuple", "(0,0);(3,1);(1,3)", "--tuple", "(0,0);(5,0);(0,5);(2,2)",
+        )
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "octagon_seq_diagnose.json").read_text()
 
     def test_no_tuples_exit_2(self, capsys):
         code, _, _ = run(capsys, "seq-diagnose", "--prime", "2", "--poly", "1+u1+u2")

@@ -7,7 +7,7 @@ import pytest
 from mixbound import geometry, newton
 from mixbound.fieldpoly import INFINITE, FpPoly, neg_log_infinity_norm, ord_at
 from mixbound.laurent import LaurentPoly, as_poly_in_u1
-from mixbound.mixing import order_bounds
+from mixbound.mixing import order_bounds, sequence_diagnostics
 from mixbound.newton import (
     ExtendedNorm,
     NewtonPoint,
@@ -20,7 +20,12 @@ from mixbound.newton import (
 )
 from mixbound.report import build_report
 
-from conftest import L, face_newton_data_per_face, irreducibles_up_to_degree
+from conftest import (
+    L,
+    face_newton_data_per_face,
+    irreducibles_up_to_degree,
+    lower_hull_unshared,
+)
 
 
 def ord_u2():
@@ -94,6 +99,36 @@ class TestLowerHull:
     def test_all_infinite_rejected(self):
         with pytest.raises(ValueError):
             lower_hull([NewtonPoint(0, INFINITE)])
+
+    def test_matches_unshared_chain(self, rng):
+        # the chain shared with geometry.convex_hull against the Newton
+        # polygon's own: infinite and Fraction ordinates, collinear runs,
+        # single finite points
+        singles = 0
+        for _ in range(500):
+            n = rng.randint(1, 9)
+            step = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            start = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
+            pts = []
+            for i in range(n):
+                kind = rng.random()
+                if kind < 0.25:
+                    y = INFINITE
+                elif kind < 0.6:
+                    y = start + step * i  # on one line
+                else:
+                    y = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
+                pts.append(NewtonPoint(i, y))
+            if all(pt.ordinate == INFINITE for pt in pts):
+                with pytest.raises(ValueError):
+                    lower_hull(pts)
+                with pytest.raises(ValueError):
+                    lower_hull_unshared(pts)
+                continue
+            got, want = lower_hull(pts), lower_hull_unshared(pts)
+            assert got.vertices == want.vertices and got.segments == want.segments
+            singles += len(got.vertices) == 1
+        assert singles > 0
 
     def test_hull_below_points_and_slopes_increase(self, rng):
         for _ in range(200):
@@ -203,17 +238,11 @@ class TestFaceNorm:
                 if pt.ordinate != INFINITE:
                     assert (pt.index, int(pt.ordinate)) in g.support()
 
-    def test_foreign_face_in_list_rejected(self):
-        f = L("1+u1+u2")
-        own = geometry.faces(geometry.convex_hull(f.support()))[0]
-        other = geometry.faces(geometry.convex_hull({(0, 0), (2, 0), (0, 2)}))[1]
-        with pytest.raises(ValueError):
-            face_newton_data(f, [own, other])
-
     def test_intermediate_data_consistency(self):
         f = L("u2+u1+u1^3u2")
         fs = geometry.faces(geometry.convex_hull(f.support()))
-        data = face_newton_data(f, [fs[1]])[0]
+        data = face_newton_data(f)[1]
+        assert data.face == fs[1]
         assert data.segment.slope == Fraction(1, 2)
         assert data.valuation.kind == "finite"
         assert not data.valuation.inverted
@@ -240,9 +269,8 @@ class TestSharedReduction:
             if hull.degeneracy != geometry.POLYGON:
                 continue
             done += 1
-            fs = geometry.faces(hull)
-            rng.shuffle(fs)  # records come back in input order
-            got = face_newton_data(f, fs)
+            fs = geometry.faces(hull)  # records come back in hull order
+            got = face_newton_data(f)
             want = [face_newton_data_per_face(f, face) for face in fs]
             assert got == want, f.to_string()
             assert repr(got) == repr(want), f.to_string()
@@ -283,6 +311,22 @@ class TestSharedReduction:
                    for d in out["newton"]}
         assert calls["newton_points"] == len(changes) <= 4 < face_count
         assert calls["divmod"] == 0
+
+    def test_sequence_diagnostics_counts(self, monkeypatch):
+        # counts, not a clock: the octagon's eight faces share four
+        # coordinate changes, and one Newton polygon is built per change
+        f = L("u1+u1^2+u1^3u2+u1^3u2^2+u1^2u2^3+u1u2^3+u2^2+u2", 3)
+        calls = Counter()
+        points = newton.newton_points
+
+        def counted_points(*args):
+            calls["newton_points"] += 1
+            return points(*args)
+
+        monkeypatch.setattr(newton, "newton_points", counted_points)
+        diag = sequence_diagnostics(f, [(1, [(0, 0), (3, 1), (1, 3)])])
+        assert len(diag[0].alignments) == 8
+        assert calls["newton_points"] <= 4
 
 
 class TestNormAxioms:

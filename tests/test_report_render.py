@@ -6,9 +6,8 @@ import pytest
 
 from mixbound import geometry
 from mixbound.fieldpoly import FpPoly
-from mixbound.laurent import as_poly_in_u1
 from mixbound.mixing import order_bounds, sequence_diagnostics
-from mixbound.newton import Valuation, lower_hull, newton_points
+from mixbound.newton import Valuation, newton_polygon
 from mixbound.render import render_polygon
 from mixbound.report import build_report, diagnostics_json
 
@@ -178,39 +177,36 @@ class TestReportJSON:
 class TestRender:
     def _fig(self, poly):
         f = L(poly)
-        hull = geometry.convex_hull(f.support())
-        return hull, f.support(), geometry.faces(hull)
+        return geometry.convex_hull(f.support()), f.support()
 
     def test_figure1_matches_golden(self):
-        hull, support, faces = self._fig("u2+u1+u1^3u2")
-        assert render_polygon(hull, support, faces) == (GOLDEN / "figure1.svg").read_text()
+        hull, support = self._fig("u2+u1+u1^3u2")
+        assert render_polygon(hull, support) == (GOLDEN / "figure1.svg").read_text()
 
     def test_figure4_matches_golden(self):
-        hull, support, faces = self._fig("u1^6+u1^5u2+u1^3u2^2+u2+u2^3")
-        assert render_polygon(hull, support, faces) == (GOLDEN / "figure4.svg").read_text()
+        hull, support = self._fig("u1^6+u1^5u2+u1^3u2^2+u2+u2^3")
+        assert render_polygon(hull, support) == (GOLDEN / "figure4.svg").read_text()
 
     def test_byte_determinism(self):
-        hull, support, faces = self._fig("1+u1+u2+u2^2")
-        a = render_polygon(hull, support, faces)
-        b = render_polygon(hull, support, faces)
+        hull, support = self._fig("1+u1+u2+u2^2")
+        a = render_polygon(hull, support)
+        b = render_polygon(hull, support)
         assert a == b
-        ta = render_polygon(hull, support, faces, fmt="tikz")
-        assert ta == render_polygon(hull, support, faces, fmt="tikz")
+        ta = render_polygon(hull, support, fmt="tikz")
+        assert ta == render_polygon(hull, support, fmt="tikz")
 
     def test_face_labels_and_dots(self):
-        hull, support, faces = self._fig("u1^6+u1^5u2+u1^3u2^2+u2+u2^3")
-        svg = render_polygon(hull, support, faces)
+        hull, support = self._fig("u1^6+u1^5u2+u1^3u2^2+u2+u2^3")
+        svg = render_polygon(hull, support)
         assert svg.count("<circle") == 5
         for i in range(1, 6):
             assert f">F{i}</text>" in svg
 
     def test_newton_figure(self):
         f = L("u2+u1+u1^3u2")
-        np1 = lower_hull(
-            newton_points(as_poly_in_u1(f), Valuation.finite_at(FpPoly.x(2)))
-        )
+        np1 = newton_polygon(f, Valuation.finite_at(FpPoly.x(2)))[1]
         hull = geometry.convex_hull(f.support())
-        svg = render_polygon(hull, f.support(), geometry.faces(hull), newton=np1)
+        svg = render_polygon(hull, f.support(), newton=np1)
         assert svg.count("<circle") == 3  # the infinite point is omitted
         assert 'stroke-width="2"' in svg
 
@@ -220,28 +216,28 @@ class TestRender:
     ])
     @pytest.mark.parametrize("fmt, ext", [("svg", "svg"), ("tikz", "tex")])
     def test_newton_figure_matches_golden(self, name, poly, which, fmt, ext):
-        hull, support, faces = self._fig(poly)
+        hull, support = self._fig(poly)
         val = Valuation.finite_at(FpPoly.x(2)) if which == "ord" else Valuation.infinity_deg()
-        np1 = lower_hull(newton_points(as_poly_in_u1(L(poly)), val))
-        text = render_polygon(hull, support, faces, newton=np1, fmt=fmt)
+        np1 = newton_polygon(L(poly), val)[1]
+        text = render_polygon(hull, support, newton=np1, fmt=fmt)
         assert text == (GOLDEN / f"newton_{name}.{ext}").read_text()
 
     def test_degenerate_hull_rejected(self):
         f = L("1+u1")
         hull = geometry.convex_hull(f.support())
         with pytest.raises(ValueError):
-            render_polygon(hull, f.support(), geometry.faces(hull))
+            render_polygon(hull, f.support())
         with pytest.raises(ValueError):
-            render_polygon(geometry.convex_hull({(1, 1)}), {(1, 1)}, [], fmt="tikz")
+            render_polygon(geometry.convex_hull({(1, 1)}), {(1, 1)}, fmt="tikz")
 
     def test_unknown_format_rejected(self):
-        hull, support, faces = self._fig("1+u1+u2")
+        hull, support = self._fig("1+u1+u2")
         with pytest.raises(ValueError):
-            render_polygon(hull, support, faces, fmt="png")
+            render_polygon(hull, support, fmt="png")
 
     def test_tikz_contains_nodes(self):
-        hull, support, faces = self._fig("u2+u1+u1^3u2")
-        tikz = render_polygon(hull, support, faces, fmt="tikz")
+        hull, support = self._fig("u2+u1+u1^3u2")
+        tikz = render_polygon(hull, support, fmt="tikz")
         assert tikz.startswith("\\begin{tikzpicture}")
         assert tikz.count("\\fill") == 3
         assert "$F3$" in tikz
