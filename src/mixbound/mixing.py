@@ -34,7 +34,7 @@ from .laurent import (
     exact_divides,
     relation_sum,
 )
-from .newton import face_newton_data
+from .newton import face_norm_for
 
 KMAX_DEFAULT = 16
 WINDOWS_DEFAULT = (0, 1, 2)
@@ -598,7 +598,7 @@ def sequence_diagnostics(f: LaurentPoly, entries):
     hull = geometry.convex_hull(f.support())
     if hull.degeneracy != geometry.POLYGON:
         raise DegenerateInput("diagnostics need a non-degenerate hull")
-    faces_norms = [(d.face, d.norm.vector()) for d in face_newton_data(f)]
+    faces_norms = [(face, face_norm_for(f, face).vector()) for face in geometry.faces(hull)]
     out = []
     for label, points in entries:
         pts = _clean_shape(points)

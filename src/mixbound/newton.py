@@ -18,9 +18,10 @@ original coordinates.  `extended_norms` keeps every segment.
 into norms: swap the variables when a face is vertical, replace u2 by
 its inverse when it points upward, and pick the segment with the face's
 slope.  The outcome is always a positive multiple of the face's
-primitive outward normal.  There are at most four coordinate changes,
-and the Newton polygon is built once per change: faces that share one
-share its polygon.
+primitive outward normal.  There are at most four coordinate changes;
+`face_newton_data` builds the Newton polygon once per change, and faces
+that share one share its polygon, while `face_norm_for` builds only the
+polygon of the one face it is asked about.
 """
 
 from __future__ import annotations
@@ -208,36 +209,39 @@ def face_newton_data(f: LaurentPoly) -> list:
     all the faces that use it.
     """
     shared = {}
-    out = []
-    for face in geometry.faces(geometry.convex_hull(f.support())):
-        swap = face.direction[0] == 0
-        inverted = (face.normal[0] if swap else face.normal[1]) > 0
-        if (swap, inverted) not in shared:
-            val = Valuation.finite_at(
-                FpPoly.x(f.p), coeff_axis=1 if swap else 2, inverted=inverted
-            )
-            shared[swap, inverted] = (val, *newton_polygon(f, val))
-        val, points, np, vectors = shared[swap, inverted]
-        # the face's slope after the same change of variables
-        dx, dy = face.direction[::-1] if swap else face.direction
-        target = Fraction(-dy if inverted else dy, dx)
-        i = next((i for i, seg in enumerate(np.segments) if seg.slope == target), None)
-        if i is None:
-            raise AssertionError(
-                f"no Newton segment with slope {target} for face {face.start}->{face.end}"
-            )
-        norm = ExtendedNorm(*vectors[i], (face, val))
-        _assert_outward(norm, face)
-        out.append(FaceNewtonData(face, val, points, np, np.segments[i], norm))
-    return out
+    return [_face_record(f, face, shared)
+            for face in geometry.faces(geometry.convex_hull(f.support()))]
 
 
 def face_norm_for(f: LaurentPoly, face: geometry.Face) -> ExtendedNorm:
-    """The norm whose log-vector is an outward normal to the given face."""
-    for data in face_newton_data(f):
-        if data.face == face:
-            return data.norm
-    raise ValueError("face does not belong to the hull of f")
+    """The norm whose log-vector is an outward normal to the given face;
+    only the Newton polygon of that face's coordinate change is built."""
+    if face not in geometry.faces(geometry.convex_hull(f.support())):
+        raise ValueError("face does not belong to the hull of f")
+    return _face_record(f, face, {}).norm
+
+
+def _face_record(f, face, shared):
+    # shared maps a coordinate change to its valuation and Newton polygon
+    swap = face.direction[0] == 0
+    inverted = (face.normal[0] if swap else face.normal[1]) > 0
+    if (swap, inverted) not in shared:
+        val = Valuation.finite_at(
+            FpPoly.x(f.p), coeff_axis=1 if swap else 2, inverted=inverted
+        )
+        shared[swap, inverted] = (val, *newton_polygon(f, val))
+    val, points, np, vectors = shared[swap, inverted]
+    # the face's slope after the same change of variables
+    dx, dy = face.direction[::-1] if swap else face.direction
+    target = Fraction(-dy if inverted else dy, dx)
+    i = next((i for i, seg in enumerate(np.segments) if seg.slope == target), None)
+    if i is None:
+        raise AssertionError(
+            f"no Newton segment with slope {target} for face {face.start}->{face.end}"
+        )
+    norm = ExtendedNorm(*vectors[i], (face, val))
+    _assert_outward(norm, face)
+    return FaceNewtonData(face, val, points, np, np.segments[i], norm)
 
 
 def _assert_outward(norm: ExtendedNorm, face: geometry.Face):

@@ -92,11 +92,11 @@ def build_report(report: MixingReport, shape_verdicts=None, extra_notes=()):
         "hull_vertices": [list(v) for v in hull.vertices],
         "degeneracy": hull.degeneracy,
     }
-    out["faces"] = [face_json(fc) for fc in geometry.faces(hull)]
-    if hull.degeneracy == geometry.POLYGON:
-        out["newton"] = [newton_json(data) for data in face_newton_data(f)]
-    else:
-        out["newton"] = []
+    # a polygon's Newton records carry its faces, in geometry.faces order
+    newton = face_newton_data(f) if hull.degeneracy == geometry.POLYGON else []
+    faces = [data.face for data in newton] if newton else geometry.faces(hull)
+    out["faces"] = [face_json(fc) for fc in faces]
+    out["newton"] = [newton_json(data) for data in newton]
     out["bounds"] = {
         "lower": report.lower_bound,
         "upper": report.upper_bound,

@@ -312,9 +312,10 @@ class TestSharedReduction:
         assert calls["newton_points"] == len(changes) <= 4 < face_count
         assert calls["divmod"] == 0
 
-    def test_sequence_diagnostics_counts(self, monkeypatch):
+    def test_face_norm_for_builds_one_polygon(self, monkeypatch):
         # counts, not a clock: the octagon's eight faces share four
-        # coordinate changes, and one Newton polygon is built per change
+        # coordinate changes, and face_norm_for builds the polygon of its
+        # own face's change only, so the diagnostics make one per face
         f = L("u1+u1^2+u1^3u2+u1^3u2^2+u1^2u2^3+u1u2^3+u2^2+u2", 3)
         calls = Counter()
         points = newton.newton_points
@@ -324,9 +325,13 @@ class TestSharedReduction:
             return points(*args)
 
         monkeypatch.setattr(newton, "newton_points", counted_points)
+        face = geometry.faces(geometry.convex_hull(f.support()))[3]
+        assert face_norm_for(f, face) == face_newton_data(f)[3].norm
+        assert calls["newton_points"] == 1 + 4
+        calls.clear()
         diag = sequence_diagnostics(f, [(1, [(0, 0), (3, 1), (1, 3)])])
         assert len(diag[0].alignments) == 8
-        assert calls["newton_points"] <= 4
+        assert calls["newton_points"] == 8
 
 
 class TestNormAxioms:
