@@ -5,6 +5,10 @@ verify-paper, render.  All numeric output is exact (integers or
 {num, den} pairs).  Exit codes: 0 success, 1 verification mismatch,
 2 parse error, 3 degenerate input (zero, monomial, or collinear
 support).
+
+`refexamples` and `render` are imported inside the commands that use
+them, so shape-test, seq-diagnose and voloch-scan neither compile nor
+run them.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import argparse
 import json
 import sys
 
-from . import geometry, refexamples, report as report_mod
+from . import geometry, report as report_mod
 from .fieldpoly import FieldConfig, FpPoly
 from .mixing import (
     DegenerateInput,
@@ -27,7 +31,6 @@ from .mixing import (
 )
 from .newton import Valuation, newton_polygon
 from .parse import ParseError, parse_family_line, parse_points, parse_poly
-from .render import render_polygon
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -60,6 +63,9 @@ def _load_poly(args):
 
 
 def _cmd_analyze(args):
+    from . import refexamples
+    from .render import render_polygon
+
     f = _load_poly(args)
     rep = order_bounds(f)
     extra = refexamples.notes_for(f)
@@ -155,6 +161,8 @@ def _cmd_voloch(args):
 
 
 def _cmd_verify_paper(args):
+    from . import refexamples
+
     checks = refexamples.verify_paper_checks()
     out = [
         {"check": c.name, "expected": _jsonable(c.expected), "got": _jsonable(c.got),
@@ -172,6 +180,8 @@ def _jsonable(x):
 
 
 def _cmd_render(args):
+    from .render import render_polygon
+
     f = _load_poly(args)
     hull = geometry.convex_hull(f.support())
     if hull.degeneracy != geometry.POLYGON:

@@ -18,6 +18,14 @@ A relation is a linear dependence among the NFs of the monomials
 u^{a_i + w}, so a cell whose m_i range over the window [-W, W]^2 is one
 homogeneous system over F_p with r (2W+1)^2 columns and no cofactor
 unknowns; the reduction records q only when a relation exists.
+
+Multiplying by a monomial commutes with reduction: NF(u^e g) is
+`NormalForm.shift(NF(g), e)`.  So column (i, w) is the base NF(u^{a_i})
+shifted by w, and along a dilation ray a_i = k n_i the bases satisfy
+NF(u^{(k+1) n_i}) = shift(NF(u^{k n_i}), n_i).  A search over k carries
+its r bases from k to k+1 with one shift each and hands them to
+`combination_solve`, instead of reducing u^{k n_i} from 1 in every cell
+(about k^2 work per cell, kmax^3 per grid).
 """
 
 from __future__ import annotations
@@ -366,7 +374,7 @@ def _window_box(w):
     return [(e1, e2) for e1 in range(-w, w + 1) for e2 in range(-w, w + 1)]
 
 
-def combination_solve(f: LaurentPoly, points, window):
+def combination_solve(f: LaurentPoly, points, window, *, bases=None):
     """Find m_i, not all zero, with sum_i m_i u^{points[i]} in <f>.
 
     Each m_i ranges over the window box [-W, W]^2.  W = 0 is the
@@ -393,6 +401,13 @@ def combination_solve(f: LaurentPoly, points, window):
     so the first nonzero one has its lexicographically smallest term
     equal to 1, which makes witnesses reproducible across runs.
 
+    `bases`, when given, holds NF(u^{points[i]}) for every point, as
+    dicts of the form `NormalForm(f)` returns (the normal form is unique,
+    so any dict equal to it will do); each column is then that base
+    shifted by its window offset, and the constant cell shifts nothing.
+    shape_witness_search carries them along the dilation ray.  Without
+    it each base is reduced from the monomial 1.
+
     Returns the list of m_i or None.  The result is re-verified by
     expansion and ideal membership before being returned.  That check
     reduces with the same `NormalForm` that built the system, so it
@@ -407,7 +422,12 @@ def combination_solve(f: LaurentPoly, points, window):
         raise ValueError("relation points must be distinct")
     if window < 0:
         raise ValueError("window must be nonnegative")
-    ms = _solve_blocks(NormalForm(f), pts, _window_box(window),
+    nf = NormalForm(f)
+    if bases is None:
+        bases = [nf.shift({(0, 0): 1}, pt) for pt in pts]
+    elif len(bases) != len(pts):
+        raise ValueError("one normal form per relation point is needed")
+    ms = _solve_blocks(nf, pts, bases, _window_box(window),
                        active=tuple(range(len(pts))))
     if ms is None:
         return None
@@ -416,13 +436,11 @@ def combination_solve(f: LaurentPoly, points, window):
     return ms
 
 
-def _solve_blocks(nf, pts, box, active):
+def _solve_blocks(nf, pts, bases, box, active):
     p = nf.p
     columns = [(i, w) for i in active for w in box]
-    images = []
-    for i in active:
-        base = nf.shift({(0, 0): 1}, pts[i])
-        images.extend(nf.shift(base, w) for w in box)
+    images = [bases[i] if w == (0, 0) else nf.shift(bases[i], w)
+              for i, w in columns]
     row_index = {key: r for r, key in enumerate(sorted(set().union(*images)))}
     rows = [[0] * len(columns) for _ in row_index]
     for col, image in enumerate(images):
@@ -444,7 +462,7 @@ def _solve_blocks(nf, pts, box, active):
         remaining = tuple(i for i in active if i != bad)
         if len(remaining) < 2:
             continue
-        ms = _solve_blocks(nf, pts, box, remaining)
+        ms = _solve_blocks(nf, pts, bases, box, remaining)
         if ms is not None:
             return ms
     return None

@@ -28,6 +28,7 @@ from .fieldpoly import (
 )
 from .laurent import (
     LaurentPoly,
+    NormalForm,
     PolyInU1,
     as_poly_in_u1,
     combination_solve,
@@ -474,6 +475,12 @@ def shape_witness_search(
     this k, no W > 0 cell returns one).  The verdict is
     deterministic: the certified witness with smallest k wins, else the
     first relation in (k, window) order, else UNRESOLVED.
+
+    One `NormalForm(f)` serves the whole grid.  The normal forms
+    NF(u^{k n_i}) of the dilated points are carried from k to k+1 with
+    one shift by n_i each, and every cell at k gets them as its bases:
+    no cell reduces a dilated monomial from 1, and the cost of a grid
+    grows like kmax^2 rather than kmax^3.
     """
     pts = _clean_shape(shape)
     if kmax < 1:
@@ -486,16 +493,19 @@ def shape_witness_search(
         return pre
     searched = {"kmax": kmax, "windows": windows}
     relation = None
+    nf = NormalForm(f)
+    bases = [{(0, 0): 1}] * len(pts)  # NF(u^{0 n_i}) = NF(1)
     for k in range(1, kmax + 1):
         dil = [(k * a, k * b) for a, b in pts]
-        ms = combination_solve(f, dil, 0)
+        bases = [nf.shift(base, n) for base, n in zip(bases, pts)]
+        ms = combination_solve(f, dil, 0, bases=bases)
         if ms is not None:
             return _certify(f, pts, make_witness(f, pts, k, ms), searched)
         if relation is None:
             for w in windows:
                 if w == 0:
                     continue
-                ms = combination_solve(f, dil, w)
+                ms = combination_solve(f, dil, w, bases=bases)
                 if ms is not None:
                     relation = make_witness(f, pts, k, ms)
                     break

@@ -17,10 +17,19 @@ from mixbound.laurent import (
     LaurentPoly,
     PolyInU1,
     as_poly_in_u1,
+    combination_solve,
     exact_divides,
     in_ideal,
     normalize,
     relation_sum,
+)
+from mixbound.mixing import (
+    CERTIFIED_NON_MIXING,
+    RELATION_FOUND,
+    UNRESOLVED,
+    frobenius_closure_holds,
+    make_witness,
+    shape_prefilter,
 )
 from mixbound.newton import (
     ExtendedNorm,
@@ -183,6 +192,41 @@ def frobenius_closure_by_expansion(f, shape, witness):
         if not in_ideal(relation_sum(f, shape, kk, witness.coefficients), f):
             return False
     return True
+
+
+def shape_search_from_scratch(f, shape, kmax, windows):
+    """(verdict kind, witness) of the relation search, every cell from scratch.
+
+    The reference for `mixing.shape_witness_search`, which carries the
+    normal forms NF(u^{k n_i}) from k to k+1: here each (k, window) cell
+    is `combination_solve(f, dil, w)` with nothing carried, so every cell
+    reduces each u^{k n_i} from the monomial 1.  The cell order, the
+    skipped W = 0 entries of the schedule and the stop rules are those
+    of the search.
+    """
+    pts = [tuple(n) for n in shape]
+    pre = shape_prefilter(f, pts)
+    if pre is not None:
+        return pre.kind, None
+    relation = None
+    for k in range(1, kmax + 1):
+        dil = [(k * a, k * b) for a, b in pts]
+        ms = combination_solve(f, dil, 0)
+        if ms is not None:
+            witness = make_witness(f, pts, k, ms)
+            assert frobenius_closure_holds(f, pts, witness)
+            return CERTIFIED_NON_MIXING, witness
+        if relation is None:
+            for w in windows:
+                if w == 0:
+                    continue
+                ms = combination_solve(f, dil, w)
+                if ms is not None:
+                    relation = make_witness(f, pts, k, ms)
+                    break
+    if relation is not None:
+        return RELATION_FOUND, relation
+    return UNRESOLVED, None
 
 
 def ord_by_division(a, g):

@@ -342,8 +342,19 @@ class TestCombinationSolve:
         ],
     )
     def test_recorded_witnesses(self, p, poly, points, window, expected):
-        ms = combination_solve(L(poly, p), points, window)
+        f = L(poly, p)
+        ms = combination_solve(f, points, window)
         assert [m.to_string() for m in ms] == expected
+        # handed the points' normal forms, the solve finds the same tuple
+        nf = NormalForm(f)
+        bases = [nf(LaurentPoly({a: 1}, p)) for a in points]
+        assert combination_solve(f, points, window, bases=bases) == ms
+
+    def test_one_base_per_point(self):
+        f = L("1+u1+u2")
+        nf = NormalForm(f)
+        with pytest.raises(ValueError):
+            combination_solve(f, [(0, 0), (1, 0), (0, 1)], 0, bases=[nf(f)])
 
     def test_monomial_rejected(self):
         with pytest.raises(ValueError):

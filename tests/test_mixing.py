@@ -36,6 +36,7 @@ from conftest import (
     irreducibles_up_to_degree,
     poly_in_u1_by_normalize,
     random_nonmonomial,
+    shape_search_from_scratch,
     triangle_homothety,
 )
 
@@ -569,7 +570,8 @@ class TestFrobeniusClosure:
             divisions.append(args)
             return laurent.exact_divides(*args)
 
-        monkeypatch.setattr(mixing, "combination_solve", lambda f, pts, w: None if w else self.ONES)
+        monkeypatch.setattr(mixing, "combination_solve",
+                            lambda f, pts, w, bases=None: None if w else self.ONES)
         monkeypatch.setattr(mixing, "exact_divides", counted)
         v = shape_witness_search(L("1+u1+u2"), self.SHAPE, kmax=1, windows=(0, 1))
         assert v.kind == CERTIFIED_NON_MIXING
@@ -688,6 +690,123 @@ class TestWitnessSearch:
         v = shape_witness_search(L("1+u1+u2"), shape, kmax=1)
         assert v.kind == RELATION_FOUND
         assert widths and max(widths) <= 4 * (2 * 2 + 1) ** 2
+
+
+class TestCarriedNormalForms:
+    # shape_witness_search carries NF(u^{k n_i}) from k to k+1 and hands
+    # the forms to every cell; these tests hold it to the search that
+    # solves every cell from scratch
+
+    @staticmethod
+    def _random_input(rng, p):
+        # (f, shape).  One in three is f = g(u^s) with the shape a
+        # translate of g's support, perhaps with one more point: its
+        # constant relation sits at k = s or below, so a good share
+        # certify and some only after k = 1.  The rest walk once along
+        # each face direction of a random f, so that the prefilter lets
+        # them through; few of them certify.
+        if rng.random() < 1 / 3:
+            g = random_nonmonomial(rng, p, max_terms=4, span=2)
+            s = rng.randint(1, 4)
+            f = g.map_exponents(((s, 0), (0, s)))
+            d = (rng.randint(-2, 2), rng.randint(-2, 2))
+            shape = {(a + d[0], b + d[1]) for a, b in g.support()}
+            if rng.random() < 0.5:
+                shape.add((rng.randint(-3, 3), rng.randint(-3, 3)))
+        else:
+            f = random_nonmonomial(rng, p, max_terms=5, span=2)
+            hull = geometry.convex_hull(f.support())
+            dirs = sorted(geometry.slope_set(geometry.faces(hull)))
+            rng.shuffle(dirs)
+            walk = [(0, 0)]
+            for d1, d2 in dirs:
+                m = rng.choice([-1, 1, 2])
+                walk.append((walk[-1][0] + m * d1, walk[-1][1] + m * d2))
+            walk.append((rng.randint(-3, 3), rng.randint(-3, 3)))
+            shape = set(walk)
+        shape = sorted(shape)
+        rng.shuffle(shape)
+        return f, shape
+
+    def test_matches_search_from_scratch(self):
+        rng = random.Random(20121014)
+        done, certified, later = 0, 0, 0
+        while done < 300:
+            p = rng.choice([2, 3, 5, 7])
+            f, shape = self._random_input(rng, p)
+            try:
+                if shape_prefilter(f, shape) is not None:
+                    continue
+            except DegenerateInput:
+                continue
+            kmax = rng.randint(1, 12)
+            windows = rng.choice([(0,), (0,), (0, 1), (1, 0), (0, 1, 2)])
+            done += 1
+            kind, witness = shape_search_from_scratch(f, shape, kmax, windows)
+            v = shape_witness_search(f, shape, kmax=kmax, windows=windows)
+            context = (f.to_string(), p, shape, kmax, windows)
+            assert v.kind == kind, context
+            if witness is None:
+                assert v.witness is None, context
+                continue
+            assert v.witness.k == witness.k, context
+            assert v.witness.coefficients == witness.coefficients, context
+            assert v.witness.quotient == witness.quotient, context
+            certified += kind == CERTIFIED_NON_MIXING
+            later += witness.k > 1
+        assert certified >= 50 and later >= 20
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_carried_forms_are_the_normal_forms(self, monkeypatch, p):
+        # every cell's bases equal NF(u^{k n_i}) reduced from 1, for k <= 64
+        f = L("1+u1+u2+u2^2", p)
+        shape = [(0, 0), (1, 0), (0, 2)]
+        nf = laurent.NormalForm(f)
+        seen = []
+
+        def checking(f, dil, w, bases=None):
+            assert bases == [nf.shift({(0, 0): 1}, a) for a in dil]
+            seen.append(dil)
+            return combination_solve(f, dil, w, bases=bases)
+
+        monkeypatch.setattr(mixing, "combination_solve", checking)
+        v = shape_witness_search(f, shape, kmax=64, windows=(0,))
+        assert v.kind == UNRESOLVED
+        assert seen == [[(k * a, k * b) for a, b in shape] for k in range(1, 65)]
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_shifts_move_by_shape_points_or_window_offsets(self, monkeypatch, p):
+        # the forms move along the ray one shape point at a time and into
+        # the window one offset at a time; no shift ever moves by a
+        # dilated point k n_i with k > 1, and the constant cell shifts
+        # nothing.  W > 0 cells report no relation here, so they run at
+        # every k.
+        f = L("1+u1+u2+u2^2", p)
+        shape = [(0, 0), (1, 0), (0, 2)]
+        kmax = 6
+        moves, cells = [], []
+        shift, solve = laurent.NormalForm.shift, mixing.combination_solve
+
+        def recording(self, nf, e):
+            moves.append(tuple(e))
+            return shift(self, nf, e)
+
+        def cell(f, dil, w, bases=None):
+            before = len(moves)
+            ms = solve(f, dil, w, bases=bases)
+            cells.append((w, len(moves) - before))
+            return None if w else ms
+
+        monkeypatch.setattr(laurent.NormalForm, "shift", recording)
+        monkeypatch.setattr(mixing, "combination_solve", cell)
+        v = shape_witness_search(f, shape, kmax=kmax, windows=(0, 1))
+        assert v.kind == UNRESOLVED
+        offsets = {(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)}
+        assert set(moves) <= set(shape) | offsets
+        dilated = {(k * a, k * b) for k in range(2, kmax + 1) for a, b in shape}
+        assert not set(moves) & (dilated - {(0, 0)})
+        assert cells == [(0, 0), (1, len(shape) * (len(offsets) - 1))] * kmax
+        assert len(moves) - sum(n for _, n in cells) == kmax * len(shape)
 
 
 class TestThreeShapeClassify:

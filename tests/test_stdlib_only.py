@@ -86,3 +86,20 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     loaded = set(done.stdout.split())
     assert "mixbound.cli" in loaded
     assert loaded & {"dataclasses", "inspect"} == set()
+
+
+def test_shape_test_loads_neither_render_nor_refexamples():
+    # only analyze, verify-paper and render use the figure writer and the
+    # reference examples; the other commands should not compile or run them
+    script = (
+        "import sys\n"
+        "from mixbound.cli import main\n"
+        "code = main(['shape-test', '--prime', '2', '--poly', '1+u1+u2',\n"
+        "             '--shape', '(0,0);(1,0);(0,1)', '--kmax', '2'])\n"
+        "print(code, 'mixbound.render' in sys.modules, 'mixbound.refexamples' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.split()[-3:] == ["0", "False", "False"]
