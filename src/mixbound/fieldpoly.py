@@ -267,11 +267,16 @@ def ord_at(a: FpPoly, g: FpPoly):
         return INFINITE
     if g.coeffs == (0, 1):
         return next(i for i, c in enumerate(a.coeffs) if c)
+    return _divide_out(a, g)[0]
+
+
+def _divide_out(a, g):
+    # (m, a / g^m) for the largest m with g^m | a != 0: one divmod per step
     m = 0
     while True:
         q, r = divmod(a, g)
         if not r.is_zero():
-            return m
+            return m, a
         a = q
         m += 1
 
@@ -321,10 +326,7 @@ def irreducible_factors(a: FpPoly, dmax):
     d = 1
     while d <= min(dmax, rest.degree // 2):
         for g in _monic_polys_of_degree(d, rest.p):
-            m = 0
-            while g.divides(rest):
-                rest = rest // g
-                m += 1
+            m, rest = _divide_out(rest, g)
             if m:
                 yield g, m
                 if d > rest.degree // 2:

@@ -327,8 +327,7 @@ def order_bounds(f: LaurentPoly) -> MixingReport:
             f, f.p, cert, len(f), hull, None, None, None, None, "not mixing",
             tuple(notes),
         )
-    faces = geometry.faces(hull)
-    r = len(faces)
+    r = len(hull.vertices)
     size = len(f)
     lower, upper = r - 1, size - 1
     exact = None

@@ -197,10 +197,10 @@ class FaceNewtonData(NamedTuple):
     norm: ExtendedNorm
 
 
-def face_newton_data(f: LaurentPoly) -> list:
-    """Run the face-to-norm reduction on every face of the hull of the
-    support of f, keeping the intermediate data: one record per face, in
-    `geometry.faces` order.
+def face_newton_data(f: LaurentPoly, hull: geometry.LatticePolygon) -> list:
+    """Run the face-to-norm reduction on every face of hull, the convex
+    hull of the support of f that the caller has already built, keeping
+    the intermediate data: one record per face, in `geometry.faces` order.
 
     Vertical faces are handled by exchanging u1 and u2; upward faces by
     replacing u2 with its inverse; afterwards the face is a lower face
@@ -209,8 +209,7 @@ def face_newton_data(f: LaurentPoly) -> list:
     all the faces that use it.
     """
     shared = {}
-    return [_face_record(f, face, shared)
-            for face in geometry.faces(geometry.convex_hull(f.support()))]
+    return [_face_record(f, face, shared) for face in geometry.faces(hull)]
 
 
 def face_norm_for(f: LaurentPoly, face: geometry.Face) -> ExtendedNorm:

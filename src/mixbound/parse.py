@@ -6,13 +6,17 @@ Grammar (whitespace-insensitive)::
     term   := [int] ('*'? factor)*
     factor := var ('^' '-'? int)?
     var    := 'u1' | 'u2' | 't'
+    int    := decimal digits (those int() reads; '²' is not one)
 
 't' names the same axis as 'u1' (the one-variable view used for
 identity scans).  Coefficients are reduced mod p, like terms merge and
 zero terms drop, so parsing the canonical string of a polynomial always
 round-trips.  Exponents are capped at |e| <= 2^20, for each factor and
 for each variable's running total within a term, to keep the geometry
-in a safe range.
+in a safe range.  Every polynomial parse error is a ParseError naming
+the line and column of the offending character; tokens are (kind, value,
+offset) triples, and line and column are computed from the offset only
+when an error is raised.
 """
 
 from __future__ import annotations
@@ -34,52 +38,35 @@ class ParseError(ValueError):
 
 class _Tokens:
     def __init__(self, text):
+        self.text = text
         self.tokens = []
-        line, col = 1, 1
         i = 0
         while i < len(text):
             ch = text[i]
-            if ch == "\n":
-                line += 1
-                col = 1
-                i += 1
-                continue
+            j = i + 1
             if ch.isspace():
-                col += 1
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
+                pass
+            elif ch.isdecimal():
+                # the digits int() accepts; '²' is a digit but not decimal
+                while j < len(text) and text[j].isdecimal():
                     j += 1
-                self.tokens.append(("int", int(text[i:j]), line, col))
-                col += j - i
-                i = j
-                continue
-            if ch.isalpha():
+                self.tokens.append(("int", int(text[i:j]), i))
+            elif ch.isalpha():
                 # variable names are fixed, so match them greedily; this is
                 # what lets '*' be optional in products like "u1^3u2"
-                for name in ("u1", "u2", "t"):
-                    if text.startswith(name, i):
-                        self.tokens.append(("name", name, line, col))
-                        col += len(name)
-                        i += len(name)
-                        break
+                name = next((n for n in VAR_AXIS if text.startswith(n, i)), None)
+                if name is not None:
+                    j = i + len(name)
                 else:
-                    j = i
                     while j < len(text) and text[j].isalnum():
                         j += 1
-                    self.tokens.append(("name", text[i:j], line, col))
-                    col += j - i
-                    i = j
-                continue
-            if ch in "+-*^":
-                self.tokens.append((ch, ch, line, col))
-                col += 1
-                i += 1
-                continue
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        self.tokens.append(("end", None, line, col))
+                self.tokens.append(("name", text[i:j], i))
+            elif ch in "+-*^":
+                self.tokens.append((ch, ch, i))
+            else:
+                self.error(f"unexpected character {ch!r}", i)
+            i = j
+        self.tokens.append(("end", None, len(text)))
         self.pos = 0
 
     def peek(self):
@@ -90,9 +77,11 @@ class _Tokens:
         self.pos += 1
         return tok
 
-    def error(self, message):
-        kind, _, line, col = self.peek()
-        raise ParseError(message, line, col)
+    def error(self, message, at=None):
+        """Raise a ParseError at offset `at`, by default the next token's."""
+        i = self.peek()[2] if at is None else at
+        line = self.text.count("\n", 0, i) + 1
+        raise ParseError(message, line, i - self.text.rfind("\n", 0, i))
 
 
 def parse_poly(text: str, p: int) -> LaurentPoly:
@@ -135,13 +124,11 @@ def _parse_term(toks):
                 toks.error("expected a variable after '*'")
         if kind != "name":
             break
-        _, _, line, col = toks.peek()
+        at = toks.peek()[2]
         axis, exp = _parse_factor(toks)
         exps[axis] += exp
         if abs(exps[axis]) > COORD_LIMIT:
-            raise ParseError(
-                f"term exponent {exps[axis]} out of range (|e| <= 2^20)", line, col
-            )
+            toks.error(f"term exponent {exps[axis]} out of range (|e| <= 2^20)", at)
         saw_anything = True
     if not saw_anything:
         toks.error("expected a term")
@@ -149,9 +136,9 @@ def _parse_term(toks):
 
 
 def _parse_factor(toks):
-    kind, name, line, col = toks.next()
+    _, name, at = toks.next()
     if name not in VAR_AXIS:
-        raise ParseError(f"unknown variable {name!r}", line, col)
+        toks.error(f"unknown variable {name!r}", at)
     exp = 1
     if toks.peek()[0] == "^":
         toks.next()
@@ -163,7 +150,7 @@ def _parse_factor(toks):
             toks.error("expected an integer exponent after '^'")
         exp = sign * toks.next()[1]
     if abs(exp) > COORD_LIMIT:
-        raise ParseError(f"exponent {exp} out of range (|e| <= 2^20)", line, col)
+        toks.error(f"exponent {exp} out of range (|e| <= 2^20)", at)
     return VAR_AXIS[name], exp
 
 

@@ -11,7 +11,6 @@ files are involved.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import geometry
@@ -102,19 +101,14 @@ class Check(NamedTuple):
         return self.expected == self.got
 
 
-def _frac(x):
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def _newton_strings(f, val):
     points, polygon, vectors = newton_polygon(f, val)
     rendered = ";".join(
-        f"({pt.index},{'inf' if pt.ordinate == float('inf') else _frac(pt.ordinate)})"
+        f"({pt.index},{'inf' if pt.ordinate == float('inf') else pt.ordinate})"
         for pt in points
     )
-    slopes = ",".join(_frac(s.slope) for s in polygon.segments)
-    norms = ";".join(f"({_frac(a)},{_frac(b)})" for a, b in vectors)
+    slopes = ",".join(str(s.slope) for s in polygon.segments)
+    norms = ";".join(f"({a},{b})" for a, b in vectors)
     return rendered, slopes, norms
 
 

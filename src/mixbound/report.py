@@ -93,7 +93,7 @@ def build_report(report: MixingReport, shape_verdicts=None, extra_notes=()):
         "degeneracy": hull.degeneracy,
     }
     # a polygon's Newton records carry its faces, in geometry.faces order
-    newton = face_newton_data(f) if hull.degeneracy == geometry.POLYGON else []
+    newton = face_newton_data(f, hull) if hull.degeneracy == geometry.POLYGON else []
     faces = [data.face for data in newton] if newton else geometry.faces(hull)
     out["faces"] = [face_json(fc) for fc in faces]
     out["newton"] = [newton_json(data) for data in newton]

@@ -39,7 +39,7 @@ from mixbound.newton import (
     Segment,
     Valuation,
 )
-from mixbound.parse import parse_poly
+from mixbound.parse import ParseError, parse_poly
 
 
 def L(text, p=2):
@@ -358,6 +358,78 @@ def _specializations_divide(cand_coeffs, specials, p):
         if gc.is_zero() or not (fc % gc).is_zero():
             return False
     return True
+
+
+class CountingTokens:
+    """The polynomial tokenizer with line and column counters.
+
+    The reference for `parse._Tokens`, which keeps one cursor and works
+    line and column out of a token's offset only when an error is raised:
+    here the counters advance with every character and each token carries
+    its (line, column) pair where `_Tokens` puts the offset, so the parser
+    functions run unchanged on either.  Its digit run starts on
+    `str.isdigit()`, so a digit such as '²' that `int()` rejects escapes as
+    a bare ValueError.
+    """
+
+    def __init__(self, text):
+        self.tokens = []
+        line, col = 1, 1
+        i = 0
+        while i < len(text):
+            ch = text[i]
+            if ch == "\n":
+                line += 1
+                col = 1
+                i += 1
+                continue
+            if ch.isspace():
+                col += 1
+                i += 1
+                continue
+            if ch.isdigit():
+                j = i
+                while j < len(text) and text[j].isdigit():
+                    j += 1
+                self.tokens.append(("int", int(text[i:j]), (line, col)))
+                col += j - i
+                i = j
+                continue
+            if ch.isalpha():
+                for name in ("u1", "u2", "t"):
+                    if text.startswith(name, i):
+                        self.tokens.append(("name", name, (line, col)))
+                        col += len(name)
+                        i += len(name)
+                        break
+                else:
+                    j = i
+                    while j < len(text) and text[j].isalnum():
+                        j += 1
+                    self.tokens.append(("name", text[i:j], (line, col)))
+                    col += j - i
+                    i = j
+                continue
+            if ch in "+-*^":
+                self.tokens.append((ch, ch, (line, col)))
+                col += 1
+                i += 1
+                continue
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        self.tokens.append(("end", None, (line, col)))
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def error(self, message, at=None):
+        line, col = self.peek()[2] if at is None else at
+        raise ParseError(message, line, col)
 
 
 def random_laurent(rng, p, max_terms=6, span=4):

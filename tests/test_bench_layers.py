@@ -1,0 +1,67 @@
+"""The traced benchmark's required layers, checked in process.
+
+`perfbench/run.py --trace 1` reports a workload as incorrect when one of
+its required layers (`tracing.REQUIRED`) records no call.  Here each op of
+the `paper`, `search` and `corpus` workloads runs once under the same
+`tracing.Tracer`, so a change that routes a workload around one of those
+layers fails here too.  The perfbench modules are imported as they are.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from mixbound import cli, mixing, parse, report
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load("tracing")
+workloads = _load("workloads")
+
+
+def _run_cli_ops(name, tmp_path, capsys):
+    dilates = tmp_path / "dilates.txt"
+    dilates.write_text(workloads.DILATES)
+    expected = workloads.load_expected()
+    for op in workloads.CLI_WORKLOADS[name]:
+        argv = [str(dilates) if a == workloads.DILATES_FILE else a for a in op.argv]
+        code = cli.main(argv)
+        capsys.readouterr()
+        assert code == expected[op.id]["exit"], op.id
+
+
+def _run_corpus():
+    for p, text in workloads.corpus_inputs(1):
+        rep = mixing.order_bounds(parse.parse_poly(text, p))
+        json.dumps(report.build_report(rep))
+
+
+@pytest.mark.parametrize("name", ["paper", "search", "corpus"])
+def test_required_layers_record_calls(name, tmp_path, capsys):
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        if name == "corpus":
+            _run_corpus()
+        else:
+            _run_cli_ops(name, tmp_path, capsys)
+    finally:
+        tracer.uninstall()
+    calls, _ = tracing.layer_totals(tracer.spans)
+    defined = [layer for layer in tracing.REQUIRED[name] if layer not in tracer.absent]
+    assert defined
+    assert [layer for layer in defined if not calls[layer]] == []

@@ -67,6 +67,12 @@ class TestAnalyze:
         assert code == 2
         assert "parse error" in err
 
+    def test_non_decimal_digit_is_a_parse_error(self, capsys):
+        # '²' is a digit to str.isdigit() but not one int() reads
+        code, out, err = run(capsys, "analyze", "--prime", "2", "--poly", "u1²+1")
+        assert code == 2 and out == ""
+        assert err == "parse error: unexpected character '²' (line 1, column 3)\n"
+
     def test_non_prime_rejected(self, capsys):
         code, _, err = run(capsys, "analyze", "--prime", "4", "--poly", "1+u1")
         assert code == 2

@@ -254,6 +254,22 @@ class TestContentAndDivisors:
                 prod = prod * g**m
             assert prod == a.monic()
 
+    def test_one_division_per_trial_step(self, monkeypatch):
+        # counts, not a clock: each trial divisor costs one divmod per
+        # factor it strips plus the one that leaves a remainder
+        t, t1 = FpPoly.x(2), P([1, 1])
+        a = t**3 * t1**2
+        divisors = []
+        div = FpPoly.__divmod__
+
+        def counted_divmod(x, y):
+            divisors.append(y)
+            return div(x, y)
+
+        monkeypatch.setattr(FpPoly, "__divmod__", counted_divmod)
+        assert factor_monic(a) == {t: 3, t1: 2}
+        assert divisors == [t] * (3 + 1) + [t1] * (2 + 1)
+
     def test_monic_divisors_divide(self):
         a = P([0, 1, 0, 1])  # t(t+1)^2 over F_2
         divs = monic_divisors(a)

@@ -240,8 +240,9 @@ class TestFaceNorm:
 
     def test_intermediate_data_consistency(self):
         f = L("u2+u1+u1^3u2")
-        fs = geometry.faces(geometry.convex_hull(f.support()))
-        data = face_newton_data(f)[1]
+        hull = geometry.convex_hull(f.support())
+        fs = geometry.faces(hull)
+        data = face_newton_data(f, hull)[1]
         assert data.face == fs[1]
         assert data.segment.slope == Fraction(1, 2)
         assert data.valuation.kind == "finite"
@@ -270,7 +271,7 @@ class TestSharedReduction:
                 continue
             done += 1
             fs = geometry.faces(hull)  # records come back in hull order
-            got = face_newton_data(f)
+            got = face_newton_data(f, hull)
             want = [face_newton_data_per_face(f, face) for face in fs]
             assert got == want, f.to_string()
             assert repr(got) == repr(want), f.to_string()
@@ -325,8 +326,9 @@ class TestSharedReduction:
             return points(*args)
 
         monkeypatch.setattr(newton, "newton_points", counted_points)
-        face = geometry.faces(geometry.convex_hull(f.support()))[3]
-        assert face_norm_for(f, face) == face_newton_data(f)[3].norm
+        hull = geometry.convex_hull(f.support())
+        face = geometry.faces(hull)[3]
+        assert face_norm_for(f, face) == face_newton_data(f, hull)[3].norm
         assert calls["newton_points"] == 1 + 4
         calls.clear()
         diag = sequence_diagnostics(f, [(1, [(0, 0), (3, 1), (1, 3)])])

@@ -1,8 +1,21 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from mixbound import parse
 from mixbound.laurent import LaurentPoly
 from mixbound.parse import ParseError, parse_family_line, parse_points, parse_poly
+
+from conftest import CountingTokens
+
+# whitespace, names, operators, ASCII and Arabic-Indic digits, '²' (a digit
+# int() rejects), letters that name no variable, and an exponent past the cap
+PIECES = (
+    "\n", "\r", "\t", " ", "u1", "u2", "t", "+", "-", "*", "^",
+    *"0123456789", *"\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+    "²", "x", "é", "1048577",
+)
 
 
 class TestParsePoly:
@@ -50,6 +63,41 @@ class TestParsePoly:
 
     def test_term_exponent_total_within_cap(self):
         assert parse_poly("u1^1048576u1^-1", 2) == LaurentPoly({(1048575, 0): 1}, 2)
+
+    def test_non_decimal_digit_points_at_the_character(self):
+        with pytest.raises(ParseError) as err:
+            parse_poly("1 +\n u1²", 2)
+        assert str(err.value) == "unexpected character '²' (line 2, column 4)"
+
+    def test_matches_the_counting_tokenizer(self, monkeypatch):
+        rng = random.Random(15)
+        texts = [
+            "".join(rng.choices(PIECES, k=rng.randint(0, 10))) for _ in range(100_000)
+        ]
+
+        def outcome(text):
+            try:
+                return parse_poly(text, 5)
+            except ParseError as err:
+                return "ParseError", str(err), err.line, err.col
+            except ValueError as err:
+                return "ValueError", str(err)
+
+        got = [outcome(text) for text in texts]
+        monkeypatch.setattr(parse, "_Tokens", CountingTokens)
+        want = [outcome(text) for text in texts]
+        differing = 0
+        for text, g, w in zip(texts, got, want):
+            if g == w:
+                continue
+            # only a digit that int() rejects may differ: the counting
+            # tokenizer lets its ValueError escape, _Tokens points at it
+            differing += 1
+            assert "²" in text and w[0] == "ValueError", (text, g, w)
+            _, message, line, col = g
+            assert message.startswith("unexpected character '²'"), (text, g)
+            assert text.split("\n")[line - 1][col - 1] == "²", (text, g)
+        assert 0 < differing < len(texts)
 
     def test_canonical_string_roundtrip(self, rng):
         from conftest import random_laurent

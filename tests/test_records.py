@@ -160,7 +160,7 @@ CASES = [
     ),
     (
         "FaceNewtonData",
-        lambda: face_newton_data(_f())[0],
+        lambda: face_newton_data(_f(), convex_hull(_f().support()))[0],
         "face",
         "FaceNewtonData(face=Face(start=(0, 0), end=(1, 0), direction=(1, 0), "
         "normal=(0, -1), lattice_length=1), valuation=Valuation(kind='finite', "

@@ -1,5 +1,6 @@
 import json
 import pathlib
+from collections import Counter
 
 import jsonschema
 import pytest
@@ -151,6 +152,22 @@ class TestReportJSON:
         assert len(out["newton"]) == len(out["faces"]) == 3
         assert out["newton"][0]["points"][2] == [2, "inf"]
         assert out["newton"][1]["extended_norm"]["log_u1"] == {"num": 1, "den": 2}
+
+    def test_one_hull_per_report(self, monkeypatch):
+        # counts, not a clock: build_report takes its faces from the hull
+        # order_bounds built, and order_bounds counts R from its vertices
+        calls = Counter()
+        for name in ("convex_hull", "faces"):
+            fn = getattr(geometry, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(geometry, name, counted)
+        out = build_report(order_bounds(L("u1^6+u1^5u2+u1^3u2^2+u2+u2^3")))
+        assert len(out["faces"]) == len(out["newton"]) == 5
+        assert calls == {"convex_hull": 1, "faces": 1}
 
     def test_diagnostics_json_shape(self):
         f = L("1+u1+u2")
