@@ -134,10 +134,9 @@ def _cmd_seq_diagnose(args):
     entries = []
     if args.file:
         with open(args.file) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    entries.append(parse_family_line(line))
+            for number, line in enumerate(fh, start=1):
+                if line.strip():
+                    entries.append(parse_family_line(line.rstrip("\n"), number))
     for i, text in enumerate(args.tuple or (), start=1):
         entries.append((i, parse_points(text)))
     if not entries:

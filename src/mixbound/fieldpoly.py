@@ -137,28 +137,19 @@ class FpPoly:
 
     def __divmod__(self, other):
         other = self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        p = self.p
         rem = list(self.coeffs)
-        db = other.degree
-        lb_inv = pow(other.leading(), -1, p)
-        q = [0] * max(len(rem) - db, 0)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i] % p
-            if c == 0:
-                continue
-            factor = (c * lb_inv) % p
-            q[i - db] = factor
-            for j, bc in enumerate(other.coeffs):
-                rem[i - db + j] = (rem[i - db + j] - factor * bc) % p
-        return FpPoly(q, p), FpPoly(rem, p)
+        q = _reduce(rem, other, quotient=True)
+        return FpPoly(q, self.p), FpPoly(rem, self.p)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        # the remainder alone: no quotient polynomial is built
+        other = self._check(other)
+        rem = list(self.coeffs)
+        _reduce(rem, other)
+        return FpPoly(rem, self.p)
 
     def divides(self, other):
         """True when self divides other exactly."""
@@ -225,6 +216,26 @@ class FpPoly:
                 exp = "" if i == 1 else f"^{i}"
                 parts.append(f"{head}{var}{exp}")
         return "+".join(parts)
+
+
+def _reduce(rem, b, quotient=False):
+    # long division of the coefficient list rem by b in place, leaving the
+    # remainder in rem; returns the quotient's coefficients when asked
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    p, db = b.p, b.degree
+    lb_inv = pow(b.leading(), -1, p)
+    q = [0] * max(len(rem) - db, 0) if quotient else None
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i] % p
+        if c == 0:
+            continue
+        factor = (c * lb_inv) % p
+        if q is not None:
+            q[i - db] = factor
+        for j, bc in enumerate(b.coeffs):
+            rem[i - db + j] = (rem[i - db + j] - factor * bc) % p
+    return q
 
 
 # the slots' own setters: FpPoly.__setattr__ refuses every assignment, and
@@ -343,10 +354,18 @@ def factor_monic(a: FpPoly) -> dict:
 
 def monic_divisors(a: FpPoly):
     """All monic divisors of a != 0, sorted by coefficient tuple."""
+    # each divisor d0 found so far is extended by g, g^2, ..., g^m, one
+    # multiplication each; distinct products of powers of distinct
+    # irreducibles are distinct, so nothing repeats
     divisors = [FpPoly.one(a.p)]
     for g, m in factor_monic(a).items():
-        divisors = [d0 * g**k for d0 in divisors for k in range(m + 1)]
-    return sorted(set(divisors), key=lambda q: q.coeffs)
+        extended = []
+        for d in divisors:
+            for _ in range(m):
+                d = d * g
+                extended.append(d)
+        divisors += extended
+    return sorted(divisors, key=lambda q: q.coeffs)
 
 
 def _monic_polys_of_degree(d, p):

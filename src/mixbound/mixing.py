@@ -14,7 +14,6 @@ so that relation carries over to every dilation k p^j.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from typing import NamedTuple
 
 from . import geometry
@@ -140,18 +139,22 @@ def verify_eisenstein(f: LaurentPoly, cert: IrreducibilityCertificate) -> bool:
 
 
 def brute_force_certify(f: LaurentPoly):
-    """Exhaustive factor-pair search, for p in {2, 3} and bidegree <= (4, 4).
+    """Exhaustive factor search, for p in {2, 3} and bidegree <= (4, 4).
 
     Returns a 'brute_force' certificate, a 'reducible' certificate with a
-    witness factor, or None when the input is out of range.  A nontrivial
-    factorization of the normalized polynomial either has a factor free of
-    u1 (caught by the coefficient content in one of the two variable
-    orders) or a factor of u1-degree between 1 and n//2, whose extreme
-    u1-coefficients divide those of f; only such candidates are tried.
-    Two filters look a candidate g up in precomputed sets of divisors:
-    its values at u2 = c must divide f(c, u1), and g(c, u2) at u1 = c != 0
-    must divide f(c, u2).  exact_divides is the final test.  Inputs out
+    witness factor, or None when the input is out of range.  Inputs out
     of range return None before f is rewritten.
+
+    A factor free of u1 or of u2 shows as the coefficient content in one
+    of the two variable orders.  With trivial content in both, every
+    factor of a nontrivial factorization of the normalized f has degree
+    at least 1 in both variables, so f is irreducible when its bidegree
+    (d1, d2) has min(d1, d2) <= 1, and otherwise one factor has u1-degree
+    between 1 and d1//2 and another has u2-degree between 1 and d2//2.
+    `_search_factor` looks for the first kind in the u1-view; when
+    d2 < d1 the swapped view, whose main degree is d2, is searched first,
+    and only a factor found there sends the search on to the u1-view,
+    which picks the reported factor.
     """
     if f.is_zero() or f.is_monomial():
         raise DegenerateInput("nothing to certify for a unit")
@@ -174,10 +177,13 @@ def brute_force_certify(f: LaurentPoly):
             if swap:
                 factor = factor.swap_vars()
             return IrreducibilityCertificate("reducible", factor=factor)
+    irreducible = IrreducibilityCertificate("brute_force", searched_bidegree=(d1, d2))
+    if min(d1, d2) <= 1 or (d2 < d1 and _search_factor(f.swap_vars(), pv) is None):
+        return irreducible
     factor = _search_factor(f, pu)
-    if factor is not None:
-        return IrreducibilityCertificate("reducible", factor=factor)
-    return IrreducibilityCertificate("brute_force", searched_bidegree=(d1, d2))
+    if factor is None:
+        return irreducible
+    return IrreducibilityCertificate("reducible", factor=factor)
 
 
 def _univariate_verdict(q: FpPoly, swap, bidegree):
@@ -197,16 +203,18 @@ def _search_factor(f, pu):
     p = f.p
     n = pu.degree
     q0, qn = pu.coeffs[0], pu.coeffs[-1]
-    d2 = max(q.degree for q in pu.coeffs if not q.is_zero())
     # a divisor specializes to a divisor at every u2 = c where f stays
     # nonzero; the divisor sets and the candidates' values there are
     # computed once, so the filter only looks values up and exact_divides
     # is the final test.  pu is normalized, so u2 = 0 is always a point:
     # it rejects every candidate divisible by u2, which can divide f in
     # the Laurent ring but never in the polynomial ring searched here.
-    # The same holds at u1 = c; u1 = 0 adds nothing, since g0 divides q0
+    # The same holds at u1 = c; u1 = 0 adds nothing, since g0 divides q0,
+    # and f(c, u2) != 0 for c != 0, or u1 - c would divide the content of
+    # the other variable order
     def divisors(fc):
-        return {d.scale(u).coeffs for d in monic_divisors(fc) for u in range(1, p)}
+        return {tuple(u * x % p for x in d.coeffs)
+                for d in monic_divisors(fc) for u in range(1, p)}
 
     points, divisor_sets = [], []
     for c in range(p):
@@ -214,37 +222,42 @@ def _search_factor(f, pu):
         if not fc.is_zero():
             points.append(c)
             divisor_sets.append(divisors(fc))
-    u1_points = [(c, divisors(fc)) for c in range(1, p)
-                 if not (fc := _at_u1(pu.coeffs, c)).is_zero()]
+    u1_sets = []
+    for c in range(1, p):
+        fc = _at_u1([q.coeffs for q in pu.coeffs], c, p)
+        assert fc, "f vanishes at u1 = c though its content is 1"
+        u1_sets.append((c, divisors(FpPoly(fc, p))))
 
     def with_values(polys):
         return [(g, tuple(g.eval(c) for c in points)) for g in polys]
 
+    # the divisors of f(1, u2), which the middle coefficients come from
+    one_divs = with_values(FpPoly(d, p) for d in u1_sets[0][1])
     lead_divs = with_values(monic_divisors(qn))
     trail_divs = with_values(d.scale(c) for d in monic_divisors(q0) for c in range(1, p))
-    # every polynomial of degree <= d2, constant coefficient varying
-    # fastest; only factors of u1-degree >= 2, so n >= 4, have middles
-    middles = with_values(
-        FpPoly(cs[::-1], p) for cs in product(range(p), repeat=d2 + 1)
-    ) if n >= 4 else []
+    # n <= 4, so a factor of u1-degree a <= 2 has at most one middle
+    # coefficient g1, which _middles solves for rather than enumerates
     for a in range(1, n // 2 + 1):
         for ga, va in lead_divs:
             for g0, v0 in trail_divs:
-                # the middle values each point's divisors allow; a middle
-                # passes when its value vectors lie in `allowed`
-                per_point = [
-                    [xs for xs in product(range(p), repeat=a - 1)
-                     if FpPoly((x0, *xs, xa), p).coeffs in divs]
-                    for x0, xa, divs in zip(v0, va, divisor_sets)
-                ]
-                allowed = {tuple(zip(*combo)) for combo in product(*per_point)}
-                if not allowed:
-                    continue
-                for middle in product(middles, repeat=a - 1):
-                    if tuple(v for _, v in middle) not in allowed:
+                if a == 1:
+                    if any(_strip((x0, xa), p) not in divs
+                           for x0, xa, divs in zip(v0, va, divisor_sets)):
                         continue
-                    coeffs = (g0, *(g for g, _ in middle), ga)
-                    if any(_at_u1(coeffs, c).coeffs not in divs for c, divs in u1_points):
+                    middles = [()]
+                else:
+                    # the values g1 may take at each u2 = c
+                    per_point = [
+                        {x for x in range(p) if _strip((x0, x, xa), p) in divs}
+                        for x0, xa, divs in zip(v0, va, divisor_sets)
+                    ]
+                    if not all(per_point):
+                        continue
+                    middles = _middles(g0, v0, ga, va, per_point, one_divs)
+                for middle in middles:
+                    coeffs = (g0, *middle, ga)
+                    columns = [q.coeffs for q in coeffs]
+                    if any(_at_u1(columns, c, p) not in divs for c, divs in u1_sets):
                         continue
                     cand = PolyInU1(coeffs, (0, 0), p).to_laurent()
                     if exact_divides(cand, f) is not None:
@@ -252,13 +265,40 @@ def _search_factor(f, pu):
     return None
 
 
-def _at_u1(coeffs, c):
-    # sum_i c^i coeffs[i]: the polynomial in u2 left by setting u1 = c
-    out = [0] * max(len(q.coeffs) for q in coeffs)
-    for i, q in enumerate(coeffs):
-        for j, x in enumerate(q.coeffs):
+def _middles(g0, v0, ga, va, per_point, one_divs):
+    # the middles g1 of g0 + g1 u1 + ga u1^2 that pass the filter at the
+    # points u2 = c and at u1 = 1.  At u1 = 1 the candidate is g0 + g1 + ga,
+    # one of the divisors D of f(1, u2), so g1 = D - g0 - ga: one middle per
+    # divisor, kept when its values D(c) - g0(c) - ga(c) are ones per_point
+    # allows, and sorted by their index sum_k g1_k p^k in the enumeration
+    # of every polynomial of degree <= d2 (constant coefficient fastest)
+    p = g0.p
+    rest = g0 + ga
+    found = []
+    for d, dv in one_divs:
+        if all((y - x0 - xa) % p in allowed
+               for y, x0, xa, allowed in zip(dv, v0, va, per_point)):
+            g1 = d - rest
+            found.append((sum(x * p**k for k, x in enumerate(g1.coeffs)), g1))
+    return [(g1,) for _, g1 in sorted(found, key=lambda item: item[0])]
+
+
+def _strip(cs, p):
+    # the coefficient tuple of sum_j cs[j] t^j over F_p, as FpPoly keeps it
+    cs = [x % p for x in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _at_u1(columns, c, p):
+    # sum_i c^i columns[i], columns the coefficient tuples of polynomials
+    # in u2: the coefficient tuple of the polynomial left by setting u1 = c
+    out = [0] * max(len(q) for q in columns)
+    for i, q in enumerate(columns):
+        for j, x in enumerate(q):
             out[j] += c**i * x
-    return FpPoly(out, coeffs[0].p)
+    return _strip(out, p)
 
 
 def certify_irreducible(f: LaurentPoly) -> IrreducibilityCertificate:

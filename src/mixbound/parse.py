@@ -80,8 +80,12 @@ class _Tokens:
     def error(self, message, at=None):
         """Raise a ParseError at offset `at`, by default the next token's."""
         i = self.peek()[2] if at is None else at
-        line = self.text.count("\n", 0, i) + 1
-        raise ParseError(message, line, i - self.text.rfind("\n", 0, i))
+        raise ParseError(message, *_position(self.text, i))
+
+
+def _position(text, i, line=1):
+    # 1-based (line, column) of offset i in text, whose first line is `line`
+    return line + text.count("\n", 0, i), i - text.rfind("\n", 0, i)
 
 
 def parse_poly(text: str, p: int) -> LaurentPoly:
@@ -155,37 +159,52 @@ def _parse_factor(toks):
 
 
 def parse_points(text: str):
-    """Parse a shape or tuple list like "(0,0);(1,0);(0,2)"."""
-    pts = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if not (chunk.startswith("(") and chunk.endswith(")")):
-            raise ParseError(f"expected '(a,b)', got {chunk!r}", 1, 1)
-        body = chunk[1:-1]
-        parts = body.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"expected two coordinates in {chunk!r}", 1, 1)
-        try:
-            pt = (int(parts[0].strip()), int(parts[1].strip()))
-        except ValueError:
-            raise ParseError(f"non-integer coordinate in {chunk!r}", 1, 1) from None
-        if abs(pt[0]) > COORD_LIMIT or abs(pt[1]) > COORD_LIMIT:
-            raise ParseError(f"coordinate out of range in {chunk!r}", 1, 1)
-        pts.append(pt)
-    if not pts:
-        raise ParseError("empty point list", 1, 1)
-    return pts
+    """Parse a shape or tuple list like "(0,0);(1,0);(0,2)".
+
+    A ParseError points at the first character of the chunk at fault.
+    """
+    return _points(text, 0, 1)
 
 
-def parse_family_line(line: str):
-    """Parse one family-file line of the form "j: (a,b);(c,d);..."."""
-    if ":" not in line:
-        raise ParseError(f"expected 'label: points' in {line!r}", 1, 1)
-    label, _, rest = line.partition(":")
+def parse_family_line(text: str, line: int = 1):
+    """Parse one family-file line of the form "j: (a,b);(c,d);...".
+
+    `line` is the line's number in its file, for the ParseError position.
+    """
+    label, colon, _ = text.partition(":")
+    if not colon:
+        raise ParseError(f"expected 'label: points' in {text!r}", line, 1)
     try:
         j = int(label.strip())
     except ValueError:
-        raise ParseError(f"non-integer label in {line!r}", 1, 1) from None
-    return j, parse_points(rest)
+        at = len(label) - len(label.lstrip())
+        raise ParseError(f"non-integer label in {text!r}", *_position(text, at, line)) from None
+    return j, _points(text, len(label) + 1, line)
+
+
+def _points(text, start, line):
+    # the points of the ';'-separated chunks of text[start:]; text's first
+    # line is `line` in its source
+    pts = []
+    at = start  # the offset of raw in text
+    for raw in text[start:].split(";"):
+        chunk, first = raw.strip(), at + len(raw) - len(raw.lstrip())
+        at += len(raw) + 1
+        if not chunk:
+            continue
+        where = _position(text, first, line)
+        if not (chunk.startswith("(") and chunk.endswith(")")):
+            raise ParseError(f"expected '(a,b)', got {chunk!r}", *where)
+        parts = chunk[1:-1].split(",")
+        if len(parts) != 2:
+            raise ParseError(f"expected two coordinates in {chunk!r}", *where)
+        try:
+            pt = (int(parts[0].strip()), int(parts[1].strip()))
+        except ValueError:
+            raise ParseError(f"non-integer coordinate in {chunk!r}", *where) from None
+        if abs(pt[0]) > COORD_LIMIT or abs(pt[1]) > COORD_LIMIT:
+            raise ParseError(f"coordinate out of range in {chunk!r}", *where)
+        pts.append(pt)
+    if not pts:
+        raise ParseError("empty point list", *_position(text, start, line))
+    return pts

@@ -1,6 +1,10 @@
+import functools
+import importlib.util
 import random
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +45,7 @@ from mixbound.newton import (
 )
 from mixbound.parse import ParseError, parse_poly
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 def L(text, p=2):
     """Laurent polynomial from surface syntax."""
@@ -311,13 +316,17 @@ def face_newton_data_per_face(f, face):
 
 
 def _search_factor(f, pu):
-    """First factor of u1-degree 1..n//2 found by the brute-force search, or None.
+    """First factor of u1-degree 1..n//2 of the u1-view pu, or None.
 
     The reference for `mixing._search_factor`, in the same candidate
-    order: each candidate's specializations at u2 = c are rebuilt as
-    polynomials and f(c, u1) is divided by them, where the library looks
-    precomputed values up in precomputed divisor sets and adds a second
-    filter at u1 = c.
+    order, by full enumeration: every polynomial of degree <= d2 is tried
+    as each middle coefficient, and each candidate's specializations at
+    u2 = c are rebuilt as polynomials that f(c, u1) is divided by.  The
+    library solves for the middle coefficient from the divisors of
+    f(1, u2), looks precomputed values up in precomputed divisor sets,
+    and adds a filter at u1 = c.  Nothing here depends on the bidegree:
+    the degree argument and the swapped-view search of
+    `mixing.brute_force_certify` sit outside the function this replaces.
     """
     p = f.p
     n = pu.degree
@@ -430,6 +439,18 @@ class CountingTokens:
     def error(self, message, at=None):
         line, col = self.peek()[2] if at is None else at
         raise ParseError(message, line, col)
+
+
+@functools.cache
+def load_perfbench(name):
+    """The module perfbench/<name>.py, imported once from its file as it is."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_laurent(rng, p, max_terms=6, span=4):

@@ -7,30 +7,16 @@ the `paper`, `search` and `corpus` workloads runs once under the same
 layers fails here too.  The perfbench modules are imported as they are.
 """
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
 from mixbound import cli, mixing, parse, report
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from conftest import load_perfbench
 
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", PERFBENCH / f"{name}.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-tracing = _load("tracing")
-workloads = _load("workloads")
+tracing = load_perfbench("tracing")
+workloads = load_perfbench("workloads")
 
 
 def _run_cli_ops(name, tmp_path, capsys):

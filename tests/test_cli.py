@@ -163,6 +163,14 @@ class TestShapeTest:
         )
         assert code == 2
 
+    def test_shape_error_points_at_its_chunk(self, capsys):
+        code, out, err = run(
+            capsys, "shape-test", "--prime", "2", "--poly", "1+u1+u2",
+            "--shape", "(0,0);(1,0);(a,1)",
+        )
+        assert (code, out) == (2, "")
+        assert err == "parse error: non-integer coordinate in '(a,1)' (line 1, column 13)\n"
+
     def test_bad_windows_exit_2(self, capsys):
         code, _, _ = run(
             capsys, "shape-test", "--prime", "2", "--poly", "1+u1+u2",
@@ -191,6 +199,16 @@ class TestSeqDiagnose:
         )
         assert code == 0
         assert [d["label"] for d in json.loads(out)] == [1, 4]
+
+    def test_family_file_error_names_its_line(self, capsys, tmp_path):
+        fam = tmp_path / "family.txt"
+        fam.write_text("1: (0,0);(1,0);(0,1)\n\n  3: (0,0); (b,1)\n")
+        code, out, err = run(
+            capsys, "seq-diagnose", "--prime", "2", "--poly", "1+u1+u2",
+            "--file", str(fam),
+        )
+        assert (code, out) == (2, "")
+        assert err == "parse error: non-integer coordinate in '(b,1)' (line 3, column 13)\n"
 
     def test_octagon_stdout_bytes(self, capsys):
         code, out, err = run(

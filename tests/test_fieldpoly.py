@@ -8,6 +8,7 @@ from mixbound.fieldpoly import (
     NEG_INF,
     FieldConfig,
     FpPoly,
+    _monic_polys_of_degree,
     content,
     factor_monic,
     gcd,
@@ -92,6 +93,20 @@ class TestRingAxioms:
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.degree < b.degree
+        assert (a % b, a // b) == (r, q)
+
+    def test_remainders_build_no_quotient(self, monkeypatch):
+        # %, gcd and divides take the remainder alone
+        def refuse(*args):
+            raise AssertionError("a remainder went through divmod")
+
+        monkeypatch.setattr(FpPoly, "__divmod__", refuse)
+        a, b = P([1, 1]) * P([1, 1, 1]), P([1, 1]) * P([0, 1])
+        assert a % b == P([1, 1])
+        assert gcd(a, b) == P([1, 1])
+        assert P([1, 1]).divides(a) and not b.divides(a)
+        with pytest.raises(ZeroDivisionError):
+            a % FpPoly.zero(2)
 
 
 class TestFrobenius:
@@ -277,3 +292,30 @@ class TestContentAndDivisors:
         assert len(divs) == len(set(divs)) == 6
         for d in divs:
             assert (a % d).is_zero()
+
+    def test_monic_divisors_match_trial_division(self):
+        # every monic divisor of a, by trial: d of degree <= deg(a)/2
+        # divides a exactly when its cofactor does
+        rng = random.Random(11)
+        checked = 0
+        while checked < 500:
+            p = rng.choice([2, 3, 5, 7])
+            a = P([rng.randrange(p) for _ in range(rng.randint(1, 7))], p)
+            if a.is_zero():
+                continue
+            expected = set()
+            for k in range(a.degree // 2 + 1):
+                for d in _monic_polys_of_degree(k, p):
+                    if d.divides(a):
+                        expected |= {d, a.monic() // d}
+            assert monic_divisors(a) == sorted(expected, key=lambda q: q.coeffs), a
+            checked += 1
+
+    def test_monic_divisors_take_no_powers(self, monkeypatch):
+        # each divisor extends a shorter one by one multiplication
+        def refuse(*args):
+            raise AssertionError("monic_divisors raised a polynomial to a power")
+
+        monkeypatch.setattr(FpPoly, "__pow__", refuse)
+        a = P([0, 0, 0, 1], 3) * P([1, 2, 1], 3)  # t^3 (t+1)^2 over F_3
+        assert len(monic_divisors(a)) == 4 * 3

@@ -1,4 +1,6 @@
+import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -27,6 +29,8 @@ from mixbound.mixing import (
     verify_eisenstein,
     voloch_identity_scan,
 )
+from mixbound.parse import parse_poly
+from mixbound.report import build_report
 
 from conftest import (
     L,
@@ -34,6 +38,7 @@ from conftest import (
     _search_factor as search_factor_by_division,
     frobenius_closure_by_expansion,
     irreducibles_up_to_degree,
+    load_perfbench,
     poly_in_u1_by_normalize,
     random_nonmonomial,
     shape_search_from_scratch,
@@ -310,10 +315,12 @@ class TestBruteForce:
 
             assert exact_divides(q, f) is not None
 
-    def test_matches_division_oracle(self, rng, monkeypatch):
-        # inputs that reach the factor search: bidegree <= (4, 4), both
-        # extents at least 1, trivial content in both variable orders;
-        # every other input is a product of two such boxes
+    def test_matches_division_oracle(self, rng):
+        # inputs past the content checks: bidegree <= (4, 4), both extents
+        # at least 1, trivial content in both variable orders; every other
+        # input is a product of two such boxes.  The oracle searches the
+        # u1-view in full whatever the bidegree, so the answer of the
+        # degree argument and of the swapped-view search is checked too
         def box(p, d1, d2):
             while True:
                 terms = {
@@ -324,18 +331,25 @@ class TestBruteForce:
                 if len(g) >= 2:
                     return g
 
-        def reaches_search(f):
+        def past_content_checks(f):
             pu, pv = as_poly_in_u1(f), as_poly_in_u1(f.swap_vars())
             return all(
                 1 <= view.degree <= 4 and content(view.coeffs).degree == 0 for view in (pu, pv)
             )
+
+        def expected(f, bidegree):
+            factor = search_factor_by_division(f, as_poly_in_u1(f))
+            if factor is None:
+                return "brute_force", None, bidegree
+            return "reducible", factor.to_string(), None
 
         def summary(cert):
             factor = cert.factor.to_string() if cert.factor is not None else None
             return cert.method, factor, cert.searched_bidegree
 
         inputs, products, reducible = 0, 0, 0
-        while inputs < 420:
+        shapes = Counter()
+        while inputs < 480:
             p = rng.choice((2, 3))
             is_product = inputs % 2 == 1
             if is_product:
@@ -344,30 +358,121 @@ class TestBruteForce:
             else:
                 f = box(p, rng.randint(1, 4), rng.randint(1, 4))
             f = f.shift((rng.randint(-2, 2), rng.randint(-2, 2)))
-            if not reaches_search(f):
+            if not past_content_checks(f):
                 continue
+            d1, d2 = (max(e) - min(e) for e in zip(*f.support()))
             cert = brute_force_certify(f)
-            with monkeypatch.context() as m:
-                m.setattr(mixing, "_search_factor", search_factor_by_division)
-                expected = brute_force_certify(f)
-            assert summary(cert) == summary(expected), f.to_string()
+            assert summary(cert) == expected(f, (d1, d2)), f.to_string()
             inputs += 1
             products += is_product
             reducible += cert.method == "reducible"
+            shapes[(d1 > d2) - (d1 < d2), cert.method] += 1
         assert products >= 150
         assert 150 <= reducible <= inputs - 150
+        assert shapes[1, "brute_force"] + shapes[1, "reducible"] >= 100  # d2 < d1
+        assert shapes[-1, "brute_force"] + shapes[-1, "reducible"] >= 100  # d1 < d2
+        # the swapped view found a factor, and the u1-view picked it
+        assert shapes[1, "reducible"] >= 50
+
+    @pytest.mark.parametrize(
+        "p, poly",
+        [
+            (2, "1+u1+u2"),
+            (2, "1+u1+u1^2+u1^2*u2+u1^3*u2"),
+            (2, "u2^4+u1+u1*u2^2"),
+            (3, "2+u1^3*u2+u1+u1^4"),
+            (3, "1+2*u1+u1^2*u2+2*u1^3+u1^4*u2"),
+            (3, "1+u1+u1*u2^4+2*u2^2"),
+            (3, "u1^-2+u2*u1^2+u2"),
+        ],
+    )
+    def test_degree_one_needs_no_search(self, p, poly, monkeypatch):
+        # every factor has degree >= 1 in both variables once the contents
+        # are trivial, so an extent of 1 leaves no room for two factors
+        f = L(poly, p)
+        assert 1 in {max(e) - min(e) for e in zip(*f.support())}
+
+        def refuse(*args):
+            raise AssertionError("the factor search ran for an extent of 1")
+
+        with monkeypatch.context() as m:
+            m.setattr(mixing, "_search_factor", refuse)
+            cert = brute_force_certify(f)
+        assert cert.method == "brute_force"
+        assert search_factor_by_division(f, as_poly_in_u1(f)) is None
+
+    @pytest.mark.parametrize(
+        "p, poly, built, divisions",
+        [
+            # the two slowest brute-force searches of the seed-1 corpus;
+            # enumerating every middle polynomial of degree <= 4 built 922
+            # and 383 polynomials here
+            (3, "u1^2*u2^4+2*u1^3*u2^3+u1^4*u2^4+u1^5+2*u1^5*u2^2+2*u1^6", 233, 5),
+            (2, "u1^2*u2^6+u1^3*u2^3+u1^5*u2^3+u1^6*u2^2+u1^6*u2^4", 166, 29),
+        ],
+    )
+    def test_middles_are_solved_for(self, p, poly, built, divisions, monkeypatch):
+        # every FpPoly the certification builds, the middle candidates
+        # among them, and the exact divisions that end the search
+        f = L(poly, p)
+        counts = Counter()
+        init = FpPoly.__init__
+
+        def counted_init(self, *args):
+            counts["built"] += 1
+            init(self, *args)
+
+        def counted_divides(*args):
+            counts["divisions"] += 1
+            return laurent.exact_divides(*args)
+
+        monkeypatch.setattr(FpPoly, "__init__", counted_init)
+        monkeypatch.setattr(mixing, "exact_divides", counted_divides)
+        assert brute_force_certify(f).method == "brute_force"
+        assert counts == {"built": built, "divisions": divisions}
+
+    def test_corpus_reports_match_oracle(self, monkeypatch):
+        # every corpus polynomial (seeds 1-3) whose certificate needs the
+        # factor search gets the same report bytes from the oracle
+        workloads = load_perfbench("workloads")
+        searched = []
+        search = mixing._search_factor
+
+        def recording(f, pu):
+            searched.append(f)
+            return search(f, pu)
+
+        monkeypatch.setattr(mixing, "_search_factor", recording)
+        inputs = []
+        for seed in (1, 2, 3):
+            for p, text in workloads.corpus_inputs(seed):
+                f = parse_poly(text, p)
+                del searched[:]
+                brute_force_certify(f)
+                if searched:
+                    inputs.append(f)
+        assert len(inputs) >= 60
+
+        def reports():
+            return [json.dumps(build_report(order_bounds(f))) for f in inputs]
+
+        ours = reports()
+        monkeypatch.setattr(mixing, "_search_factor", search_factor_by_division)
+        assert reports() == ours
 
     def test_filter_does_not_divide(self, monkeypatch):
-        # the division oracle divides 25682 times on this input
+        # the division oracle divides 25682 times on this input; both the
+        # full division and the remainder-only one are counted
         f = L("2*u2^4+2*u1*u2+u1^2*u2^3+u1^3+2*u1^4*u2^3+2*u1^4*u2^4", 3)
         calls = []
-        divmod_original = FpPoly.__divmod__
+        for name in ("__divmod__", "__mod__"):
+            original = getattr(FpPoly, name)
 
-        def counted_divmod(a, b):
-            calls.append(None)
-            return divmod_original(a, b)
+            def counted(a, b, original=original):
+                calls.append(None)
+                return original(a, b)
 
-        monkeypatch.setattr(FpPoly, "__divmod__", counted_divmod)
+            monkeypatch.setattr(FpPoly, name, counted)
         assert brute_force_certify(f).method == "brute_force"
         assert len(calls) < 200
 

@@ -126,6 +126,16 @@ class TestParsePoints:
             parse_points(bad)
 
 
+    @pytest.mark.parametrize(
+        "bad, col",
+        [("(0,0);(1,0);(a,1)", 13), ("(0,0); (1)", 8), ("(0,0);;  1,2", 10), ("", 1)],
+    )
+    def test_error_points_at_the_chunk(self, bad, col):
+        with pytest.raises(ParseError) as err:
+            parse_points(bad)
+        assert (err.value.line, err.value.col) == (1, col)
+
+
 class TestParseFamilyLine:
     def test_labeled_line(self):
         assert parse_family_line("3: (0,0);(3,0)") == (3, [(0, 0), (3, 0)])
@@ -134,3 +144,11 @@ class TestParseFamilyLine:
     def test_malformed(self, bad):
         with pytest.raises(ParseError):
             parse_family_line(bad)
+
+    @pytest.mark.parametrize(
+        "bad, col", [("7 (0,0)", 1), ("  x: (0,0)", 3), ("2: (0,0);(1,b)", 10), ("2:", 3)]
+    )
+    def test_error_names_the_given_line(self, bad, col):
+        with pytest.raises(ParseError) as err:
+            parse_family_line(bad, 5)
+        assert (err.value.line, err.value.col) == (5, col)
