@@ -30,7 +30,7 @@ from .mixing import (
     voloch_identity_scan,
 )
 from .newton import Valuation, newton_polygon
-from .parse import ParseError, parse_family_line, parse_points, parse_poly
+from .parse import ParseError, parse_family_line, parse_points, parse_poly, parse_windows
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -105,20 +105,10 @@ def _print_pretty(out):
         w(f"note         : {note}\n")
 
 
-def _parse_windows(text):
-    try:
-        windows = tuple(int(part) for part in text.split(",") if part.strip() != "")
-    except ValueError:
-        raise ParseError(f"bad window list {text!r}", 1, 1) from None
-    if not windows or any(w < 0 for w in windows):
-        raise ParseError(f"bad window list {text!r}", 1, 1)
-    return windows
-
-
 def _cmd_shape_test(args):
     f = _load_poly(args)
     shape = parse_points(args.shape)
-    windows = _parse_windows(args.windows)
+    windows = parse_windows(args.windows)
     if len(shape) == 3:
         verdict = three_shape_classify(f, shape, kmax=args.kmax, windows=windows)
     else:

@@ -126,6 +126,42 @@ def faces(poly: LatticePolygon):
     return [_make_face(vs[i], vs[(i + 1) % n]) for i in range(n)]
 
 
+def splits_with_both_extents(poly: LatticePolygon) -> bool:
+    """Whether the hull is a Minkowski sum of two lattice polygons or
+    segments that each have positive width in u1 and in u2.
+
+    With the hull's edges written n_i v_i (v_i primitive, CCW; a segment
+    is its edge there and back), a summand is a closed chain of sub-edges,
+    sum m_i v_i = 0 with 0 <= m_i <= n_i, and its widths are
+    sum m_i max(v_i, 0) per coordinate; the other summand has the rest of
+    the hull's widths.  A search over the edges keeps each reachable
+    (end point, widths) once, drops widths that reach the hull's, and
+    stops at the first closed chain left with both widths positive.
+    """
+    vs = poly.vertices
+    edges = []
+    for a, b in zip(vs, vs[1:] + vs[:1]):
+        n = math.gcd(b[0] - a[0], b[1] - a[1])
+        if n:
+            edges.append(((b[0] - a[0]) // n, (b[1] - a[1]) // n, n))
+    width = sum(n * max(vx, 0) for vx, _, n in edges)
+    height = sum(n * max(vy, 0) for _, vy, n in edges)
+    states = {(0, 0, 0, 0)}
+    for vx, vy, n in edges:
+        wx, wy = max(vx, 0), max(vy, 0)
+        grown = set(states)
+        for x, y, sx, sy in states:
+            for m in range(1, n + 1):
+                state = (x + m * vx, y + m * vy, sx + m * wx, sy + m * wy)
+                if state[2] >= width or state[3] >= height:
+                    break
+                if state[:2] == (0, 0) and state[2] and state[3]:
+                    return True
+                grown.add(state)
+        states = grown
+    return False
+
+
 def slope_set(face_list):
     """Face directions deduplicated up to sign (canonical primitive form)."""
     return {canonical_direction(f.direction) for f in face_list}

@@ -2,13 +2,18 @@
 
 The geometry of the hull of f bounds the order of mixing: an R-gon hull
 with f irreducible gives R-1 <= order < |S(f)|, so support = hull
-vertices pins the order exactly.  Shapes of lattice points are classified
-by combining that bound, the face-direction prefilter, the triangle
-edge-direction test, and an explicit search for module relations
-sum m_i u^{k n_i} = 0 mod f.  Only relations with constant m_i certify
-non-mixing.  A certified witness is checked by multiplying its quotient
-back to the constant relation at k; the p-th power map fixes constants,
-so that relation carries over to every dilation k p^j.
+vertices pins the order exactly.  The same hull bears on the
+irreducibility the window needs: by Ostrowski's theorem the Newton
+polygon of g h is the Minkowski sum of those of g and h, so a hull that
+does not split into two polygons of positive width in both coordinates
+leaves the brute-force factor search nothing to find.  Shapes of
+lattice points are classified by combining the order bound, the
+face-direction prefilter, the triangle edge-direction test, and an
+explicit search for module relations sum m_i u^{k n_i} = 0 mod f.  Only
+relations with constant m_i certify non-mixing.  A certified witness is
+checked by multiplying its quotient back to the constant relation at k;
+the p-th power map fixes constants, so that relation carries over to
+every dilation k p^j.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .fieldpoly import (
     factor_monic,
     gcd as fp_gcd,
     irreducible_factors,
+    is_irreducible,
     monic_divisors,
 )
 from .laurent import (
@@ -124,13 +130,16 @@ def eisenstein_certify(f: LaurentPoly):
 
 
 def verify_eisenstein(f: LaurentPoly, cert: IrreducibilityCertificate) -> bool:
-    """Re-check every Eisenstein condition recorded in the certificate."""
+    """Re-check every Eisenstein condition recorded in the certificate,
+    the primality of g included."""
     if cert.method != "eisenstein":
+        return False
+    g = cert.g
+    if g.degree < 1 or not is_irreducible(g):
         return False
     pu = as_poly_in_u1(f, swap=cert.main_axis == 2, inverted=cert.inverted)
     if pu.degree < 1 or fp_content(pu.coeffs).degree != 0:
         return False
-    g = cert.g
     return (
         all(g.divides(q) for q in pu.coeffs[:-1] if not q.is_zero())
         and not g.divides(pu.coeffs[-1])
@@ -149,12 +158,16 @@ def brute_force_certify(f: LaurentPoly):
     of the two variable orders.  With trivial content in both, every
     factor of a nontrivial factorization of the normalized f has degree
     at least 1 in both variables, so f is irreducible when its bidegree
-    (d1, d2) has min(d1, d2) <= 1, and otherwise one factor has u1-degree
-    between 1 and d1//2 and another has u2-degree between 1 and d2//2.
-    `_search_factor` looks for the first kind in the u1-view; when
-    d2 < d1 the swapped view, whose main degree is d2, is searched first,
-    and only a factor found there sends the search on to the u1-view,
-    which picks the reported factor.
+    (d1, d2) has min(d1, d2) <= 1.  Each such factor's Newton polygon
+    then has positive width in both coordinates, and by Ostrowski's
+    theorem, Newt(g h) = Newt(g) + Newt(h), the hull of f is the Minkowski
+    sum of two of them; so f is irreducible, with no search, when its hull
+    does not split that way (`geometry.splits_with_both_extents`).
+    Otherwise one factor has u1-degree between 1 and d1//2 and another has
+    u2-degree between 1 and d2//2.  `_search_factor` looks for the first
+    kind in the u1-view; when d2 < d1 the swapped view, whose main degree
+    is d2, is searched first, and only a factor found there sends the
+    search on to the u1-view, which picks the reported factor.
     """
     if f.is_zero() or f.is_monomial():
         raise DegenerateInput("nothing to certify for a unit")
@@ -178,7 +191,11 @@ def brute_force_certify(f: LaurentPoly):
                 factor = factor.swap_vars()
             return IrreducibilityCertificate("reducible", factor=factor)
     irreducible = IrreducibilityCertificate("brute_force", searched_bidegree=(d1, d2))
-    if min(d1, d2) <= 1 or (d2 < d1 and _search_factor(f.swap_vars(), pv) is None):
+    if (
+        min(d1, d2) <= 1
+        or not geometry.splits_with_both_extents(geometry.convex_hull(f.support()))
+        or (d2 < d1 and _search_factor(f.swap_vars(), pv) is None)
+    ):
         return irreducible
     factor = _search_factor(f, pu)
     if factor is None:

@@ -1,4 +1,4 @@
-"""Surface syntax for Laurent polynomials and lattice-point lists.
+"""Surface syntax for Laurent polynomials, lattice-point lists and window lists.
 
 Grammar (whitespace-insensitive)::
 
@@ -180,6 +180,32 @@ def parse_family_line(text: str, line: int = 1):
         at = len(label) - len(label.lstrip())
         raise ParseError(f"non-integer label in {text!r}", *_position(text, at, line)) from None
     return j, _points(text, len(label) + 1, line)
+
+
+def parse_windows(text: str):
+    """Parse a window list like "0,1,2": integers >= 0 between commas,
+    empty entries skipped, at least one given.
+
+    A ParseError points at the first character of the entry at fault, or
+    at column 1 when there is no entry.
+    """
+    windows = []
+    at = 0  # the offset of raw in text
+    for raw in text.split(","):
+        first = at + len(raw) - len(raw.lstrip())
+        at += len(raw) + 1
+        if not raw.strip():
+            continue
+        try:
+            w = int(raw)
+        except ValueError:
+            w = -1
+        if w < 0:
+            raise ParseError(f"bad window list {text!r}", *_position(text, first))
+        windows.append(w)
+    if not windows:
+        raise ParseError(f"bad window list {text!r}", 1, 1)
+    return tuple(windows)
 
 
 def _points(text, start, line):

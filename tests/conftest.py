@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import math
 import random
 import sys
 from fractions import Fraction
@@ -8,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from mixbound import geometry
+from mixbound import geometry, mixing
 from mixbound.fieldpoly import (
     INFINITE,
     FpPoly,
     _monic_polys_of_degree,
+    content,
     is_irreducible,
     monic_divisors,
 )
@@ -31,6 +33,7 @@ from mixbound.mixing import (
     CERTIFIED_NON_MIXING,
     RELATION_FOUND,
     UNRESOLVED,
+    IrreducibilityCertificate,
     frobenius_closure_holds,
     make_witness,
     shape_prefilter,
@@ -359,6 +362,69 @@ def _search_factor(f, pu):
                     if exact_divides(cand, f) is not None:
                         return cand
     return None
+
+
+def brute_force_searching_every_hull(f):
+    """The brute-force certificate with no hull test.
+
+    The reference for `mixing.brute_force_certify`, which certifies with
+    no search an input whose hull does not split into two polygons of
+    positive width in both coordinates: here every input past the content
+    checks and the extent argument goes to the factor search.
+    """
+    p = f.p
+    d1, d2 = (max(e) - min(e) for e in zip(*f.support()))
+    if p not in (2, 3) or d1 > 4 or d2 > 4:
+        return None
+    pu, pv = as_poly_in_u1(f), as_poly_in_u1(f, swap=True)
+    if d1 == 0:
+        return mixing._univariate_verdict(pu.coeffs[0], swap=False, bidegree=(d1, d2))
+    if d2 == 0:
+        return mixing._univariate_verdict(pv.coeffs[0], swap=True, bidegree=(d1, d2))
+    for view, swap in ((pu, False), (pv, True)):
+        c = content(view.coeffs)
+        if c.degree != 0:
+            factor = PolyInU1((c,), (0, 0), p).to_laurent()
+            if swap:
+                factor = factor.swap_vars()
+            return IrreducibilityCertificate("reducible", factor=factor)
+    irreducible = IrreducibilityCertificate("brute_force", searched_bidegree=(d1, d2))
+    if min(d1, d2) <= 1 or (d2 < d1 and mixing._search_factor(f.swap_vars(), pv) is None):
+        return irreducible
+    factor = mixing._search_factor(f, pu)
+    if factor is None:
+        return irreducible
+    return IrreducibilityCertificate("reducible", factor=factor)
+
+
+def splits_by_enumeration(poly):
+    """Whether some choice of sub-edge lengths closes up into a summand
+    of positive width in both coordinates that leaves the same to the rest.
+
+    The reference for `geometry.splits_with_both_extents`, which grows the
+    reachable chains edge by edge and stops at the first that closes:
+    here every tuple 0 <= m_i <= n_i is tried with `itertools.product`.
+    A segment hull has the same edge twice, once each way.
+    """
+    vs = poly.vertices
+    steps = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(vs, vs[1:] + vs[:1])]
+    edges = []
+    for dx, dy in steps:
+        n = math.gcd(dx, dy)
+        if n:
+            edges.append((dx // n, dy // n, n))
+    width = sum(n * vx for vx, _, n in edges if vx > 0)
+    height = sum(n * vy for _, vy, n in edges if vy > 0)
+    for ms in product(*(range(n + 1) for _, _, n in edges)):
+        if sum(m * vx for m, (vx, _, _) in zip(ms, edges)) != 0:
+            continue
+        if sum(m * vy for m, (_, vy, _) in zip(ms, edges)) != 0:
+            continue
+        wx = sum(m * vx for m, (vx, _, _) in zip(ms, edges) if vx > 0)
+        wy = sum(m * vy for m, (_, vy, _) in zip(ms, edges) if vy > 0)
+        if 0 < wx < width and 0 < wy < height:
+            return True
+    return False
 
 
 def _specializations_divide(cand_coeffs, specials, p):

@@ -1,6 +1,8 @@
 import json
 import pathlib
 
+import pytest
+
 from mixbound.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -177,6 +179,28 @@ class TestShapeTest:
             "--shape", "(0,0);(1,0)", "--windows", "x",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "windows, column",
+        [("0,1,x", 5), ("0,-1", 3), ("1, 2,  y", 8), ("0,,1.5", 4), (",", 1), ("", 1)],
+    )
+    def test_bad_window_points_at_its_entry(self, capsys, windows, column):
+        code, out, err = run(
+            capsys, "shape-test", "--prime", "2", "--poly", "1+u1+u2",
+            "--shape", "(0,0);(1,0)", "--windows", windows,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"parse error: bad window list {windows!r} (line 1, column {column})\n"
+
+    def test_window_list_keeps_its_syntax(self, capsys):
+        # empty entries are skipped and int() reads each entry, spaces and
+        # a sign included
+        code, out, _ = run(
+            capsys, "shape-test", "--prime", "2", "--poly", "1+u1+u2",
+            "--shape", "(0,0);(1,1)", "--kmax", "2", "--windows", " +1,, 0 ,",
+        )
+        assert code == 0
+        assert json.loads(out)["budget"]["windows"] == [1, 0]
 
 
 class TestSeqDiagnose:

@@ -13,9 +13,11 @@ from mixbound.geometry import (
     cross,
     faces,
     slope_set,
+    splits_with_both_extents,
 )
+from mixbound.laurent import LaurentPoly
 
-from conftest import triangle_homothety
+from conftest import splits_by_enumeration, triangle_homothety
 
 
 def contains(poly, pt):
@@ -180,6 +182,60 @@ class TestSlopeSet:
     def test_canonical_direction_sign(self):
         assert canonical_direction((-2, 4)) == (1, -2)
         assert canonical_direction((0, -3)) == (0, 1)
+
+
+class TestSplitsWithBothExtents:
+    @pytest.mark.parametrize(
+        "points, expected",
+        [
+            ([(0, 0)], False),
+            ([(0, 0), (4, 0)], False),  # no height to share
+            ([(0, 0), (2, 3)], False),  # one primitive edge
+            ([(0, 4), (3, 1)], True),  # 3 (1,-1), there and back
+            ([(0, 0), (1, 0), (0, 1)], False),
+            ([(0, 0), (2, 0), (0, 2)], True),  # twice the unit triangle
+            # the unit square is a horizontal plus a vertical segment
+            ([(0, 0), (1, 0), (0, 1), (1, 1)], False),
+            ([(0, 0), (2, 0), (0, 2), (2, 2)], True),
+            ([(0, 0), (2, 0), (0, 1)], False),  # only a horizontal summand
+            ([(0, 0), (4, 1), (1, 4)], False),
+        ],
+    )
+    def test_known_hulls(self, points, expected):
+        assert splits_with_both_extents(convex_hull(points)) is expected
+
+    def test_matches_enumeration(self):
+        # every tuple of sub-edge lengths, on the hulls of random point
+        # sets in [0,4]^2
+        rng = random.Random(0x05720)
+        seen = {True: 0, False: 0}
+        for _ in range(3000):
+            pts = {(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(rng.randint(1, 9))}
+            hull = convex_hull(pts)
+            expected = splits_by_enumeration(hull)
+            assert splits_with_both_extents(hull) is expected, hull
+            seen[expected] += 1
+        assert min(seen.values()) >= 500
+
+    def test_products_always_split(self):
+        # Ostrowski: the hull of g h is the sum of the hulls of g and h,
+        # each of positive width in both coordinates here
+        rng = random.Random(0x5917)
+
+        def factor(p):
+            while True:
+                terms = {
+                    (rng.randint(0, 2), rng.randint(0, 2)): rng.randrange(1, p)
+                    for _ in range(rng.randint(2, 5))
+                }
+                spans = [max(e) - min(e) for e in zip(*terms)]
+                if min(spans) >= 1:
+                    return LaurentPoly(terms, p)
+
+        for _ in range(2000):
+            p = rng.choice((2, 3, 5))
+            f = factor(p) * factor(p)
+            assert splits_with_both_extents(convex_hull(f.support())), f.to_string()
 
 
 class TestTriangleMatch:

@@ -36,6 +36,7 @@ from conftest import (
     L,
     ORIENTATION_MATRICES,
     _search_factor as search_factor_by_division,
+    brute_force_searching_every_hull,
     frobenius_closure_by_expansion,
     irreducibles_up_to_degree,
     load_perfbench,
@@ -78,6 +79,19 @@ class TestEisenstein:
         assert cert.main_axis == 1 and not cert.inverted
         assert cert.g == FpPoly.x(2)
         assert verify_eisenstein(L("u1^2+u1u2^2+u2^3+u2"), cert)
+
+    def test_verify_rejects_a_composite_g(self):
+        # u1^2+u2^2 = (u1+2u2)(u1-2u2) over F_5, and g = u2^2 meets every
+        # divisibility condition; only the primality of g fails
+        f = L("u1^2+u2^2", 5)
+        assert f == L("u1+2*u2", 5) * L("u1-2*u2", 5)
+        u2 = FpPoly.x(5)
+        for g in (u2 * u2, FpPoly([1], 5)):
+            cert = IrreducibilityCertificate("eisenstein", main_axis=1, g=g)
+            assert not verify_eisenstein(f, cert)
+        assert verify_eisenstein(
+            L("u1^2+u2", 5), IrreducibilityCertificate("eisenstein", main_axis=1, g=u2)
+        )
 
     def test_pentagon_example(self):
         cert = eisenstein_certify(L("u1^6+u1^5u2+u1^3u2^2+u2+u2^3"))
@@ -217,6 +231,22 @@ class TestEisenstein:
             order_bounds(f)
 
 
+def _hull_always_splits(monkeypatch):
+    # every hull passes the Ostrowski test, so brute force searches every
+    # input past the extent argument, as it did before that test
+    monkeypatch.setattr(geometry, "splits_with_both_extents", lambda hull: True)
+
+
+# the inputs of the search tests below, with whether their hulls split:
+# the third is the sum of the triangles (0,0);(1,-3);(2,0) and
+# (0,0);(2,-1);(2,0), so its search runs without the patch too
+SEARCH_TEST_INPUTS = [
+    (3, "u1^2*u2^4+2*u1^3*u2^3+u1^4*u2^4+u1^5+2*u1^5*u2^2+2*u1^6", False),
+    (2, "u1^2*u2^6+u1^3*u2^3+u1^5*u2^3+u1^6*u2^2+u1^6*u2^4", False),
+    (3, "2*u2^4+2*u1*u2+u1^2*u2^3+u1^3+2*u1^4*u2^3+2*u1^4*u2^4", True),
+]
+
+
 class TestBruteForce:
     def test_detects_char2_square(self):
         cert = brute_force_certify(L("1+u1^2"))
@@ -314,6 +344,56 @@ class TestBruteForce:
             from mixbound.laurent import exact_divides
 
             assert exact_divides(q, f) is not None
+
+    def test_matches_search_on_every_hull(self, monkeypatch):
+        # 10,000 inputs in the box, p in {2, 3}: random supports, products
+        # of two of them, and diagonal segments, on which a hull test that
+        # forgot the edge's way back would certify u2^3+u1^3.  The oracle
+        # searches every input the hull test now settles
+        rng = random.Random(1801)
+        tested = []
+        split = geometry.splits_with_both_extents
+
+        def recording(hull):
+            tested.append((hull.degeneracy, split(hull)))
+            return tested[-1][1]
+
+        monkeypatch.setattr(geometry, "splits_with_both_extents", recording)
+
+        def box(p, d1, d2, terms):
+            cells = [(i, j) for i in range(d1 + 1) for j in range(d2 + 1)]
+            return LaurentPoly(
+                {e: rng.randrange(1, p) for e in rng.sample(cells, min(terms, len(cells)))}, p
+            )
+
+        methods = Counter()
+        for i in range(10000):
+            p = rng.choice((2, 3))
+            if i % 5 == 1:
+                vx, vy = rng.choice([(1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1)])
+                n = rng.randint(2, 4 // max(vx, abs(vy)))
+                ks = [0, n] + [k for k in range(1, n) if rng.random() < 0.5]
+                f = LaurentPoly({(k * vx, k * vy): rng.randrange(1, p) for k in ks}, p)
+            elif i % 5 == 2:
+                a1, a2 = rng.randint(1, 3), rng.randint(0, 3)
+                b1 = rng.randint(0, 4 - a1)
+                f = box(p, a1, a2, rng.randint(2, 4)) * box(
+                    p, b1, rng.randint(0 if b1 else 1, 4 - a2), rng.randint(2, 4)
+                )
+            else:
+                d1 = rng.randint(0, 4)
+                f = box(p, d1, rng.randint(0 if d1 else 1, 4), rng.randint(2, 8))
+            if f.is_monomial():
+                continue
+            cert = brute_force_certify(f)
+            assert cert == brute_force_searching_every_hull(f), f.to_string()
+            methods[cert.method] += 1
+        outcomes = Counter(tested)
+        assert sum(methods.values()) >= 9900
+        assert methods["reducible"] >= 300
+        assert outcomes[geometry.POLYGON, False] >= 300  # settled by the hull
+        assert outcomes[geometry.SEGMENT, True] >= 300
+        assert outcomes[geometry.SEGMENT, False] >= 10  # such as 1+u1^2*u2^3
 
     def test_matches_division_oracle(self, rng):
         # inputs past the content checks: bidegree <= (4, 4), both extents
@@ -413,7 +493,9 @@ class TestBruteForce:
     )
     def test_middles_are_solved_for(self, p, poly, built, divisions, monkeypatch):
         # every FpPoly the certification builds, the middle candidates
-        # among them, and the exact divisions that end the search
+        # among them, and the exact divisions that end the search, which
+        # runs here because the hull is taken to split
+        _hull_always_splits(monkeypatch)
         f = L(poly, p)
         counts = Counter()
         init = FpPoly.__init__
@@ -433,7 +515,9 @@ class TestBruteForce:
 
     def test_corpus_reports_match_oracle(self, monkeypatch):
         # every corpus polynomial (seeds 1-3) whose certificate needs the
-        # factor search gets the same report bytes from the oracle
+        # factor search once the hull is taken to split gets the same
+        # report bytes from the oracle
+        _hull_always_splits(monkeypatch)
         workloads = load_perfbench("workloads")
         searched = []
         search = mixing._search_factor
@@ -463,6 +547,7 @@ class TestBruteForce:
     def test_filter_does_not_divide(self, monkeypatch):
         # the division oracle divides 25682 times on this input; both the
         # full division and the remainder-only one are counted
+        _hull_always_splits(monkeypatch)
         f = L("2*u2^4+2*u1*u2+u1^2*u2^3+u1^3+2*u1^4*u2^3+2*u1^4*u2^4", 3)
         calls = []
         for name in ("__divmod__", "__mod__"):
@@ -479,6 +564,7 @@ class TestBruteForce:
     def test_second_filter_spares_exact_divisions(self, monkeypatch):
         # the filter at u2 = c alone lets 146 candidates through to
         # exact_divides on this input; the filter at u1 = c stops most
+        _hull_always_splits(monkeypatch)
         f = L("u1^2*u2^4+2*u1^3*u2^3+u1^4*u2^4+u1^5+2*u1^5*u2^2+2*u1^6", 3)
         with monkeypatch.context() as m:
             m.setattr(mixing, "_search_factor", search_factor_by_division)
@@ -492,6 +578,55 @@ class TestBruteForce:
         monkeypatch.setattr(mixing, "exact_divides", counted)
         assert brute_force_certify(f) == expected
         assert len(calls) <= 10
+
+    @pytest.mark.parametrize("p, poly, splits", SEARCH_TEST_INPUTS)
+    def test_only_split_hulls_are_searched(self, p, poly, splits, monkeypatch):
+        # the search tests above take every hull to split; without that,
+        # an input whose hull does not split is certified with no search
+        f = L(poly, p)
+        assert geometry.splits_with_both_extents(geometry.convex_hull(f.support())) == splits
+        searched = []
+        search = mixing._search_factor
+
+        def recording(*args):
+            searched.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(mixing, "_search_factor", recording)
+        bidegree = tuple(max(e) - min(e) for e in zip(*f.support()))
+        assert brute_force_certify(f) == IrreducibilityCertificate(
+            "brute_force", searched_bidegree=bidegree
+        )
+        assert bool(searched) == splits
+
+    def test_corpus_searches_only_split_hulls(self, monkeypatch):
+        # of the corpus polynomials (seeds 1-3) that reach the factor
+        # search when every hull is taken to split, those whose hull does
+        # split are searched, and every report keeps its bytes
+        workloads = load_perfbench("workloads")
+        searched = []
+        search = mixing._search_factor
+
+        def recording(f, pu):
+            searched.append(f)
+            return search(f, pu)
+
+        monkeypatch.setattr(mixing, "_search_factor", recording)
+        split = geometry.splits_with_both_extents
+        reached, ours, oracle = [], [], []
+        for seed in (1, 2, 3):
+            for p, text in workloads.corpus_inputs(seed):
+                f = parse_poly(text, p)
+                del searched[:]
+                ours.append(json.dumps(build_report(order_bounds(f))))
+                if searched:
+                    reached.append(f)
+                with monkeypatch.context() as m:
+                    m.setattr(geometry, "splits_with_both_extents", lambda hull: True)
+                    oracle.append(json.dumps(build_report(order_bounds(f))))
+        assert ours == oracle
+        assert len(reached) == 18
+        assert all(split(geometry.convex_hull(f.support())) for f in reached)
 
     @pytest.mark.parametrize(
         "factor",
