@@ -91,11 +91,6 @@ class FpPoly:
     def is_zero(self):
         return not self.coeffs
 
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def _check(self, other):
         if not isinstance(other, FpPoly):
             raise TypeError(f"expected FpPoly, got {type(other).__name__}")
@@ -138,7 +133,7 @@ class FpPoly:
     def __divmod__(self, other):
         other = self._check(other)
         rem = list(self.coeffs)
-        q = _reduce(rem, other, quotient=True)
+        q = _reduce(rem, other.coeffs, self.p, quotient=True)
         return FpPoly(q, self.p), FpPoly(rem, self.p)
 
     def __floordiv__(self, other):
@@ -148,7 +143,7 @@ class FpPoly:
         # the remainder alone: no quotient polynomial is built
         other = self._check(other)
         rem = list(self.coeffs)
-        _reduce(rem, other)
+        _reduce(rem, other.coeffs, self.p)
         return FpPoly(rem, self.p)
 
     def divides(self, other):
@@ -218,13 +213,14 @@ class FpPoly:
         return "+".join(parts)
 
 
-def _reduce(rem, b, quotient=False):
-    # long division of the coefficient list rem by b in place, leaving the
-    # remainder in rem; returns the quotient's coefficients when asked
-    if b.is_zero():
+def _reduce(rem, b, p, quotient=False):
+    # long division of the coefficient list rem by the coefficients b (its
+    # last one nonzero) over F_p in place, leaving the remainder in rem,
+    # trailing zeros included; returns the quotient's coefficients when asked
+    if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    p, db = b.p, b.degree
-    lb_inv = pow(b.leading(), -1, p)
+    db = len(b) - 1
+    lb_inv = pow(b[-1], -1, p)
     q = [0] * max(len(rem) - db, 0) if quotient else None
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i] % p
@@ -233,7 +229,7 @@ def _reduce(rem, b, quotient=False):
         factor = (c * lb_inv) % p
         if q is not None:
             q[i - db] = factor
-        for j, bc in enumerate(b.coeffs):
+        for j, bc in enumerate(b):
             rem[i - db + j] = (rem[i - db + j] - factor * bc) % p
     return q
 
@@ -244,10 +240,17 @@ _set_coeffs, _set_p = FpPoly.coeffs.__set__, FpPoly.p.__set__
 
 
 def gcd(a: FpPoly, b: FpPoly) -> FpPoly:
-    """Monic greatest common divisor (gcd(0, 0) = 0)."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    """Monic greatest common divisor (gcd(0, 0) = 0).
+
+    Euclid runs on the coefficient lists; only the result is built."""
+    p = a._check(b).p
+    x, y = list(a.coeffs), list(b.coeffs)
+    while y:
+        _reduce(x, y, p)
+        while x and not x[-1]:
+            x.pop()
+        x, y = y, x
+    return FpPoly(x, p).monic()
 
 
 def content(polys) -> FpPoly:
@@ -268,16 +271,19 @@ def ord_at(a: FpPoly, g: FpPoly):
     """Multiplicity of g in a: the largest m with g**m | a.
 
     Returns INFINITE for a = 0.  g must be non-constant (and should be
-    irreducible for the valuation reading).  At g = t the multiplicity is
-    the index of the lowest nonzero coefficient, read off without dividing;
-    any other g is divided out one factor at a time.
+    irreducible for the valuation reading).  g = t is tested first: there
+    the multiplicity is the index of the lowest nonzero coefficient, read
+    off without dividing; any other g is divided out one factor at a time.
     """
+    if g.coeffs == (0, 1):
+        for i, c in enumerate(a.coeffs):
+            if c:
+                return i
+        return INFINITE
     if g.degree == NEG_INF or g.degree < 1:
         raise ValueError("ord_at needs a non-constant divisor")
     if a.is_zero():
         return INFINITE
-    if g.coeffs == (0, 1):
-        return next(i for i, c in enumerate(a.coeffs) if c)
     return _divide_out(a, g)[0]
 
 

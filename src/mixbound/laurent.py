@@ -215,7 +215,7 @@ def as_poly_in_u1(f: LaurentPoly, swap=False, inverted=False) -> PolyInU1:
 
     f's terms are read once: each exponent is mapped, the minima give
     `shift` (in the new variables), and the shifted terms fill the
-    u1-columns directly.  Errors on f = 0.
+    coefficient lists of the u1-columns directly.  Errors on f = 0.
     """
     if f.is_zero():
         raise ValueError("cannot normalize the zero polynomial")
@@ -223,15 +223,15 @@ def as_poly_in_u1(f: LaurentPoly, swap=False, inverted=False) -> PolyInU1:
     terms = [(b, sign * a, c) if swap else (a, sign * b, c) for (a, b), c in f.terms()]
     s1 = min(t[0] for t in terms)
     s2 = min(t[1] for t in terms)
-    cols = [{} for _ in range(max(t[0] for t in terms) - s1 + 1)]
+    cols = [[] for _ in range(max(t[0] for t in terms) - s1 + 1)]
     for e1, e2, c in terms:
-        cols[e1 - s1][e2 - s2] = c
-    zero = FpPoly.zero(f.p)
-    coeffs = [
-        FpPoly([col.get(i, 0) for i in range(max(col) + 1)], f.p) if col else zero
-        for col in cols
-    ]
-    return PolyInU1(tuple(coeffs), (s1, s2), f.p)
+        col, j = cols[e1 - s1], e2 - s2
+        col += [0] * (j + 1 - len(col))
+        col[j] = c
+    p = f.p
+    zero = FpPoly.zero(p)
+    coeffs = [FpPoly(col, p) if col else zero for col in cols]
+    return PolyInU1(tuple(coeffs), (s1, s2), p)
 
 
 def exact_divides(f: LaurentPoly, g: LaurentPoly):

@@ -6,8 +6,11 @@ vertices pins the order exactly.  The same hull bears on the
 irreducibility the window needs: by Ostrowski's theorem the Newton
 polygon of g h is the Minkowski sum of those of g and h, so a hull that
 does not split into two polygons of positive width in both coordinates
-leaves the brute-force factor search nothing to find.  Shapes of
-lattice points are classified by combining the order bound, the
+leaves the brute-force factor search nothing to find.  Eisenstein's
+criterion often needs no rewrite of f: when a u1-coefficient below the
+top one is a monomial, the gcd c of those coefficients is a power of
+u2, so u2 is the only candidate prime and f's exponents decide it.
+Shapes of lattice points are classified by combining the order bound, the
 face-direction prefilter, the triangle edge-direction test, and an
 explicit search for module relations sum m_i u^{k n_i} = 0 mod f.  Only
 relations with constant m_i certify non-mixing.  A certified witness is
@@ -92,40 +95,73 @@ class IrreducibilityCertificate(NamedTuple):
 def eisenstein_certify(f: LaurentPoly):
     """Try Eisenstein's criterion in all four orientations.
 
-    In each orientation f is rewritten as sum_{i<=n} q_i(u2) u1^i by one
-    `as_poly_in_u1` call, and c is gcd(q_0, ..., q_{n-1}).  The criterion
-    needs a prime g with g | c and g^2 not dividing q_0, and gcd(c, q_n)
-    = 1 (so no coefficient factor hides a non-unit); g | c already gives
-    g | q_i for i < n and, with gcd(c, q_n) = 1, g not dividing q_n.  A
-    constant c has no prime factor and takes no gcd.  The candidates g are
-    the monic irreducible factors of c of degree at most 2, found by trial
-    division of c, degree 1 first.  Returns the first success in the order
+    In each orientation f is read as sum_{i<=n} q_i(u2) u1^i, and c is
+    gcd(q_0, ..., q_{n-1}).  The criterion needs a prime g with g | c and
+    g^2 not dividing q_0, and gcd(c, q_n) = 1 (so no coefficient factor
+    hides a non-unit); g | c already gives g | q_i for i < n and, with
+    gcd(c, q_n) = 1, g not dividing q_n.  The candidates g are the monic
+    irreducible factors of c of degree at most 2, found by trial division
+    of c, degree 1 first.  Returns the first success in the order
     (main_axis, inverted) = (1, False), (1, True), (2, False), (2, True).
+
+    One sparse pass over f's terms per main axis gives each nonzero q_i's
+    term count and lowest and highest u2-exponent.  When some q_i below
+    q_n is a monomial a u2^k, c divides u2^k, so c = u2^m with m the least
+    u2-order below q_n: g = u2 is the one candidate, and it certifies
+    exactly when m > 0, ord q_n = 0 and ord q_0 < 2, read off the
+    exponents.  Only the other orientations are rewritten by
+    `as_poly_in_u1`; there a constant c takes no gcd.
 
     Inverting u2 turns each q_i into u2^(D - deg q_i) times its reversal,
     D the largest degree of the q_i.  When a q_i below q_n has degree D,
     the inverted c is the reversal of c's part prime to u2, and reversal
     maps candidates prime to u2 onto each other with every condition kept
     (normalization leaves c or q_n prime to u2); so the inverted
-    orientation certifies nothing new and is skipped without a rewrite.
+    orientation certifies nothing new and is skipped.
     """
     if f.is_zero() or f.is_monomial():
         raise DegenerateInput("Eisenstein needs a non-monomial, nonzero polynomial")
     for main_axis in (1, 2):
-        for inverted in (False, True):
-            pu = as_poly_in_u1(f, swap=main_axis == 2, inverted=inverted)
-            if pu.degree < 1:
-                break
-            coeffs = pu.coeffs
-            c = fp_content(coeffs[:-1])
-            if c.degree > 0 and fp_gcd(c, coeffs[-1]).degree == 0:
-                for g, _ in irreducible_factors(c, 2):
-                    if not (g * g).divides(coeffs[0]):
-                        return IrreducibilityCertificate(
-                            "eisenstein", main_axis=main_axis, inverted=inverted, g=g
-                        )
-            if max(q.degree for q in coeffs[:-1]) == max(q.degree for q in coeffs):
-                break
+        swap = main_axis == 2
+        # the u2-exponents of each nonzero column q_i, increasing since
+        # the terms come sorted by (e1, e2)
+        cols = {}
+        for (a, b), _ in f.terms():
+            cols.setdefault(b if swap else a, []).append(a if swap else b)
+        first, top = min(cols), max(cols)
+        if first == top:
+            continue
+        q0, qn = cols[first], cols.pop(top)
+        low = min(es[0] for es in cols.values())
+        high = max(es[-1] for es in cols.values())
+        # u2-exponents run from base to peak; the u2-orders of q_0, q_n and
+        # c = u2^m in the plain orientation, then in the inverted one
+        base, peak = min(low, qn[0]), max(high, qn[-1])
+        orders = (
+            (q0[0] - base, qn[0] - base, low - base),
+            (peak - q0[-1], peak - qn[-1], peak - high),
+        )
+        monomial = any(len(es) == 1 for es in cols.values())
+        for inverted in (False, True) if high < peak else (False,):
+            if monomial:
+                ord_0, ord_n, m = orders[inverted]
+                g = FpPoly.x(f.p) if m > 0 and ord_n == 0 and ord_0 < 2 else None
+            else:
+                g = _eisenstein_prime(as_poly_in_u1(f, swap=swap, inverted=inverted).coeffs)
+            if g is not None:
+                return IrreducibilityCertificate(
+                    "eisenstein", main_axis=main_axis, inverted=inverted, g=g
+                )
+    return None
+
+
+def _eisenstein_prime(coeffs):
+    # the first candidate g meeting the criterion on q_0, ..., q_n
+    c = fp_content(coeffs[:-1])
+    if c.degree > 0 and fp_gcd(c, coeffs[-1]).degree == 0:
+        for g, _ in irreducible_factors(c, 2):
+            if not (g * g).divides(coeffs[0]):
+                return g
     return None
 
 
@@ -147,12 +183,13 @@ def verify_eisenstein(f: LaurentPoly, cert: IrreducibilityCertificate) -> bool:
     )
 
 
-def brute_force_certify(f: LaurentPoly):
+def brute_force_certify(f: LaurentPoly, hull=None):
     """Exhaustive factor search, for p in {2, 3} and bidegree <= (4, 4).
 
     Returns a 'brute_force' certificate, a 'reducible' certificate with a
     witness factor, or None when the input is out of range.  Inputs out
-    of range return None before f is rewritten.
+    of range return None before f is rewritten.  hull, the convex hull
+    of f's support, is built here when needed and not given.
 
     A factor free of u1 or of u2 shows as the coefficient content in one
     of the two variable orders.  With trivial content in both, every
@@ -193,7 +230,7 @@ def brute_force_certify(f: LaurentPoly):
     irreducible = IrreducibilityCertificate("brute_force", searched_bidegree=(d1, d2))
     if (
         min(d1, d2) <= 1
-        or not geometry.splits_with_both_extents(geometry.convex_hull(f.support()))
+        or not geometry.splits_with_both_extents(hull or geometry.convex_hull(f.support()))
         or (d2 < d1 and _search_factor(f.swap_vars(), pv) is None)
     ):
         return irreducible
@@ -318,8 +355,9 @@ def _at_u1(columns, c, p):
     return _strip(out, p)
 
 
-def certify_irreducible(f: LaurentPoly) -> IrreducibilityCertificate:
-    """Eisenstein first, then the brute-force fallback, else 'unverified'.
+def certify_irreducible(f: LaurentPoly, hull=None) -> IrreducibilityCertificate:
+    """Eisenstein first, then the brute-force fallback, which gets the
+    hull of f's support when the caller passes it; else 'unverified'.
 
     An Eisenstein certificate is re-checked by `verify_eisenstein`, and a
     'reducible' one by multiplying its factor by the exact quotient back
@@ -331,7 +369,7 @@ def certify_irreducible(f: LaurentPoly) -> IrreducibilityCertificate:
         if not verify_eisenstein(f, cert):
             raise WitnessError("Eisenstein certificate fails re-verification")
         return cert
-    cert = brute_force_certify(f)
+    cert = brute_force_certify(f, hull)
     if cert is None:
         return IrreducibilityCertificate("unverified")
     if cert.method == "reducible":
@@ -376,7 +414,7 @@ def order_bounds(f: LaurentPoly) -> MixingReport:
     if f.is_monomial():
         raise DegenerateInput("monomial f is a unit: the quotient ring is trivial")
     hull = geometry.convex_hull(f.support())
-    cert = certify_irreducible(f)
+    cert = certify_irreducible(f, hull)
     notes = []
     if hull.degeneracy == geometry.SEGMENT:
         notes.append("support lies on a line: the action is not mixing")

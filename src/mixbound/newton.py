@@ -21,7 +21,9 @@ slope.  The outcome is always a positive multiple of the face's
 primitive outward normal.  There are at most four coordinate changes;
 `face_newton_data` builds the Newton polygon once per change, and faces
 that share one share its polygon, while `face_norm_for` builds only the
-polygon of the one face it is asked about.
+polygon of the one face it is asked about.  Each change indexes its
+segments by slope (num, den) in lowest terms, which a face's primitive
+direction gives directly: one dictionary lookup per face.
 """
 
 from __future__ import annotations
@@ -148,10 +150,12 @@ def lower_hull(points) -> NewtonPolygon:
     if not finite:
         raise ValueError("no finite Newton points")
     hull = geometry.lower_chain(finite)
-    segments = tuple(
+    # tuples from lists: tuple() of a generator over-allocates and shrinks,
+    # and the shrunk tuples fill the interpreter's free lists pass by pass
+    segments = tuple([
         Segment(Fraction(b.ordinate - a.ordinate, b.index - a.index), a.index, b.index)
         for a, b in zip(hull, hull[1:])
-    )
+    ])
     return NewtonPolygon(tuple(hull), segments)
 
 
@@ -168,10 +172,10 @@ def newton_polygon(f: LaurentPoly, val: Valuation):
     polygon = lower_hull(points)
     # log-vectors pull back through the transpose of the exponent map
     c = -val.coeff_log() if val.inverted else val.coeff_log()
-    vectors = tuple(
+    vectors = tuple([
         (c, seg.slope) if val.coeff_axis == 1 else (seg.slope, c)
         for seg in polygon.segments
-    )
+    ])
     return points, polygon, vectors
 
 
@@ -221,22 +225,26 @@ def face_norm_for(f: LaurentPoly, face: geometry.Face) -> ExtendedNorm:
 
 
 def _face_record(f, face, shared):
-    # shared maps a coordinate change to its valuation and Newton polygon
+    # shared maps a coordinate change to its valuation, Newton points,
+    # polygon, pulled-back vectors and segment indices by slope (num, den)
     swap = face.direction[0] == 0
     inverted = (face.normal[0] if swap else face.normal[1]) > 0
     if (swap, inverted) not in shared:
         val = Valuation.finite_at(
             FpPoly.x(f.p), coeff_axis=1 if swap else 2, inverted=inverted
         )
-        shared[swap, inverted] = (val, *newton_polygon(f, val))
-    val, points, np, vectors = shared[swap, inverted]
-    # the face's slope after the same change of variables
+        points, np, vectors = newton_polygon(f, val)
+        by_slope = {(s.slope.numerator, s.slope.denominator): i for i, s in enumerate(np.segments)}
+        shared[swap, inverted] = (val, points, np, vectors, by_slope)
+    val, points, np, vectors, by_slope = shared[swap, inverted]
+    # the face's slope after the same change of variables, in lowest terms
+    # since the direction is primitive
     dx, dy = face.direction[::-1] if swap else face.direction
-    target = Fraction(-dy if inverted else dy, dx)
-    i = next((i for i, seg in enumerate(np.segments) if seg.slope == target), None)
+    num = -dy if inverted else dy
+    i = by_slope.get((num, dx) if dx > 0 else (-num, -dx))
     if i is None:
         raise AssertionError(
-            f"no Newton segment with slope {target} for face {face.start}->{face.end}"
+            f"no Newton segment with slope {Fraction(num, dx)} for face {face.start}->{face.end}"
         )
     norm = ExtendedNorm(*vectors[i], (face, val))
     _assert_outward(norm, face)

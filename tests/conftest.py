@@ -15,6 +15,8 @@ from mixbound.fieldpoly import (
     FpPoly,
     _monic_polys_of_degree,
     content,
+    gcd,
+    irreducible_factors,
     is_irreducible,
     monic_divisors,
 )
@@ -395,6 +397,34 @@ def brute_force_searching_every_hull(f):
     if factor is None:
         return irreducible
     return IrreducibilityCertificate("reducible", factor=factor)
+
+
+def eisenstein_by_content(f):
+    """The Eisenstein certificate found from every orientation's content.
+
+    The reference for `mixing.eisenstein_certify`, which decides an
+    orientation with a monomial coefficient below q_n from the exponents
+    alone: here every orientation is rewritten by `as_poly_in_u1`, and
+    c = gcd(q_0, ..., q_{n-1}) is computed and trial-divided.  The
+    inverted orientation is skipped when a q_i below q_n has the top
+    u2-degree, as there.
+    """
+    for main_axis in (1, 2):
+        for inverted in (False, True):
+            pu = as_poly_in_u1(f, swap=main_axis == 2, inverted=inverted)
+            if pu.degree < 1:
+                break
+            coeffs = pu.coeffs
+            c = content(coeffs[:-1])
+            if c.degree > 0 and gcd(c, coeffs[-1]).degree == 0:
+                for g, _ in irreducible_factors(c, 2):
+                    if not (g * g).divides(coeffs[0]):
+                        return IrreducibilityCertificate(
+                            "eisenstein", main_axis=main_axis, inverted=inverted, g=g
+                        )
+            if max(q.degree for q in coeffs[:-1]) == max(q.degree for q in coeffs):
+                break
+    return None
 
 
 def splits_by_enumeration(poly):

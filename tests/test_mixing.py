@@ -37,6 +37,7 @@ from conftest import (
     ORIENTATION_MATRICES,
     _search_factor as search_factor_by_division,
     brute_force_searching_every_hull,
+    eisenstein_by_content,
     frobenius_closure_by_expansion,
     irreducibles_up_to_degree,
     load_perfbench,
@@ -168,8 +169,9 @@ class TestEisenstein:
 
     def test_constant_content_takes_no_gcd(self, monkeypatch):
         # c = gcd(q_0, ..., q_{n-1}) is a constant in all four orientations,
-        # so no prime g divides it and gcd(c, q_n) is never computed
-        f = L("1+u1^2+u2^2+u1*u2", 5)
+        # so no prime g divides it and gcd(c, q_n) is never computed; no
+        # q_i below q_n is a monomial, so the plain orientations are rewritten
+        f = L("1+u1+u2+u1^2*u2+u1*u2^2", 5)
         for swap in (False, True):
             for inverted in (False, True):
                 coeffs = as_poly_in_u1(f, swap=swap, inverted=inverted).coeffs
@@ -210,8 +212,9 @@ class TestEisenstein:
         assert inverted_hits >= 20
 
     def test_inverted_orientation_is_not_rewritten(self, monkeypatch):
-        # the top u2-degree 2 is reached below q_n in both variable orders,
-        # so only the two plain orientations are rewritten
+        # q_1 = u2 is a monomial below q_n in both variable orders, so both
+        # plain orientations are decided from the exponents, and the top
+        # u2-degree 2 is reached below q_n, so neither inverted one is tried
         f = L("1+u1^2+u2^2+u1*u2", 5)
         calls = []
 
@@ -221,7 +224,69 @@ class TestEisenstein:
 
         monkeypatch.setattr(mixing, "as_poly_in_u1", counted)
         assert eisenstein_certify(f) is None
+        assert calls == []
+
+    def test_inverted_orientation_is_not_rewritten_without_monomials(self, monkeypatch):
+        # every nonzero q_i below q_n has two terms in both variable orders,
+        # so the plain orientations are rewritten; the top u2-degree 2 is
+        # reached below q_n, so the inverted ones are not
+        f = L("1+u1+u2+u1^2*u2+u1*u2^2", 5)
+        calls = []
+
+        def counted(g, swap=False, inverted=False):
+            calls.append((swap, inverted))
+            return as_poly_in_u1(g, swap=swap, inverted=inverted)
+
+        monkeypatch.setattr(mixing, "as_poly_in_u1", counted)
+        assert eisenstein_certify(f) is None
         assert calls == [(False, False), (True, False)]
+
+    def test_matches_content_oracle(self):
+        # the exponent decision against every orientation's content, on
+        # random Laurent polynomials and on the corpus inputs; each
+        # certificate must pass its independent re-check
+        workloads = load_perfbench("workloads")
+        rng = random.Random(19)
+        inputs = [
+            parse_poly(text, p) for seed in (1, 2, 3)
+            for p, text in workloads.corpus_inputs(seed)
+        ]
+        while len(inputs) < 20900:
+            p = rng.choice((2, 3, 5, 7, 11, 13, 101))
+            terms = {
+                (rng.randint(-2, 8), rng.randint(-2, 8)): rng.randint(1, p - 1)
+                for _ in range(rng.randint(2, 8))
+            }
+            if len(terms) > 1:
+                inputs.append(LaurentPoly(terms, p))
+        certified = 0
+        for f in inputs:
+            cert = eisenstein_certify(f)
+            assert repr(cert) == repr(eisenstein_by_content(f)), f.to_string()
+            if cert is not None:
+                certified += 1
+                assert verify_eisenstein(f, cert), f.to_string()
+        assert certified >= 3000
+
+    def test_monomial_coefficient_builds_no_view(self, monkeypatch):
+        # an orientation with a monomial q_i below q_n is decided from the
+        # exponents: every view eisenstein_certify builds has none
+        workloads = load_perfbench("workloads")
+        views = []
+
+        def recorded(g, swap=False, inverted=False):
+            view = as_poly_in_u1(g, swap=swap, inverted=inverted)
+            views.append(view)
+            return view
+
+        monkeypatch.setattr(mixing, "as_poly_in_u1", recorded)
+        for p, text in workloads.corpus_inputs(1):
+            eisenstein_certify(parse_poly(text, p))
+        # the content-based search rewrote 649 orientations of these inputs
+        assert len(views) == 37
+        for view in views:
+            below = [q for q in view.coeffs[:-1] if not q.is_zero()]
+            assert all(sum(1 for c in q.coeffs if c) >= 2 for q in below)
 
     def test_wrong_certificate_never_reaches_a_report(self, monkeypatch):
         f = L("u1^2+u1u2^2+u2^3+u2")
@@ -486,9 +551,9 @@ class TestBruteForce:
         [
             # the two slowest brute-force searches of the seed-1 corpus;
             # enumerating every middle polynomial of degree <= 4 built 922
-            # and 383 polynomials here
-            (3, "u1^2*u2^4+2*u1^3*u2^3+u1^4*u2^4+u1^5+2*u1^5*u2^2+2*u1^6", 233, 5),
-            (2, "u1^2*u2^6+u1^3*u2^3+u1^5*u2^3+u1^6*u2^2+u1^6*u2^4", 166, 29),
+            # and 383 polynomials here; gcd builds only its result
+            (3, "u1^2*u2^4+2*u1^3*u2^3+u1^4*u2^4+u1^5+2*u1^5*u2^2+2*u1^6", 228, 5),
+            (2, "u1^2*u2^6+u1^3*u2^3+u1^5*u2^3+u1^6*u2^2+u1^6*u2^4", 161, 29),
         ],
     )
     def test_middles_are_solved_for(self, p, poly, built, divisions, monkeypatch):
@@ -640,7 +705,7 @@ class TestBruteForce:
     def test_wrong_reducible_certificate_never_reaches_a_report(self, monkeypatch, factor):
         f = L("1+u1+u2+u1u2+u1^2+u2^2")
         wrong = IrreducibilityCertificate("reducible", factor=factor(f))
-        monkeypatch.setattr(mixing, "brute_force_certify", lambda _: wrong)
+        monkeypatch.setattr(mixing, "brute_force_certify", lambda f, hull=None: wrong)
         with pytest.raises(WitnessError):
             order_bounds(f)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 from collections import Counter
@@ -9,10 +10,11 @@ from mixbound import geometry
 from mixbound.fieldpoly import FpPoly
 from mixbound.mixing import order_bounds, sequence_diagnostics
 from mixbound.newton import Valuation, newton_polygon
+from mixbound.parse import parse_poly
 from mixbound.render import render_polygon
 from mixbound.report import build_report, diagnostics_json
 
-from conftest import L
+from conftest import L, load_perfbench
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -153,9 +155,8 @@ class TestReportJSON:
         assert out["newton"][0]["points"][2] == [2, "inf"]
         assert out["newton"][1]["extended_norm"]["log_u1"] == {"num": 1, "den": 2}
 
-    def test_one_hull_per_report(self, monkeypatch):
-        # counts, not a clock: build_report takes its faces from the hull
-        # order_bounds built, and order_bounds counts R from its vertices
+    @staticmethod
+    def _count_hulls(monkeypatch):
         calls = Counter()
         for name in ("convex_hull", "faces"):
             fn = getattr(geometry, name)
@@ -165,9 +166,36 @@ class TestReportJSON:
                 return _fn(*args)
 
             monkeypatch.setattr(geometry, name, counted)
+        return calls
+
+    def test_one_hull_per_report(self, monkeypatch):
+        # counts, not a clock: build_report takes its faces from the hull
+        # order_bounds built, and order_bounds counts R from its vertices
+        calls = self._count_hulls(monkeypatch)
         out = build_report(order_bounds(L("u1^6+u1^5u2+u1^3u2^2+u2+u2^3")))
         assert len(out["faces"]) == len(out["newton"]) == 5
         assert calls == {"convex_hull": 1, "faces": 1}
+
+    def test_brute_force_takes_the_report_hull(self, monkeypatch):
+        # brute force reaches its hull test on the hull order_bounds built
+        calls = self._count_hulls(monkeypatch)
+        out = build_report(order_bounds(L("1+u1^2+u2^2+u1^2*u2^2+u1*u2")))
+        assert out["irreducibility"]["method"] == "brute_force"
+        assert len(out["faces"]) == len(out["newton"]) == 4
+        assert calls == {"convex_hull": 1, "faces": 1}
+
+    def test_corpus_reports_match_recorded_digest(self):
+        # the JSON report of every corpus input at seeds 1-3, one line
+        # each, hashes to the digest recorded before the exponent decision
+        # in eisenstein_certify and the slope index of the Newton faces
+        workloads = load_perfbench("workloads")
+        digest = hashlib.sha256()
+        for seed in (1, 2, 3):
+            for p, text in workloads.corpus_inputs(seed):
+                out = build_report(order_bounds(parse_poly(text, p)))
+                digest.update(json.dumps(out).encode() + b"\n")
+        recorded = (GOLDEN / "corpus_reports.sha256").read_text().strip()
+        assert digest.hexdigest() == recorded
 
     def test_diagnostics_json_shape(self):
         f = L("1+u1+u2")
