@@ -1,22 +1,28 @@
-"""Surface syntax for Laurent polynomials, lattice-point lists and window lists.
+"""Surface syntax for Laurent polynomials, lattice-point lists, family-file
+lines and window lists.
 
 Grammar (whitespace-insensitive)::
 
-    expr   := ['-'] term (('+'|'-') term)*
-    term   := [int] ('*'? factor)*
-    factor := var ('^' '-'? int)?
-    var    := 'u1' | 'u2' | 't'
-    int    := decimal digits (those int() reads; '²' is not one)
+    expr    := ['-'] term (('+'|'-') term)*
+    term    := [int] ('*'? factor)*
+    factor  := var ('^' '-'? int)?
+    var     := 'u1' | 'u2' | 't'
+    int     := decimal digits (those int() reads; '²' is not one)
+
+    points  := [point] (';' [point])*        at least one point
+    point   := '(' integer ',' integer ')'
+    line    := integer ':' points
+    windows := [integer] (',' [integer])*    at least one entry, none < 0
+    integer := ['+'|'-'] int
 
 't' names the same axis as 'u1' (the one-variable view used for
 identity scans).  Coefficients are reduced mod p, like terms merge and
 zero terms drop, so parsing the canonical string of a polynomial always
-round-trips.  Exponents are capped at |e| <= 2^20, for each factor and
-for each variable's running total within a term, to keep the geometry
-in a safe range.  Every polynomial parse error is a ParseError naming
-the line and column of the offending character; tokens are (kind, value,
-offset) triples, and line and column are computed from the offset only
-when an error is raised.
+round-trips.  Exponents, for each factor and for each variable's running
+total within a term, and coordinates are capped at |e| <= 2^20 to keep
+the geometry in a safe range.  Every parse error is a ParseError naming
+the line and column of the token at fault, or of the end of the text
+when something is missing.
 """
 
 from __future__ import annotations
@@ -37,8 +43,13 @@ class ParseError(ValueError):
 
 
 class _Tokens:
-    def __init__(self, text):
+    """(kind, value, offset) tokens of `text`, which starts on line `line`,
+    in a grammar whose punctuation is `punct`.  A character outside it ends
+    them as a '?' token, for the grammar to name; else an 'end' token does."""
+
+    def __init__(self, text, punct, line=1):
         self.text = text
+        self.line = line
         self.tokens = []
         i = 0
         while i < len(text):
@@ -50,7 +61,10 @@ class _Tokens:
                 # the digits int() accepts; '²' is a digit but not decimal
                 while j < len(text) and text[j].isdecimal():
                     j += 1
-                self.tokens.append(("int", int(text[i:j]), i))
+                try:
+                    self.tokens.append(("int", int(text[i:j]), i))
+                except ValueError:  # past sys.get_int_max_str_digits()
+                    self.error(f"integer too long ({j - i} digits)", i)
             elif ch.isalpha():
                 # variable names are fixed, so match them greedily; this is
                 # what lets '*' be optional in products like "u1^3u2"
@@ -61,12 +75,14 @@ class _Tokens:
                     while j < len(text) and text[j].isalnum():
                         j += 1
                 self.tokens.append(("name", text[i:j], i))
-            elif ch in "+-*^":
+            elif ch in punct:
                 self.tokens.append((ch, ch, i))
             else:
-                self.error(f"unexpected character {ch!r}", i)
+                self.tokens.append(("?", ch, i))
+                break
             i = j
-        self.tokens.append(("end", None, len(text)))
+        else:
+            self.tokens.append(("end", None, len(text)))
         self.pos = 0
 
     def peek(self):
@@ -77,48 +93,45 @@ class _Tokens:
         self.pos += 1
         return tok
 
+    def expect(self, kind, message):
+        if self.peek()[0] != kind:
+            self.error(message)
+        return self.next()
+
     def error(self, message, at=None):
         """Raise a ParseError at offset `at`, by default the next token's."""
         i = self.peek()[2] if at is None else at
-        raise ParseError(message, *_position(self.text, i))
-
-
-def _position(text, i, line=1):
-    # 1-based (line, column) of offset i in text, whose first line is `line`
-    return line + text.count("\n", 0, i), i - text.rfind("\n", 0, i)
+        line = self.line + self.text.count("\n", 0, i)
+        raise ParseError(message, line, i - self.text.rfind("\n", 0, i))
 
 
 def parse_poly(text: str, p: int) -> LaurentPoly:
     """Parse a polynomial expression into a LaurentPoly over F_p."""
-    toks = _Tokens(text)
+    toks = _Tokens(text, "+-*^")
+    kind, ch, at = toks.tokens[-1]
+    if kind == "?":
+        toks.error(f"unexpected character {ch!r}", at)
     terms = {}
-    sign = 1
-    if toks.peek()[0] == "-":
+    sign = -1 if toks.peek()[0] == "-" else 1
+    if sign < 0:
         toks.next()
-        sign = -1
     while True:
         coeff, exp = _parse_term(toks)
         terms[exp] = terms.get(exp, 0) + sign * coeff
         kind = toks.peek()[0]
         if kind == "end":
             break
-        if kind == "+":
-            sign = 1
-        elif kind == "-":
-            sign = -1
-        else:
+        if kind not in ("+", "-"):
             toks.error(f"expected '+' or '-' between terms, got {toks.peek()[1]!r}")
-        toks.next()
+        sign = -1 if toks.next()[0] == "-" else 1
     return LaurentPoly(terms, p)
 
 
 def _parse_term(toks):
-    coeff = 1
+    if toks.peek()[0] not in ("int", "name", "*"):
+        toks.error("expected a term")
+    coeff = toks.next()[1] if toks.peek()[0] == "int" else 1
     exps = [0, 0]
-    saw_anything = False
-    if toks.peek()[0] == "int":
-        coeff = toks.next()[1]
-        saw_anything = True
     while True:
         kind = toks.peek()[0]
         if kind == "*":
@@ -133,9 +146,6 @@ def _parse_term(toks):
         exps[axis] += exp
         if abs(exps[axis]) > COORD_LIMIT:
             toks.error(f"term exponent {exps[axis]} out of range (|e| <= 2^20)", at)
-        saw_anything = True
-    if not saw_anything:
-        toks.error("expected a term")
     return coeff, tuple(exps)
 
 
@@ -146,91 +156,80 @@ def _parse_factor(toks):
     exp = 1
     if toks.peek()[0] == "^":
         toks.next()
-        sign = 1
-        if toks.peek()[0] == "-":
+        sign = -1 if toks.peek()[0] == "-" else 1
+        if sign < 0:
             toks.next()
-            sign = -1
-        if toks.peek()[0] != "int":
-            toks.error("expected an integer exponent after '^'")
-        exp = sign * toks.next()[1]
+        exp = sign * toks.expect("int", "expected an integer exponent after '^'")[1]
     if abs(exp) > COORD_LIMIT:
         toks.error(f"exponent {exp} out of range (|e| <= 2^20)", at)
     return VAR_AXIS[name], exp
 
 
 def parse_points(text: str):
-    """Parse a shape or tuple list like "(0,0);(1,0);(0,2)".
-
-    A ParseError points at the first character of the chunk at fault.
-    """
-    return _points(text, 0, 1)
+    """Parse a shape or tuple list like "(0,0);(1,0);(0,2)"."""
+    return _entries(_Tokens(text, "+-(),;"), ";", _point, "empty point list")
 
 
 def parse_family_line(text: str, line: int = 1):
-    """Parse one family-file line of the form "j: (a,b);(c,d);...".
-
-    `line` is the line's number in its file, for the ParseError position.
-    """
-    label, colon, _ = text.partition(":")
-    if not colon:
-        raise ParseError(f"expected 'label: points' in {text!r}", line, 1)
-    try:
-        j = int(label.strip())
-    except ValueError:
-        at = len(label) - len(label.lstrip())
-        raise ParseError(f"non-integer label in {text!r}", *_position(text, at, line)) from None
-    return j, _points(text, len(label) + 1, line)
+    """Parse "j: (a,b);(c,d);...", which is line `line` of a family file."""
+    toks = _Tokens(text, "+-(),;:", line)
+    j = _integer(toks, f"non-integer label in {text!r}")
+    toks.expect(":", f"expected 'label: points' in {text!r}")
+    return j, _entries(toks, ";", _point, "empty point list")
 
 
 def parse_windows(text: str):
-    """Parse a window list like "0,1,2": integers >= 0 between commas,
-    empty entries skipped, at least one given.
+    """Parse a window list like "0,1,2" of integers >= 0."""
+    bad = f"bad window list {text!r}"
 
-    A ParseError points at the first character of the entry at fault, or
-    at column 1 when there is no entry.
-    """
-    windows = []
-    at = 0  # the offset of raw in text
-    for raw in text.split(","):
-        first = at + len(raw) - len(raw.lstrip())
-        at += len(raw) + 1
-        if not raw.strip():
-            continue
-        try:
-            w = int(raw)
-        except ValueError:
-            w = -1
-        if w < 0:
-            raise ParseError(f"bad window list {text!r}", *_position(text, first))
-        windows.append(w)
-    if not windows:
-        raise ParseError(f"bad window list {text!r}", 1, 1)
-    return tuple(windows)
+    def window(toks):
+        at = toks.peek()[2]
+        w = _integer(toks, bad)
+        if w < 0 or toks.peek()[0] not in (",", "end"):
+            toks.error(bad, at if w < 0 else None)
+        return w
+
+    return tuple(_entries(_Tokens(text, "+-,"), ",", window, bad))
 
 
-def _points(text, start, line):
-    # the points of the ';'-separated chunks of text[start:]; text's first
-    # line is `line` in its source
-    pts = []
-    at = start  # the offset of raw in text
-    for raw in text[start:].split(";"):
-        chunk, first = raw.strip(), at + len(raw) - len(raw.lstrip())
-        at += len(raw) + 1
-        if not chunk:
-            continue
-        where = _position(text, first, line)
-        if not (chunk.startswith("(") and chunk.endswith(")")):
-            raise ParseError(f"expected '(a,b)', got {chunk!r}", *where)
-        parts = chunk[1:-1].split(",")
-        if len(parts) != 2:
-            raise ParseError(f"expected two coordinates in {chunk!r}", *where)
-        try:
-            pt = (int(parts[0].strip()), int(parts[1].strip()))
-        except ValueError:
-            raise ParseError(f"non-integer coordinate in {chunk!r}", *where) from None
-        if abs(pt[0]) > COORD_LIMIT or abs(pt[1]) > COORD_LIMIT:
-            raise ParseError(f"coordinate out of range in {chunk!r}", *where)
-        pts.append(pt)
-    if not pts:
-        raise ParseError("empty point list", *_position(text, start, line))
-    return pts
+def _entries(toks, sep, entry, empty):
+    # [entry] (sep [entry])*, at least one entry; `empty` says there is none
+    first = toks.peek()[2]
+    values = []
+    while toks.peek()[0] != "end":
+        if toks.peek()[0] == sep:
+            toks.next()
+        else:
+            values.append(entry(toks))
+    if not values:
+        toks.error(empty, first)
+    return values
+
+
+def _integer(toks, message):
+    # ['+'|'-'] int at the cursor; `message` names a fault in it
+    sign = -1 if toks.peek()[0] == "-" else 1
+    if toks.peek()[0] in ("+", "-"):
+        toks.next()
+    return sign * toks.expect("int", message)[1]
+
+
+def _point(toks):
+    # '(' integer ',' integer ')', then ';' or the end; messages quote the
+    # point's chunk, the text from its first token up to the next ';'
+    start = toks.peek()[2]
+    end = toks.text.find(";", start)
+    chunk = repr(toks.text[start : end if end >= 0 else None].rstrip())
+    toks.expect("(", f"expected '(a,b)', got {chunk}")
+    pt = []
+    for closer in (",", ")"):
+        at = toks.peek()[2]
+        pt.append(_integer(toks, f"non-integer coordinate in {chunk}"))
+        if abs(pt[-1]) > COORD_LIMIT:
+            toks.error(f"coordinate out of range in {chunk}", at)
+        if toks.peek()[0] not in (",", ")", ";", "end"):
+            toks.error(f"non-integer coordinate in {chunk}")
+        toks.expect(closer, f"expected two coordinates in {chunk}")
+    if toks.peek()[0] not in (";", "end"):
+        toks.error(f"expected '(a,b)', got {chunk}")
+    return tuple(pt)

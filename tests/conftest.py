@@ -477,7 +477,7 @@ class CountingTokens:
     a bare ValueError.
     """
 
-    def __init__(self, text):
+    def __init__(self, text, punct):
         self.tokens = []
         line, col = 1, 1
         i = 0
@@ -515,7 +515,7 @@ class CountingTokens:
                     col += j - i
                     i = j
                 continue
-            if ch in "+-*^":
+            if ch in punct:
                 self.tokens.append((ch, ch, (line, col)))
                 col += 1
                 i += 1
@@ -532,9 +532,90 @@ class CountingTokens:
         self.pos += 1
         return tok
 
+    def expect(self, kind, message):
+        if self.peek()[0] != kind:
+            self.error(message)
+        return self.next()
+
     def error(self, message, at=None):
         line, col = self.peek()[2] if at is None else at
         raise ParseError(message, line, col)
+
+
+def _position(text, i, line=1):
+    # 1-based (line, column) of offset i in text, whose first line is `line`
+    return line + text.count("\n", 0, i), i - text.rfind("\n", 0, i)
+
+
+def points_by_split(text, start=0, line=1):
+    """The points of the ';'-separated chunks of text[start:].
+
+    The reference for `parse.parse_points`, which parses the tokens of
+    the grammar: here each chunk is split on ',' and its coordinates are
+    read by `int()`, so '_' digit grouping is accepted and a sign may not
+    be followed by whitespace.  A ParseError points at the first
+    character of the chunk at fault; text's first line is `line`.
+    """
+    pts = []
+    at = start  # the offset of raw in text
+    for raw in text[start:].split(";"):
+        chunk, first = raw.strip(), at + len(raw) - len(raw.lstrip())
+        at += len(raw) + 1
+        if not chunk:
+            continue
+        where = _position(text, first, line)
+        if not (chunk.startswith("(") and chunk.endswith(")")):
+            raise ParseError(f"expected '(a,b)', got {chunk!r}", *where)
+        parts = chunk[1:-1].split(",")
+        if len(parts) != 2:
+            raise ParseError(f"expected two coordinates in {chunk!r}", *where)
+        try:
+            pt = (int(parts[0].strip()), int(parts[1].strip()))
+        except ValueError:
+            raise ParseError(f"non-integer coordinate in {chunk!r}", *where) from None
+        if abs(pt[0]) > geometry.COORD_LIMIT or abs(pt[1]) > geometry.COORD_LIMIT:
+            raise ParseError(f"coordinate out of range in {chunk!r}", *where)
+        pts.append(pt)
+    if not pts:
+        raise ParseError("empty point list", *_position(text, start, line))
+    return pts
+
+
+def family_line_by_split(text, line=1):
+    """The reference for `parse.parse_family_line`: the label is `int()`
+    of the text before the first ':', and the rest goes to
+    `points_by_split`."""
+    label, colon, _ = text.partition(":")
+    if not colon:
+        raise ParseError(f"expected 'label: points' in {text!r}", line, 1)
+    try:
+        j = int(label.strip())
+    except ValueError:
+        at = len(label) - len(label.lstrip())
+        raise ParseError(f"non-integer label in {text!r}", *_position(text, at, line)) from None
+    return j, points_by_split(text, len(label) + 1, line)
+
+
+def windows_by_split(text):
+    """The reference for `parse.parse_windows`: the text is split on ','
+    and each nonempty entry is read by `int()`."""
+    windows = []
+    at = 0  # the offset of raw in text
+    for raw in text.split(","):
+        first = at + len(raw) - len(raw.lstrip())
+        at += len(raw) + 1
+        if not raw.strip():
+            continue
+        try:
+            w = int(raw)
+        except ValueError:
+            w = -1
+        if w < 0:
+            raise ParseError(f"bad window list {text!r}", *_position(text, first))
+        windows.append(w)
+    if not windows:
+        raise ParseError(f"bad window list {text!r}", 1, 1)
+    return tuple(windows)
 
 
 @functools.cache

@@ -75,6 +75,13 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err == "parse error: unexpected character '²' (line 1, column 3)\n"
 
+    def test_oversized_exponent_is_a_parse_error(self, capsys):
+        # more digits than int() converts by default
+        poly = "1+u1^" + "9" * 5000
+        code, out, err = run(capsys, "analyze", "--prime", "2", "--poly", poly)
+        assert code == 2 and out == ""
+        assert err == "parse error: integer too long (5000 digits) (line 1, column 6)\n"
+
     def test_non_prime_rejected(self, capsys):
         code, _, err = run(capsys, "analyze", "--prime", "4", "--poly", "1+u1")
         assert code == 2
@@ -171,7 +178,7 @@ class TestShapeTest:
             "--shape", "(0,0);(1,0);(a,1)",
         )
         assert (code, out) == (2, "")
-        assert err == "parse error: non-integer coordinate in '(a,1)' (line 1, column 13)\n"
+        assert err == "parse error: non-integer coordinate in '(a,1)' (line 1, column 14)\n"
 
     def test_bad_windows_exit_2(self, capsys):
         code, _, _ = run(
@@ -182,7 +189,7 @@ class TestShapeTest:
 
     @pytest.mark.parametrize(
         "windows, column",
-        [("0,1,x", 5), ("0,-1", 3), ("1, 2,  y", 8), ("0,,1.5", 4), (",", 1), ("", 1)],
+        [("0,1,x", 5), ("0,-1", 3), ("1, 2,  y", 8), ("0,,1.5", 5), (",", 1), ("", 1)],
     )
     def test_bad_window_points_at_its_entry(self, capsys, windows, column):
         code, out, err = run(
@@ -232,7 +239,7 @@ class TestSeqDiagnose:
             "--file", str(fam),
         )
         assert (code, out) == (2, "")
-        assert err == "parse error: non-integer coordinate in '(b,1)' (line 3, column 13)\n"
+        assert err == "parse error: non-integer coordinate in '(b,1)' (line 3, column 14)\n"
 
     def test_octagon_stdout_bytes(self, capsys):
         code, out, err = run(

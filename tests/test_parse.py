@@ -1,13 +1,25 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from mixbound import parse
 from mixbound.laurent import LaurentPoly
-from mixbound.parse import ParseError, parse_family_line, parse_points, parse_poly
+from mixbound.parse import (
+    ParseError,
+    parse_family_line,
+    parse_points,
+    parse_poly,
+    parse_windows,
+)
 
-from conftest import CountingTokens
+from conftest import (
+    CountingTokens,
+    family_line_by_split,
+    points_by_split,
+    windows_by_split,
+)
 
 # whitespace, names, operators, ASCII and Arabic-Indic digits, '²' (a digit
 # int() rejects), letters that name no variable, and an exponent past the cap
@@ -126,9 +138,14 @@ class TestParsePoints:
             parse_points(bad)
 
 
+    def test_oversized_coordinate_points_at_its_digits(self):
+        with pytest.raises(ParseError) as err:
+            parse_points("(0,0);(" + "9" * 5000 + ",1)")
+        assert str(err.value) == "integer too long (5000 digits) (line 1, column 8)"
+
     @pytest.mark.parametrize(
         "bad, col",
-        [("(0,0);(1,0);(a,1)", 13), ("(0,0); (1)", 8), ("(0,0);;  1,2", 10), ("", 1)],
+        [("(0,0);(1,0);(a,1)", 14), ("(0,0); (1)", 10), ("(0,0);;  1,2", 10), ("", 1)],
     )
     def test_error_points_at_the_chunk(self, bad, col):
         with pytest.raises(ParseError) as err:
@@ -146,9 +163,120 @@ class TestParseFamilyLine:
             parse_family_line(bad)
 
     @pytest.mark.parametrize(
-        "bad, col", [("7 (0,0)", 1), ("  x: (0,0)", 3), ("2: (0,0);(1,b)", 10), ("2:", 3)]
+        "bad, col", [("7 (0,0)", 3), ("  x: (0,0)", 3), ("2: (0,0);(1,b)", 13), ("2:", 3)]
     )
     def test_error_names_the_given_line(self, bad, col):
         with pytest.raises(ParseError) as err:
             parse_family_line(bad, 5)
         assert (err.value.line, err.value.col) == (5, col)
+
+
+ARABIC_INDIC_DIGITS = "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669"
+TO_ARABIC_INDIC = str.maketrans("0123456789", ARABIC_INDIC_DIGITS)
+# what edits draw from: ASCII and Arabic-Indic digits, '²' (a digit int()
+# rejects), '_', signs, the punctuation of every grammar, letters, whitespace
+EDIT_CHARS = (
+    *"0123456789", *ARABIC_INDIC_DIGITS, "²", "_", "+", "-", *"(),;:",
+    "a", "x", "u", "é", " ", "\t", "\n",
+)
+# a sign followed by whitespace, the one input class only the tokenizer accepts
+SIGN_SPACE = re.compile(r"([+-])\s+(?=\d)")
+
+
+def _space(rng):
+    return rng.choice(("", "", "", " ", "  ", "\t", "\n"))
+
+
+def _integer_text(rng, signs):
+    digits = str(rng.choice((0, 1, 2, 3, 7, 12, 305, 1048576, 1048577)))
+    if rng.random() < 0.2:
+        digits = digits.translate(TO_ARABIC_INDIC)
+    return _space(rng) + rng.choice(signs) + digits + _space(rng)
+
+
+def _points_text(rng):
+    entries = [
+        f"{_space(rng)}({_integer_text(rng, ('', '-', '+'))},"
+        f"{_integer_text(rng, ('', '-'))}){_space(rng)}"
+        for _ in range(rng.randint(1, 4))
+    ]
+    if rng.random() < 0.2:
+        entries.insert(rng.randint(0, len(entries)), _space(rng))
+    return ";".join(entries)
+
+
+def _family_text(rng):
+    return f"{_integer_text(rng, ('', '-', '+'))}:{_points_text(rng)}"
+
+
+def _windows_text(rng):
+    entries = [_integer_text(rng, ("", "", "+")) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.3:
+        entries.insert(rng.randint(0, len(entries)), _space(rng))
+    return ",".join(entries)
+
+
+def _edited(rng, text):
+    # 0-2 random insertions, deletions or substitutions
+    for _ in range(rng.randint(0, 2)):
+        i = rng.randint(0, len(text))
+        edit = rng.choice(("insert", "delete", "substitute"))
+        rest = text[i + (edit != "insert"):]
+        text = text[:i] + ("" if edit == "delete" else rng.choice(EDIT_CHARS)) + rest
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as err:
+        return err
+
+
+class TestAgainstTheSplitParsers:
+    """The token parsers against the split/strip/int() parsers they replace.
+
+    Exactly two input classes may differ: '_' digit grouping, which only
+    int() accepts, and whitespace between a sign and its digits, which
+    only the tokenizer accepts.
+    """
+
+    @pytest.mark.parametrize(
+        "parse, by_split, valid",
+        [
+            (parse_points, points_by_split, _points_text),
+            (parse_family_line, family_line_by_split, _family_text),
+            (parse_windows, windows_by_split, _windows_text),
+        ],
+        ids=["points", "family_line", "windows"],
+    )
+    def test_only_the_two_listed_classes_differ(self, parse, by_split, valid):
+        rng = random.Random(20)
+        texts = [_edited(rng, valid(rng)) for _ in range(100_000)]
+        accepted = grouped = spaced = 0
+        for text in texts:
+            got, want = _outcome(parse, text), _outcome(by_split, text)
+            if isinstance(got, ParseError):
+                _assert_names_a_character(text, got)
+                if not isinstance(want, ParseError):
+                    grouped += 1
+                    line = text.split("\n")[got.line - 1]
+                    assert line[got.col - 1] == "_", (text, got, want)
+            else:
+                accepted += 1
+                if isinstance(want, ParseError):
+                    spaced += 1
+                    want = by_split(SIGN_SPACE.sub(r"\1", text))
+                assert got == want, (text, got, want)
+        assert 0.1 * len(texts) <= accepted <= 0.9 * len(texts)
+        assert grouped and spaced
+
+
+def _assert_names_a_character(text, err):
+    # the error names a non-space character, or the end of the text
+    lines = text.split("\n")
+    line = lines[err.line - 1]
+    if err.col <= len(line):
+        assert not line[err.col - 1].isspace(), (text, err)
+    else:
+        assert (err.line, err.col) == (len(lines), len(line) + 1), (text, err)
