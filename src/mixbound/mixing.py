@@ -156,9 +156,15 @@ def eisenstein_certify(f: LaurentPoly):
 
 
 def _eisenstein_prime(coeffs):
-    # the first candidate g meeting the criterion on q_0, ..., q_n
+    # the first candidate g meeting the criterion on q_0, ..., q_n.  From
+    # degree 4 on, trial division of c could draw all p^2 quadratics; its
+    # part gcd(c, t^(p^2) - t), the product of its distinct factors of
+    # degree <= 2, has the same candidates in the same order
     c = fp_content(coeffs[:-1])
     if c.degree > 0 and fp_gcd(c, coeffs[-1]).degree == 0:
+        if c.degree >= 4:
+            t = FpPoly.x(c.p)
+            c = fp_gcd(c, pow(pow(t, c.p, c), c.p, c) - t)
         for g, _ in irreducible_factors(c, 2):
             if not (g * g).divides(coeffs[0]):
                 return g

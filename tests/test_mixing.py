@@ -150,6 +150,23 @@ class TestEisenstein:
         cert = eisenstein_certify(L("1+u1+u2", p))
         assert cert.g == FpPoly([1, 1], p)
 
+    def test_quartic_content_draws_no_quadratic(self, monkeypatch):
+        # c = 1+u2+u2^4 is an irreducible quartic at p = 1009: trial
+        # division of c itself would draw all p^2 monic quadratics, while
+        # its part of degree <= 2 factors, gcd(c, t^(p^2) - t), is 1
+        p = 1009
+        drawn = Counter()
+        enumerate_monic = fieldpoly._monic_polys_of_degree
+
+        def counted(d, q):
+            for g in enumerate_monic(d, q):
+                drawn[d] += 1
+                yield g
+
+        monkeypatch.setattr(fieldpoly, "_monic_polys_of_degree", counted)
+        assert certify_irreducible(L("u1+u2^4+u2+1", p)).method == "unverified"
+        assert drawn[2] == 0
+
     def test_verify_skips_zero_coefficients(self, monkeypatch):
         # every g divides 0: the 255 zero u1-coefficients of 1+u1^256+u2
         # below the top one cost no division
