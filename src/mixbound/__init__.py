@@ -21,7 +21,6 @@ from .mixing import (
     sequence_diagnostics,
     shape_prefilter,
     shape_witness_search,
-    three_shape_classify,
     voloch_identity_scan,
 )
 from .newton import ExtendedNorm, NewtonPolygon, Valuation, extended_norms, face_norm_for
@@ -52,7 +51,6 @@ __all__ = [
     "sequence_diagnostics",
     "shape_prefilter",
     "shape_witness_search",
-    "three_shape_classify",
     "voloch_identity_scan",
     "ExtendedNorm",
     "NewtonPolygon",

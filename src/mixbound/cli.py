@@ -26,7 +26,6 @@ from .mixing import (
     order_bounds,
     sequence_diagnostics,
     shape_witness_search,
-    three_shape_classify,
     voloch_identity_scan,
 )
 from .newton import Valuation, newton_polygon
@@ -109,10 +108,7 @@ def _cmd_shape_test(args):
     f = _load_poly(args)
     shape = parse_points(args.shape)
     windows = parse_windows(args.windows)
-    if len(shape) == 3:
-        verdict = three_shape_classify(f, shape, kmax=args.kmax, windows=windows)
-    else:
-        verdict = shape_witness_search(f, shape, kmax=args.kmax, windows=windows)
+    verdict = shape_witness_search(f, shape, kmax=args.kmax, windows=windows)
     out = report_mod.verdict_json(verdict, shape=shape)
     out["budget"] = {"kmax": args.kmax, "windows": list(windows)}
     _emit(out)

@@ -23,7 +23,8 @@ def cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (b[0] - o[0]) * (a[1] - o[1])
 
 
-def _check_coord(pt):
+def check_coord(pt):
+    """Reject a point with a coordinate beyond COORD_LIMIT."""
     if abs(pt[0]) > COORD_LIMIT or abs(pt[1]) > COORD_LIMIT:
         raise ValueError(f"coordinate out of range (|e| <= 2^20): {pt}")
 
@@ -87,7 +88,7 @@ def convex_hull(points) -> LatticePolygon:
     if not pts:
         raise ValueError("convex hull of an empty set")
     for pt in pts:
-        _check_coord(pt)
+        check_coord(pt)
     if len(pts) == 1:
         return LatticePolygon((pts[0],), POINT)
     lower = lower_chain(pts)

@@ -10,13 +10,15 @@ leaves the brute-force factor search nothing to find.  Eisenstein's
 criterion often needs no rewrite of f: when a u1-coefficient below the
 top one is a monomial, the gcd c of those coefficients is a power of
 u2, so u2 is the only candidate prime and f's exponents decide it.
-Shapes of lattice points are classified by combining the order bound, the
-face-direction prefilter, the triangle edge-direction test, and an
-explicit search for module relations sum m_i u^{k n_i} = 0 mod f.  Only
-relations with constant m_i certify non-mixing.  A certified witness is
-checked by multiplying its quotient back to the constant relation at k;
-the p-th power map fixes constants, so that relation carries over to
-every dilation k p^j.
+Shapes of lattice points are classified by one geometric test, which
+peels off the points that uniquely maximize a hull face's outward
+normal, and then by an explicit search for module relations
+sum m_i u^{k n_i} = 0 mod f.  The geometric test needs f irreducible:
+it gives no verdict for a reducible f, and a conditional one when
+irreducibility is not certified.  Only relations with constant m_i
+certify non-mixing.  A certified witness is checked by multiplying its
+quotient back to the constant relation at k; the p-th power map fixes
+constants, so that relation carries over to every dilation k p^j.
 """
 
 from __future__ import annotations
@@ -470,11 +472,15 @@ class Witness(NamedTuple):
 
 
 class ShapeVerdict(NamedTuple):
+    """conditional marks a geometric verdict that rests on f being
+    irreducible when no certificate proves it."""
+
     kind: str
     witness: Witness | None = None
     reason: str | None = None
     searched: dict | None = None
     note: str | None = None
+    conditional: bool = False
 
 
 def make_witness(f: LaurentPoly, shape, k, ms) -> Witness:
@@ -516,45 +522,88 @@ def _clean_shape(shape):
     pts = [tuple(n) for n in shape]
     if len(set(pts)) != len(pts):
         raise ValueError("shape points must be distinct")
+    for pt in pts:
+        geometry.check_coord(pt)
     return pts
 
 
 def shape_prefilter(f: LaurentPoly, shape):
-    """Geometric reasons the shape must be mixing, or None.
+    """The geometric verdict that the shape mixes, or None.
 
-    Small shapes are mixing outright (any sequence of arity at most R-1
-    is), and so is any shape whose pairwise difference directions miss
-    one of the hull's face directions.
+    For each face F of the hull of f there is a norm on the function
+    field of f = 0 whose log-vector is a positive multiple of F's
+    outward normal v_F, and nonzero constants have norm 1.  A relation
+    sum_{i in T} m_i u^{k n_i} = 0 with every m_i a nonzero constant
+    therefore attains the largest <n_i, v_F> over T at least twice, for
+    every F; for coefficients in R/(f) the same holds at every large k.
+    So a point that is the unique maximizer of some <n, v_F> over the
+    points still left carries no relation, and is dropped.  The peeling
+    repeats until no point is dropped; if fewer than 2 points remain,
+    the shape is geometrically mixing.  A unique maximizer stays unique
+    in every subset that contains it, so a point that can be dropped
+    stays droppable as others go, and the points left do not depend on
+    the order of removal.
+
+    The norms live on the function field, so the argument needs f
+    irreducible.  f is certified first, after the degeneracy checks: a
+    reducible f gets no geometric verdict, and one whose irreducibility
+    is unverified gets a verdict marked conditional.
+
+    The reason quotes the older rule that peeling extends, where one
+    applies: a shape of arity at most R-1, for R the number of faces (two
+    or more points left number at least R, since their hull has an edge
+    with each normal v_F), a 3-point shape on a triangle hull that is no
+    positive homothet of it, or a face direction missing among the
+    shape's differences.
     """
-    pts = _clean_shape(shape)
+    return _prefilter(f, _clean_shape(shape))[1]
+
+
+def _prefilter(f, pts):
+    # (f's certificate, the geometric verdict or None)
     if len(pts) < 2:
         raise ValueError("a shape needs at least two points")
     hull = geometry.convex_hull(f.support())
     if hull.degeneracy != geometry.POLYGON:
         raise DegenerateInput("prefilter needs a non-degenerate hull")
+    cert = certify_irreducible(f, hull)
+    if cert.method == "reducible":
+        return cert, None
     faces = geometry.faces(hull)
-    r = len(faces)
-    if len(pts) <= r - 1:
-        return ShapeVerdict(
-            GEOMETRICALLY_MIXING,
-            reason=f"arity {len(pts)} <= R-1 = {r - 1}: every such sequence mixes",
+    left = list(pts)
+    while len(left) > 1:
+        for a, b in (fc.normal for fc in faces):
+            values = [a * x + b * y for x, y in left]
+            top = max(values)
+            if values.count(top) == 1:
+                del left[values.index(top)]
+                break
+        else:
+            return cert, None
+    n, r = len(pts), len(faces)
+    if n <= r - 1:
+        reason = (
+            f"R-1 = {r - 1} >= 3: all 3-shapes mix" if n == 3
+            else f"arity {n} <= R-1 = {r - 1}: every such sequence mixes"
         )
-    shape_dirs = {
-        geometry.canonical_direction((b[0] - a[0], b[1] - a[1]))
-        for i, a in enumerate(pts)
-        for b in pts[i + 1 :]
-    }
-    face_dirs = geometry.slope_set(faces)
-    missing = sorted(face_dirs - shape_dirs)
-    if missing:
-        return ShapeVerdict(
-            GEOMETRICALLY_MIXING,
-            reason=(
-                f"face direction {missing[0]} does not occur among the shape's "
-                "difference directions"
-            ),
+    elif n == 3:
+        reason = "shape differences are not positively proportional to the hull triangle's"
+    else:
+        shape_dirs = {
+            geometry.canonical_direction((b[0] - a[0], b[1] - a[1]))
+            for i, a in enumerate(pts)
+            for b in pts[i + 1 :]
+        }
+        missing = sorted(geometry.slope_set(faces) - shape_dirs)
+        reason = (
+            f"face direction {missing[0]} does not occur among the shape's "
+            "difference directions" if missing
+            else "each point is in turn the unique maximizer of a face normal: "
+            "no subset of the shape can carry a relation"
         )
-    return None
+    return cert, ShapeVerdict(
+        GEOMETRICALLY_MIXING, reason=reason, conditional=not cert.certifies_irreducible
+    )
 
 
 def shape_witness_search(
@@ -588,7 +637,7 @@ def shape_witness_search(
     windows = tuple(windows)
     if not windows:
         raise ValueError("window schedule must be nonempty")
-    pre = shape_prefilter(f, pts)
+    cert, pre = _prefilter(f, pts)
     if pre is not None:
         return pre
     searched = {"kmax": kmax, "windows": windows}
@@ -612,65 +661,17 @@ def shape_witness_search(
     if relation is not None:
         return ShapeVerdict(RELATION_FOUND, witness=relation, searched=searched,
                             note="coefficients are not constants: no certification")
-    return ShapeVerdict(UNRESOLVED, searched=searched,
-                        reason="no relation found within the search budget")
+    reason = "no relation found within the search budget"
+    if cert.method == "reducible":
+        reason += (f"; f is reducible, with factor {cert.factor.to_string()}, "
+                   "so the geometric test does not apply")
+    return ShapeVerdict(UNRESOLVED, searched=searched, reason=reason)
 
 
 def _certify(f, pts, witness, searched):
     if not frobenius_closure_holds(f, pts, witness):
         raise WitnessError("witness fails the Frobenius closure check")
     return ShapeVerdict(CERTIFIED_NON_MIXING, witness=witness, searched=searched)
-
-
-def three_shape_classify(
-    f: LaurentPoly, shape, kmax=KMAX_DEFAULT, windows=WINDOWS_DEFAULT
-) -> ShapeVerdict:
-    """Classify a 3-point shape.
-
-    R > 3 settles it (order of mixing is at least 3).  For a triangle
-    hull the shape must be a positive homothet of the vertex triangle to
-    stand any chance of being non-mixing.  Two counter-clockwise
-    triangles are positive homothets exactly when their edges have the
-    same primitive directions, and point reflections of each other
-    exactly when those directions are negated; so the shape's own hull
-    is compared with f's by face directions.  Matches go to the witness
-    search, point-reflected matches are left unresolved, and everything
-    else is geometrically mixing.  Collinear shapes fall outside the
-    triangle argument and are reported unresolved.
-    """
-    pts = _clean_shape(shape)
-    if len(pts) != 3:
-        raise ValueError("three_shape_classify expects exactly three points")
-    hull = geometry.convex_hull(f.support())
-    if hull.degeneracy != geometry.POLYGON:
-        raise DegenerateInput("classification needs a non-degenerate hull")
-    faces = geometry.faces(hull)
-    r = len(faces)
-    if r > 3:
-        return ShapeVerdict(
-            GEOMETRICALLY_MIXING, reason=f"R-1 = {r - 1} >= 3: all 3-shapes mix"
-        )
-    hull_dirs = {fc.direction for fc in faces}
-    shape_hull = geometry.convex_hull(pts)
-    if shape_hull.degeneracy != geometry.POLYGON:
-        return ShapeVerdict(
-            UNRESOLVED,
-            note="collinear shape: the triangle similarity argument does not apply",
-        )
-    shape_dirs = {fc.direction for fc in geometry.faces(shape_hull)}
-    if shape_dirs == {(-a, -b) for a, b in hull_dirs}:
-        return ShapeVerdict(
-            UNRESOLVED,
-            note="point-reflected copy of the hull triangle: outside the scope "
-            "of the similarity argument",
-        )
-    if shape_dirs != hull_dirs:
-        return ShapeVerdict(
-            GEOMETRICALLY_MIXING,
-            reason="shape differences are not positively proportional to the "
-            "hull triangle's",
-        )
-    return shape_witness_search(f, pts, kmax=kmax, windows=windows)
 
 
 # ---------------------------------------------------------------------------

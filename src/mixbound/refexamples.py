@@ -23,7 +23,6 @@ from .mixing import (
     RELATION_FOUND,
     order_bounds,
     shape_witness_search,
-    three_shape_classify,
     voloch_identity_scan,
 )
 from .newton import Valuation, newton_polygon
@@ -176,9 +175,9 @@ def verify_paper_checks():
         in_ideal(relation_sum(LEDRAPPIER, support_shape, k, ms), LEDRAPPIER) for k in (2, 4))
     checks.append(Check("support shape relation persists at k=2 and k=4", True, persists))
 
-    v1 = three_shape_classify(QUARTIC, [(0, 0), (1, 0), (0, 1)])
+    v1 = shape_witness_search(QUARTIC, [(0, 0), (1, 0), (0, 1)])
     checks.append(Check("quartic unit-triangle shape", GEOMETRICALLY_MIXING, v1.kind))
-    v2 = three_shape_classify(QUARTIC, [(0, 0), (1, 0), (0, 2)])
+    v2 = shape_witness_search(QUARTIC, [(0, 0), (1, 0), (0, 2)])
     checks.append(Check("quartic vertex-triangle shape", RELATION_FOUND, v2.kind))
     checks.append(Check("quartic vertex-triangle witness",
                         ("k=1", "1", "1", "u2^-1+1", "non-constant"),

@@ -72,6 +72,8 @@ def verdict_json(v: ShapeVerdict, shape=None):
         out["witness"] = witness_json(v.witness)
     if v.reason is not None:
         out["reason"] = v.reason
+    if v.conditional:
+        out["conditional"] = True
     if v.searched is not None:
         out["searched"] = {
             "kmax": v.searched["kmax"],

@@ -33,9 +33,12 @@ from mixbound.laurent import (
 )
 from mixbound.mixing import (
     CERTIFIED_NON_MIXING,
+    GEOMETRICALLY_MIXING,
     RELATION_FOUND,
     UNRESOLVED,
+    DegenerateInput,
     IrreducibilityCertificate,
+    ShapeVerdict,
     frobenius_closure_holds,
     make_witness,
     shape_prefilter,
@@ -156,8 +159,9 @@ def triangle_homothety(shape, poly):
     """Cyclic assignment of a 3-point shape onto a triangle's vertices with
     all corresponding vertex differences equal to a single rational multiple.
 
-    The reference for `mixing.three_shape_classify`'s edge-direction test,
-    sharing no code with it.  Returns (assignment, ratio) where
+    The reference for what peeling in `mixing.shape_prefilter` leaves of a
+    3-point shape on a triangle hull, sharing no code with it: only a
+    positive homothet survives.  Returns (assignment, ratio) where
     assignment[i] maps onto vertex i and ratio may be negative (a
     point-reflected copy); None when no single ratio works or the shape is
     collinear.
@@ -237,6 +241,117 @@ def shape_search_from_scratch(f, shape, kmax, windows):
     if relation is not None:
         return RELATION_FOUND, relation
     return UNRESOLVED, None
+
+
+def prefilter_by_rules(f, shape):
+    """Geometric reasons the shape must be mixing, or None.
+
+    With `three_shape_by_rules`, the reference for `mixing.shape_prefilter`,
+    which peels unique face-normal maximizers: here the rules peeling
+    replaced.  Small shapes are mixing outright (any sequence of arity at
+    most R-1 is), and so is any shape whose pairwise difference directions
+    miss one of the hull's face directions.  Neither rule looks at whether
+    f is irreducible.
+    """
+    pts = [tuple(n) for n in shape]
+    hull = geometry.convex_hull(f.support())
+    if hull.degeneracy != geometry.POLYGON:
+        raise DegenerateInput("prefilter needs a non-degenerate hull")
+    faces = geometry.faces(hull)
+    r = len(faces)
+    if len(pts) <= r - 1:
+        return ShapeVerdict(
+            GEOMETRICALLY_MIXING,
+            reason=f"arity {len(pts)} <= R-1 = {r - 1}: every such sequence mixes",
+        )
+    shape_dirs = {
+        geometry.canonical_direction((b[0] - a[0], b[1] - a[1]))
+        for i, a in enumerate(pts)
+        for b in pts[i + 1 :]
+    }
+    face_dirs = geometry.slope_set(faces)
+    missing = sorted(face_dirs - shape_dirs)
+    if missing:
+        return ShapeVerdict(
+            GEOMETRICALLY_MIXING,
+            reason=(
+                f"face direction {missing[0]} does not occur among the shape's "
+                "difference directions"
+            ),
+        )
+    return None
+
+
+def three_shape_by_rules(f, shape):
+    """The geometric verdict on a 3-point shape, or None for the search.
+
+    The rules that `shape-test` applied to 3-point shapes before peeling.
+    R > 3 settles it (order of mixing is at least 3).  For a triangle hull
+    the shape must be a positive homothet of the vertex triangle to stand
+    any chance of being non-mixing; two counter-clockwise triangles are
+    positive homothets exactly when their edges have the same primitive
+    directions, and point reflections of each other exactly when those
+    directions are negated.  Collinear and point-reflected shapes were
+    left UNRESOLVED; matches went to the search, which applied
+    `prefilter_by_rules` first.
+    """
+    pts = [tuple(n) for n in shape]
+    hull = geometry.convex_hull(f.support())
+    if hull.degeneracy != geometry.POLYGON:
+        raise DegenerateInput("classification needs a non-degenerate hull")
+    faces = geometry.faces(hull)
+    r = len(faces)
+    if r > 3:
+        return ShapeVerdict(
+            GEOMETRICALLY_MIXING, reason=f"R-1 = {r - 1} >= 3: all 3-shapes mix"
+        )
+    hull_dirs = {fc.direction for fc in faces}
+    shape_hull = geometry.convex_hull(pts)
+    if shape_hull.degeneracy != geometry.POLYGON:
+        return ShapeVerdict(
+            UNRESOLVED,
+            note="collinear shape: the triangle similarity argument does not apply",
+        )
+    shape_dirs = {fc.direction for fc in geometry.faces(shape_hull)}
+    if shape_dirs == {(-a, -b) for a, b in hull_dirs}:
+        return ShapeVerdict(
+            UNRESOLVED,
+            note="point-reflected copy of the hull triangle: outside the scope "
+            "of the similarity argument",
+        )
+    if shape_dirs != hull_dirs:
+        return ShapeVerdict(
+            GEOMETRICALLY_MIXING,
+            reason="shape differences are not positively proportional to the "
+            "hull triangle's",
+        )
+    return prefilter_by_rules(f, pts)
+
+
+def peel_in_rounds(f, shape):
+    """The points of the shape left by peeling, as a set.
+
+    The reference for the peeling in `mixing.shape_prefilter`, which drops
+    one unique maximizer at a time: here each round finds the unique
+    maximizer of every face normal over the points left and drops them
+    all at once, and the normals are taken from the hull's vertices here.
+    """
+    vs = geometry.convex_hull(f.support()).vertices
+    normals = [
+        (b[1] - a[1], a[0] - b[0]) for a, b in zip(vs, vs[1:] + vs[:1])
+    ]
+    left = set(map(tuple, shape))
+    while left:
+        drop = set()
+        for a, b in normals:
+            top = max(a * x + b * y for x, y in left)
+            winners = [pt for pt in left if a * pt[0] + b * pt[1] == top]
+            if len(winners) == 1:
+                drop.add(winners[0])
+        if not drop:
+            break
+        left -= drop
+    return left
 
 
 def ord_by_division(a, g):

@@ -21,7 +21,6 @@ from mixbound.mixing import (
     order_bounds,
     sequence_diagnostics,
     shape_witness_search,
-    three_shape_classify,
     voloch_identity_scan,
 )
 from mixbound.newton import Valuation, extended_norms, lower_hull, newton_points
@@ -136,10 +135,10 @@ def test_criterion_4_non_mixing_witness():
 
 def test_criterion_5_three_shape_classifier():
     f = L("1+u1+u2+u2^2")
-    v1 = three_shape_classify(f, [(0, 0), (1, 0), (0, 1)])
+    v1 = shape_witness_search(f, [(0, 0), (1, 0), (0, 1)])
     assert v1.kind == GEOMETRICALLY_MIXING
 
-    v2 = three_shape_classify(f, [(0, 0), (1, 0), (0, 2)], kmax=16, windows=(0, 1, 2))
+    v2 = shape_witness_search(f, [(0, 0), (1, 0), (0, 2)], kmax=16, windows=(0, 1, 2))
     assert v2.kind == RELATION_FOUND, "no constant witness may exist for k<=16, W<=2"
     w = v2.witness
     assert w.k == 1 and not w.constant_flag

@@ -1,11 +1,15 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from mixbound.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 # eight hull faces that share four coordinate changes
 OCTAGON = "u1+u1^2+u1^3u2+u1^3u2^2+u1^2u2^3+u1u2^3+u2^2+u2"
 
@@ -208,6 +212,76 @@ class TestShapeTest:
         )
         assert code == 0
         assert json.loads(out)["budget"]["windows"] == [1, 0]
+
+
+def run_child(*argv):
+    """(exit code, stdout, stderr) of `mixbound` run in a child process."""
+    done = subprocess.run(
+        [sys.executable, "-m", "mixbound.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=300,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestShapeTestChild:
+    # f = (1+u1+u2)(1+u1+u1 u2^2) over F_2, certified reducible by analyze
+    REDUCIBLE = "1+u2+u1*u2+u1*u2^2+u1*u2^3+u1^2+u1^2*u2^2"
+
+    def test_reducible_f_is_not_geometrically_mixing(self):
+        # R-1 = 4 >= 3 once printed geometrically_mixing here; the search
+        # finds a relation with polynomial coefficients instead
+        code, out, _ = run_child(
+            "shape-test", "--prime", "2", "--poly", self.REDUCIBLE,
+            "--shape", "(0,0);(1,0);(0,1)",
+        )
+        out = json.loads(out)
+        assert code == 0
+        assert out["kind"] == "relation_found" and "conditional" not in out
+        assert out["witness"]["coefficients"] == [
+            "1+u2+u1*u2+u1*u2^2", "u1+u1*u2^2", "u1*u2^2",
+        ]
+
+    def test_reducible_f_unresolved_names_the_factor(self):
+        code, out, _ = run_child(
+            "shape-test", "--prime", "2", "--poly", self.REDUCIBLE,
+            "--shape", "(0,0);(1,0);(0,1)", "--kmax", "1", "--windows", "0",
+        )
+        out = json.loads(out)
+        assert code == 0 and out["kind"] == "unresolved"
+        assert out["reason"] == (
+            "no relation found within the search budget; f is reducible, with "
+            "factor 1+u2+u1, so the geometric test does not apply"
+        )
+
+    @pytest.mark.parametrize("shape", ["(0,0);(-1,0);(0,-1)", "(0,0);(1,0);(2,0)"])
+    def test_shapes_that_peel_to_nothing(self, shape):
+        # the point-reflected and the collinear shape used to end unresolved
+        code, out, _ = run_child(
+            "shape-test", "--prime", "2", "--poly", "1+u1+u2", "--shape", shape,
+        )
+        out = json.loads(out)
+        assert code == 0
+        assert out["kind"] == "geometrically_mixing" and "conditional" not in out
+        assert out["reason"] == (
+            "shape differences are not positively proportional to the hull triangle's"
+        )
+
+    def test_unverified_f_is_marked_conditional(self):
+        code, out, _ = run_child(
+            "shape-test", "--prime", "5", "--poly", "1+u1^2+u2^2+u1*u2^3",
+            "--shape", "(0,0);(1,0);(2,0);(0,1)",
+        )
+        out = json.loads(out)
+        assert code == 0
+        assert out["kind"] == "geometrically_mixing" and out["conditional"] is True
+
+    def test_degenerate_input_keeps_exit_3(self):
+        code, out, err = run_child(
+            "shape-test", "--prime", "2", "--poly", "1+u1", "--shape", "(0,0);(1,1)",
+        )
+        assert (code, out) == (3, "")
+        assert err == "degenerate input: prefilter needs a non-degenerate hull\n"
 
 
 class TestSeqDiagnose:

@@ -25,12 +25,11 @@ from mixbound.mixing import (
     sequence_diagnostics,
     shape_prefilter,
     shape_witness_search,
-    three_shape_classify,
     verify_eisenstein,
     voloch_identity_scan,
 )
 from mixbound.parse import parse_poly
-from mixbound.report import build_report
+from mixbound.report import build_report, verdict_json
 
 from conftest import (
     L,
@@ -41,9 +40,12 @@ from conftest import (
     frobenius_closure_by_expansion,
     irreducibles_up_to_degree,
     load_perfbench,
+    peel_in_rounds,
     poly_in_u1_by_normalize,
+    prefilter_by_rules,
     random_nonmonomial,
     shape_search_from_scratch,
+    three_shape_by_rules,
     triangle_homothety,
 )
 
@@ -829,7 +831,7 @@ class TestFrobeniusClosure:
     def test_non_constant_witness_rejected(self):
         f = L("1+u1+u2+u2^2")
         shape = [(0, 0), (1, 0), (0, 2)]
-        v = three_shape_classify(f, shape)
+        v = shape_witness_search(f, shape)
         assert v.kind == RELATION_FOUND
         assert not frobenius_closure_holds(f, shape, v.witness)
 
@@ -902,7 +904,7 @@ class TestFrobeniusClosure:
 
 class TestPrefilter:
     def test_missing_direction(self):
-        v = shape_prefilter(L("1+u1+u2+u2^2"), [(0, 0), (1, 0), (0, 1)])
+        v = shape_prefilter(L("1+u1+u2+u2^2"), [(0, 0), (1, 0), (0, 1), (1, 1)])
         assert v is not None and v.kind == GEOMETRICALLY_MIXING
         assert "(1, -2)" in v.reason
 
@@ -911,12 +913,14 @@ class TestPrefilter:
 
     def test_small_arity(self):
         f = L("u1^6+u1^5u2+u1^3u2^2+u2+u2^3")
-        v = shape_prefilter(f, [(0, 0), (1, 0), (0, 1)])
-        assert v.kind == GEOMETRICALLY_MIXING and "arity" in v.reason
+        v = shape_prefilter(f, [(0, 0), (1, 0), (0, 1), (1, 1)])
+        assert v.kind == GEOMETRICALLY_MIXING and "arity 4 <= R-1 = 4" in v.reason
 
     def test_deleted_direction_shapes_are_flagged(self, rng):
-        # build shapes walking along all but one face direction
-        done = 0
+        # build shapes walking along all but one face direction; a
+        # reducible f gets no verdict, and one not certified irreducible
+        # a conditional one
+        done, reducible = 0, 0
         while done < 100:
             f = random_nonmonomial(rng, rng.choice([2, 3]), max_terms=6, span=3)
             hull = geometry.convex_hull(f.support())
@@ -940,7 +944,154 @@ class TestPrefilter:
                 continue  # accidental collision, or arity answers first
             done += 1
             v = shape_prefilter(f, shape)
+            cert = certify_irreducible(f, hull)
+            if cert.method == "reducible":
+                reducible += 1
+                assert v is None
+                continue
             assert v is not None and v.kind == GEOMETRICALLY_MIXING
+            assert v.conditional == (not cert.certifies_irreducible)
+        assert reducible >= 1
+
+    def test_newly_decided_shape_gets_the_peeling_text(self):
+        # every face direction occurs and the arity exceeds R-1, so none of
+        # the older rules decides it
+        f, shape = L("1+u1+u2"), [(-1, -1), (-1, 0), (0, 1), (1, 0)]
+        assert prefilter_by_rules(f, shape) is None
+        v = shape_prefilter(f, shape)
+        assert v.kind == GEOMETRICALLY_MIXING and not v.conditional
+        assert v.reason == (
+            "each point is in turn the unique maximizer of a face normal: "
+            "no subset of the shape can carry a relation"
+        )
+
+    def test_reducible_f_gets_no_geometric_verdict(self):
+        # f = (1+u1+u2)(1+u1+u1 u2^2) over F_2: R-1 = 4 >= 3 used to make
+        # every 3-shape mix, yet h (1+u1^k+u2^k) lies in (f) for
+        # h = 1+u1+u1 u2^2 and k = 2^j
+        f = L("1+u2+u1*u2+u1*u2^2+u1*u2^3+u1^2+u1^2*u2^2")
+        assert f == L("1+u1+u2") * L("1+u1+u1*u2^2")
+        shape = [(0, 0), (1, 0), (0, 1)]
+        assert shape_prefilter(f, shape) is None
+        v = shape_witness_search(f, shape, kmax=1, windows=(0,))
+        assert v.kind == UNRESOLVED
+        assert "f is reducible, with factor 1+u2+u1" in v.reason
+
+    def test_certification_follows_the_degeneracy_checks(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a degenerate input was certified")
+
+        monkeypatch.setattr(mixing, "certify_irreducible", refuse)
+        with pytest.raises(DegenerateInput):
+            shape_prefilter(L("1+u1"), [(0, 0), (1, 0)])
+        with pytest.raises(ValueError, match="two points"):
+            shape_prefilter(L("1+u1+u2"), [(0, 0)])
+
+    def test_unverified_f_gets_a_conditional_verdict(self):
+        f = L("1+u1^2+u2^2+u1*u2^3", 5)
+        assert certify_irreducible(f).method == "unverified"
+        v = shape_prefilter(f, [(0, 0), (1, 0), (2, 0), (0, 1)])
+        assert v.kind == GEOMETRICALLY_MIXING and v.conditional
+        assert v.reason.startswith("face direction (1, -3)")
+        assert json.loads(json.dumps(verdict_json(v)))["conditional"] is True
+        certified = shape_prefilter(L("1+u1+u2"), [(0, 0), (2, 1)])
+        assert not certified.conditional
+        assert "conditional" not in verdict_json(certified)
+
+
+class TestPeeling:
+    @staticmethod
+    def _random_pair(rng, p):
+        # (f, shape), f with up to 5 terms in [-1, 1]^2.  One shape in
+        # three is a translate of f's support, perhaps with one more
+        # point, so that constant relations occur; the rest are 2 to 5
+        # points in [-2, 2]^2
+        f = random_nonmonomial(rng, p, max_terms=5, span=1)
+        if rng.random() < 1 / 3:
+            d = (rng.randint(-1, 1), rng.randint(-1, 1))
+            shape = {(a + d[0], b + d[1]) for a, b in f.support()}
+            if rng.random() < 0.5:
+                shape.add((rng.randint(-2, 2), rng.randint(-2, 2)))
+        else:
+            shape = set()
+            for _ in range(rng.randint(2, 5)):
+                shape.add((rng.randint(-2, 2), rng.randint(-2, 2)))
+        shape = sorted(shape)
+        rng.shuffle(shape)
+        return f, shape
+
+    def test_keeps_every_old_verdict_and_every_witness(self):
+        # differential against the rules peeling replaced, on pairs with f
+        # certified irreducible: every old verdict and its reason are
+        # kept, and no pair with a constant relation at some k <= 4 is
+        # decided; such a relation's nonzero coefficients sit on points
+        # that peeling leaves
+        rng = random.Random(2113)
+        pairs, old_decided, new_decided, witnesses = 0, 0, 0, 0
+        while pairs < 2000:
+            p = rng.choice((2, 3, 5))
+            f, shape = self._random_pair(rng, p)
+            hull = geometry.convex_hull(f.support())
+            if len(shape) < 2 or hull.degeneracy != geometry.POLYGON:
+                continue
+            if not certify_irreducible(f, hull).certifies_irreducible:
+                continue
+            pairs += 1
+            context = (f.to_string(), p, shape)
+            old = (three_shape_by_rules if len(shape) == 3 else prefilter_by_rules)(f, shape)
+            new = shape_prefilter(f, shape)
+            left = peel_in_rounds(f, shape)
+            assert (new is None) == (len(left) >= 2), context
+            if new is not None:
+                new_decided += 1
+                assert new.kind == GEOMETRICALLY_MIXING and not new.conditional, context
+            if old is not None and old.kind == GEOMETRICALLY_MIXING:
+                old_decided += 1
+                assert new is not None and new.reason == old.reason, context
+            for k in range(1, 5):
+                ms = combination_solve(f, [(k * a, k * b) for a, b in shape], 0)
+                if ms is not None:
+                    witnesses += 1
+                    make_witness(f, shape, k, ms)
+                    assert new is None, context
+                    assert {n for n, m in zip(shape, ms) if not m.is_zero()} <= left, context
+                    break
+        assert old_decided >= 500 and new_decided - old_decided >= 100, (old_decided, new_decided)
+        assert witnesses >= 200
+
+    def test_products_get_no_unconditional_verdict(self):
+        # f = g h with g, h non-monomials: a product certified reducible
+        # gets no geometric verdict, and any other gets only a verdict
+        # marked conditional.  Certification finds the factors only for
+        # p in {2, 3} and bidegree <= (4, 4); other products stay
+        # unverified
+        rng = random.Random(1307)
+        done, reducible, conditional = 0, 0, 0
+        while done < 2000:
+            p = rng.choice((2, 3, 5, 7, 11, 13))
+            g = random_nonmonomial(rng, p, max_terms=3, span=1)
+            h = random_nonmonomial(rng, p, max_terms=3, span=1)
+            f = g * h
+            hull = geometry.convex_hull(f.support())
+            if hull.degeneracy != geometry.POLYGON:
+                continue
+            done += 1
+            if rng.random() < 0.5:
+                shape = sorted(g.support())
+            else:
+                shape = sorted({(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(4)})
+            if len(shape) < 2:
+                shape.append((shape[0][0] + 1, shape[0][1]))
+            cert = certify_irreducible(f, hull)
+            assert not cert.certifies_irreducible, f.to_string()
+            v = shape_prefilter(f, shape)
+            if cert.method == "reducible":
+                reducible += 1
+                assert v is None, f.to_string()
+            elif v is not None:
+                conditional += 1
+                assert v.kind == GEOMETRICALLY_MIXING and v.conditional, f.to_string()
+        assert reducible >= 500, reducible
 
 
 class TestWitnessSearch:
@@ -1132,37 +1283,47 @@ class TestCarriedNormalForms:
 
 
 class TestThreeShapeClassify:
+    # 3-point shapes, which shape-test sends through the same prefilter
+    # and search as every other shape
+
     def test_translate_of_vertex_triangle(self):
-        v = three_shape_classify(L("1+u1+u2+u2^2"), [(5, 5), (6, 5), (5, 7)])
+        v = shape_witness_search(L("1+u1+u2+u2^2"), [(5, 5), (6, 5), (5, 7)])
         assert v.kind == RELATION_FOUND
 
     def test_unit_triangle_geometrically_mixing(self):
-        v = three_shape_classify(L("1+u1+u2+u2^2"), [(0, 0), (1, 0), (0, 1)])
+        v = shape_witness_search(L("1+u1+u2+u2^2"), [(0, 0), (1, 0), (0, 1)])
         assert v.kind == GEOMETRICALLY_MIXING
+        assert v.reason == (
+            "shape differences are not positively proportional to the hull triangle's"
+        )
 
     def test_pentagon_bound(self):
-        v = three_shape_classify(
+        v = shape_witness_search(
             L("u1^6+u1^5u2+u1^3u2^2+u2+u2^3"), [(0, 0), (1, 0), (0, 1)]
         )
         assert v.kind == GEOMETRICALLY_MIXING
-        assert "R-1" in v.reason
+        assert v.reason == "R-1 = 4 >= 3: all 3-shapes mix"
 
     def test_collinear_unresolved(self):
-        v = three_shape_classify(L("1+u1+u2+u2^2"), [(0, 0), (1, 0), (2, 0)])
-        assert v.kind == UNRESOLVED
+        # no longer unresolved: the collinear shape peels to nothing
+        for f in (L("1+u1+u2+u2^2"), L("1+u1+u2")):
+            v = shape_witness_search(f, [(0, 0), (1, 0), (2, 0)])
+            assert v.kind == GEOMETRICALLY_MIXING and not v.conditional
 
     def test_reflected_unresolved(self):
-        v = three_shape_classify(L("1+u1+u2+u2^2"), [(0, 0), (-1, 0), (0, -2)])
-        assert v.kind == UNRESOLVED
-        assert "reflected" in v.note
+        # no longer unresolved: the point-reflected triangle peels to nothing
+        for f, shape in ((L("1+u1+u2+u2^2"), [(0, 0), (-1, 0), (0, -2)]),
+                         (L("1+u1+u2"), [(0, 0), (-1, 0), (0, -1)])):
+            v = shape_witness_search(f, shape)
+            assert v.kind == GEOMETRICALLY_MIXING and not v.conditional
+            assert "not positively proportional" in v.reason
 
-    def test_matches_triangle_homothety(self, monkeypatch):
-        # the edge-direction rule against the rational-ratio oracle; the
-        # witness search is replaced, so only the geometry decides
-        searched = ShapeVerdict("searched")
-        monkeypatch.setattr(mixing, "shape_witness_search", lambda *a, **k: searched)
+    def test_matches_triangle_homothety(self):
+        # peeling against the rational-ratio oracle on triangle hulls:
+        # only positive homothets of the hull triangle are left for the
+        # search, unless f is reducible, which gets no verdict at all
         rng = random.Random(0x3A)
-        seen = {"collinear": 0, "searched": 0, "reflected": 0, "mixing": 0}
+        seen = {"collinear": 0, "searched": 0, "reflected": 0, "mixing": 0, "reducible": 0}
         pairs = 0
         while pairs < 2400:
             corners = {(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(3)}
@@ -1183,27 +1344,32 @@ class TestThreeShapeClassify:
             if len(set(shape)) != 3:
                 continue
             pairs += 1
-            v = three_shape_classify(LaurentPoly({c: 1 for c in corners}, 2), shape)
+            f = LaurentPoly({c: 1 for c in corners}, 2)
+            v = shape_prefilter(f, shape)
+            cert = certify_irreducible(f, hull)
             hom = triangle_homothety(shape, hull)
-            if geometry.cross(*shape) == 0:
-                seen["collinear"] += 1
-                assert v.kind == UNRESOLVED and "collinear" in v.note
-            elif hom is None:
-                seen["mixing"] += 1
-                assert v.kind == GEOMETRICALLY_MIXING
-                assert "not positively proportional" in v.reason
-            elif hom[1] > 0:
+            if cert.method == "reducible":
+                seen["reducible"] += 1
+                assert v is None
+                continue
+            if hom is not None and hom[1] > 0:
                 seen["searched"] += 1
-                assert v is searched
-            else:
-                seen["reflected"] += 1
-                assert v.kind == UNRESOLVED and "reflected" in v.note
-        assert min(seen.values()) >= 30, seen
+                assert v is None
+                continue
+            seen["collinear" if hom is None and geometry.cross(*shape) == 0
+                 else "mixing" if hom is None else "reflected"] += 1
+            assert v.kind == GEOMETRICALLY_MIXING
+            assert v.reason == (
+                "shape differences are not positively proportional to the hull triangle's"
+            )
+            assert v.conditional == (not cert.certifies_irreducible)
+        reducible = seen.pop("reducible")
+        assert min(seen.values()) >= 30 and reducible >= 1, seen
 
     def test_shape_beyond_coordinate_cap_rejected(self):
         far = (0, geometry.COORD_LIMIT + 1)
         with pytest.raises(ValueError, match="out of range"):
-            three_shape_classify(L("1+u1+u2+u2^2"), [(0, 0), (1, 0), far])
+            shape_witness_search(L("1+u1+u2+u2^2"), [(0, 0), (1, 0), far])
 
     def test_never_certifies_when_r_exceeds_3(self, rng):
         f = L("u1^6+u1^5u2+u1^3u2^2+u2+u2^3")
@@ -1211,8 +1377,8 @@ class TestThreeShapeClassify:
             shape = set()
             while len(shape) < 3:
                 shape.add((rng.randint(-4, 4), rng.randint(-4, 4)))
-            v = three_shape_classify(f, sorted(shape))
-            assert v.kind != CERTIFIED_NON_MIXING
+            v = shape_witness_search(f, sorted(shape))
+            assert v.kind == GEOMETRICALLY_MIXING
 
 
 class TestSequenceDiagnostics:

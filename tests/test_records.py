@@ -106,7 +106,7 @@ CASES = [
         "ShapeVerdict(kind='relation_found', witness=Witness(k=1, "
         "coefficients=(LaurentPoly('1', p=2), LaurentPoly('1', p=2), "
         "LaurentPoly('1', p=2)), constant_flag=True, quotient=LaurentPoly('1', p=2)), "
-        "reason=None, searched=None, note='n')",
+        "reason=None, searched=None, note='n', conditional=False)",
     ),
     (
         "FaceAlignment",
@@ -228,7 +228,7 @@ class TestConstruction:
         )
         assert repr(ShapeVerdict("unresolved")) == (
             "ShapeVerdict(kind='unresolved', witness=None, reason=None, "
-            "searched=None, note=None)"
+            "searched=None, note=None, conditional=False)"
         )
         assert repr(Valuation.infinity_deg()) == (
             "Valuation(kind='infinity', g=None, coeff_axis=2, inverted=False)"
