@@ -8,7 +8,7 @@ order of mixing, and certificates or refutations of mixing for finite
 shapes of lattice points.
 """
 
-from .fieldpoly import FieldConfig, FpPoly, INFINITE, NEG_INF
+from .fieldpoly import FpPoly, INFINITE, NEG_INF
 from .geometry import Face, LatticePolygon, convex_hull, faces
 from .laurent import LaurentPoly, PolyInU1, as_poly_in_u1, combination_solve, in_ideal
 from .mixing import (
@@ -29,7 +29,6 @@ from .parse import ParseError, parse_poly
 __version__ = "0.1.0"
 
 __all__ = [
-    "FieldConfig",
     "FpPoly",
     "INFINITE",
     "NEG_INF",

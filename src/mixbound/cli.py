@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import geometry, report as report_mod
-from .fieldpoly import FieldConfig, FpPoly
+from .fieldpoly import FpPoly
 from .mixing import (
     DegenerateInput,
     KMAX_DEFAULT,
@@ -54,7 +54,6 @@ def _fail(code, message):
 
 
 def _load_poly(args):
-    FieldConfig(args.prime)
     f = parse_poly(args.poly, args.prime)
     if f.is_zero():
         raise DegenerateInput("polynomial is zero after reduction mod p")
@@ -205,7 +204,6 @@ def build_parser():
     sp = sub.add_parser("analyze", help="hull, Newton data and mixing bounds")
     add_poly_args(sp)
     sp.add_argument("--pretty", action="store_true", help="human-readable output")
-    sp.add_argument("--json", action="store_true", help="JSON output (default)")
     sp.add_argument("--svg", metavar="PATH", help="also write the hull figure as SVG")
     sp.add_argument("--tikz", metavar="PATH", help="also write the hull figure as TikZ")
     sp.set_defaults(func=_cmd_analyze)

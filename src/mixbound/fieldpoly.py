@@ -6,12 +6,11 @@ is the empty tuple and reports degree NEG_INF.  All operations are pure
 and return new values, so polynomials can be shared freely.
 
 The prime p is capped below 2**16 so every scalar product fits well
-inside machine integers before reduction.
+inside machine integers before reduction.  `parse.parse_poly` enforces
+the cap and the primality of p, where text becomes a polynomial.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 NEG_INF = float("-inf")
 INFINITE = float("inf")
@@ -33,29 +32,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class _FieldConfigFields(NamedTuple):
-    p: int
-
-
-class FieldConfig(_FieldConfigFields):
-    """The prime modulus shared by every value of one computation."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not 2 <= self.p < MAX_PRIME:
-            raise ValueError(f"prime modulus must lie in [2, 2^16), got {self.p}")
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        return self
-
-
 class FpPoly:
     """Immutable dense polynomial over F_p in one variable (written t).
 
     Supports +, -, *, divmod, //, %, ** and ==/hash.  Construction
-    reduces coefficients mod p and strips trailing zeros.
+    reduces coefficients mod p and strips trailing zeros.  p is trusted
+    to be a prime below MAX_PRIME: `parse.parse_poly` checks it, and every
+    arithmetic result is built from an already checked p.
     """
 
     __slots__ = ("coeffs", "p")

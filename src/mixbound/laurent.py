@@ -37,7 +37,10 @@ from .fieldpoly import FpPoly
 
 
 class LaurentPoly:
-    """Immutable Laurent polynomial in u1, u2 over F_p."""
+    """Immutable Laurent polynomial in u1, u2 over F_p.
+
+    p is trusted to be a prime below 2^16: `parse.parse_poly` checks it,
+    and every arithmetic result is built from an already checked p."""
 
     __slots__ = ("_terms", "_key", "p")
 

@@ -23,10 +23,15 @@ total within a term, and coordinates are capped at |e| <= 2^20 to keep
 the geometry in a safe range.  Every parse error is a ParseError naming
 the line and column of the token at fault, or of the end of the text
 when something is missing.
+
+parse_poly checks the modulus before the text: a p that is not a prime
+below 2^16 is a plain ValueError, not a ParseError.  LaurentPoly and
+FpPoly trust p, so a polynomial built from text is over the field F_p.
 """
 
 from __future__ import annotations
 
+from .fieldpoly import MAX_PRIME, is_prime
 from .geometry import COORD_LIMIT
 from .laurent import LaurentPoly
 
@@ -106,7 +111,14 @@ class _Tokens:
 
 
 def parse_poly(text: str, p: int) -> LaurentPoly:
-    """Parse a polynomial expression into a LaurentPoly over F_p."""
+    """Parse a polynomial expression into a LaurentPoly over F_p.
+
+    Raises ValueError unless p is a prime below 2^16, before any
+    ParseError in the text."""
+    if not 2 <= p < MAX_PRIME:
+        raise ValueError(f"prime modulus must lie in [2, 2^16), got {p}")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     toks = _Tokens(text, "+-*^")
     kind, ch, at = toks.tokens[-1]
     if kind == "?":

@@ -84,7 +84,7 @@ def verdict_json(v: ShapeVerdict, shape=None):
     return out
 
 
-def build_report(report: MixingReport, shape_verdicts=None, extra_notes=()):
+def build_report(report: MixingReport, extra_notes=()):
     f = report.f
     hull = report.hull
     out = {
@@ -108,8 +108,6 @@ def build_report(report: MixingReport, shape_verdicts=None, extra_notes=()):
     out["irreducibility"] = _cert_json(report.irreducibility)
     if report.degenerate_verdict is not None:
         out["verdict"] = report.degenerate_verdict
-    if shape_verdicts is not None:
-        out["shape_verdicts"] = shape_verdicts
     out["notes"] = list(report.notes) + list(extra_notes)
     return out
 

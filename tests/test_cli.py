@@ -90,6 +90,12 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--prime", "4", "--poly", "1+u1")
         assert code == 2
 
+    def test_json_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--prime", "2", "--poly", "1+u1+u2", "--json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
+
     def test_zero_poly_exit_3(self, capsys):
         code, _, err = run(capsys, "analyze", "--prime", "2", "--poly", "u1+u1")
         assert code == 3
@@ -116,6 +122,30 @@ class TestAnalyze:
         assert code == 0
         assert svg.read_text() == (GOLDEN / "figure1.svg").read_text()
         assert tikz.read_text().startswith("\\begin{tikzpicture}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze"],
+        ["shape-test", "--shape", "(0,0);(1,0);(0,1)"],
+        ["seq-diagnose", "--tuple", "(0,0);(1,0)"],
+        ["render"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize(
+    "prime, message",
+    [
+        ("4", "4 is not prime"),
+        ("9", "9 is not prime"),
+        ("1", "prime modulus must lie in [2, 2^16), got 1"),
+    ],
+    ids=["4", "9", "1"],
+)
+def test_bad_prime_exit_2(capsys, argv, prime, message):
+    code, out, err = run(capsys, *argv, "--prime", prime, "--poly", "1+u1+u2")
+    assert (code, out, err) == (2, "", f"invalid input: {message}\n")
 
 
 class TestShapeTest:

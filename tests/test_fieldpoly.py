@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from mixbound.fieldpoly import (
     INFINITE,
     NEG_INF,
-    FieldConfig,
     FpPoly,
     _monic_polys_of_degree,
     content,
@@ -23,17 +22,6 @@ from conftest import irreducibles_up_to_degree, ord_by_division
 
 def P(coeffs, p=2):
     return FpPoly(coeffs, p)
-
-
-class TestFieldConfig:
-    def test_accepts_primes(self):
-        for p in (2, 3, 5, 65521):
-            assert FieldConfig(p).p == p
-
-    @pytest.mark.parametrize("bad", [0, 1, 4, 9, 65536, 65537, -7])
-    def test_rejects_non_primes_and_range(self, bad):
-        with pytest.raises(ValueError):
-            FieldConfig(bad)
 
 
 class TestBasics:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from mixbound import parse
 from mixbound.laurent import LaurentPoly
+from mixbound.mixing import order_bounds, shape_witness_search
 from mixbound.parse import (
     ParseError,
     parse_family_line,
@@ -123,6 +124,20 @@ class TestParsePoly:
     def test_single_term_roundtrip(self, e1, e2, c):
         f = LaurentPoly({(e1, e2): c}, 7)
         assert parse_poly(f.to_string(), 7) == f
+
+
+class TestPrimeCheck:
+    def test_prime_is_checked_before_the_text(self):
+        with pytest.raises(ValueError) as err:
+            parse_poly("1+", 4)
+        assert type(err.value) is ValueError and str(err.value) == "4 is not prime"
+
+    def test_library_calls_over_z_mod_4_raise_at_parse(self):
+        # over Z/4 (a+b)^4 != a^4+b^4, so neither call may certify anything
+        with pytest.raises(ValueError, match="^4 is not prime$"):
+            order_bounds(parse_poly("1+u1+u2", 4))
+        with pytest.raises(ValueError, match="^4 is not prime$"):
+            shape_witness_search(parse_poly("1+u1+u2", 4), [(0, 0), (1, 0), (0, 1)])
 
 
 class TestParsePoints:

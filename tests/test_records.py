@@ -1,13 +1,14 @@
 """The contract of the package's result records: repr text, construction
 with keywords and defaults, equality and hash, immutability, and the
-ValueErrors of the four records that validate their fields."""
+ValueErrors of the three records that validate their fields and of the
+prime that parse_poly checks for the field F_p."""
 
 from fractions import Fraction
 
 import pytest
 
 from mixbound import cli
-from mixbound.fieldpoly import FieldConfig, FpPoly
+from mixbound.fieldpoly import FpPoly
 from mixbound.geometry import Face, LatticePolygon, convex_hull, faces
 from mixbound.laurent import LaurentPoly, PolyInU1, as_poly_in_u1
 from mixbound.mixing import (
@@ -49,7 +50,6 @@ def _first_face():
 # (record name, function that builds one, first field, repr recorded when the
 # records were dataclasses)
 CASES = [
-    ("FieldConfig", lambda: FieldConfig(3), "p", "FieldConfig(p=3)"),
     (
         "LatticePolygon",
         lambda: convex_hull(_f().support()),
@@ -192,7 +192,7 @@ IDS = [case[0] for case in CASES]
 
 
 def test_every_record_is_covered():
-    assert len(set(IDS)) == 17
+    assert len(set(IDS)) == 16
 
 
 @pytest.mark.parametrize("name, build, field, text", CASES, ids=IDS)
@@ -248,7 +248,6 @@ class TestConstruction:
         ) == face
         assert Valuation(kind=FINITE, g=FpPoly.x(2)) == Valuation.finite_at(FpPoly.x(2))
         assert Valuation(INFINITY_DEG, coeff_axis=1) == Valuation.infinity_deg(1)
-        assert FieldConfig(p=5) == FieldConfig(5)
         assert IrreducibilityCertificate("brute_force", searched_bidegree=(4, 4)) == (
             IrreducibilityCertificate("brute_force", None, False, None, (4, 4), None)
         )
@@ -274,12 +273,22 @@ class TestConstruction:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("p", [0, 1, 4, 65536, 65537])
-    def test_field_config(self, p):
-        with pytest.raises(ValueError):
-            FieldConfig(p)
-        with pytest.raises(ValueError):
-            FieldConfig(p=p)
+    @pytest.mark.parametrize(
+        "p, message",
+        [pytest.param(p, f"prime modulus must lie in [2, 2^16), got {p}", id=str(p))
+         for p in (-7, 0, 1, 65536, 65537)]
+        + [pytest.param(p, f"{p} is not prime", id=str(p)) for p in (4, 6, 9, 15)],
+    )
+    def test_field_config(self, p, message):
+        # the field F_p is configured by the prime given to parse_poly
+        with pytest.raises(ValueError) as info:
+            parse_poly("1+u1+u2", p)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+
+    def test_field_accepts_primes(self):
+        for p in (2, 3, 5, 65521):
+            assert parse_poly("1+u1+u2", p).p == p
 
     def test_poly_in_u1(self):
         one, zero = FpPoly.one(2), FpPoly.zero(2)

@@ -204,19 +204,17 @@ class TestReportJSON:
         json.dumps(out)
         assert out[0]["alignments"][0]["offset"] == 0
 
-    def test_shape_verdicts_key_when_requested(self):
+    def test_verdict_json_of_a_certified_witness(self):
         from mixbound.mixing import shape_witness_search
         from mixbound.report import verdict_json
 
         f = L("1+u1+u2")
         shape = [(0, 0), (1, 0), (0, 1)]
         v = shape_witness_search(f, shape, kmax=1, windows=(0,))
-        out = build_report(order_bounds(f), shape_verdicts=[verdict_json(v, shape)])
-        assert out["shape_verdicts"][0]["kind"] == "certified_non_mixing"
-        assert out["shape_verdicts"][0]["witness"]["quotient"] == "1"
+        out = verdict_json(v, shape)
+        assert out["kind"] == "certified_non_mixing"
+        assert out["witness"]["quotient"] == "1"
         json.dumps(out)
-        plain = build_report(order_bounds(f))
-        assert "shape_verdicts" not in plain
 
 
 class TestRender:

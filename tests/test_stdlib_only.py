@@ -41,6 +41,13 @@ def test_no_private_names_imported_across_modules():
     assert paths and private == []
 
 
+def test_every_exported_name_resolves():
+    import mixbound
+
+    missing = [name for name in mixbound.__all__ if not hasattr(mixbound, name)]
+    assert mixbound.__all__ and missing == []
+
+
 def test_every_module_level_definition_is_used():
     # a function, class or constant that nothing in the package reads,
     # reads as an attribute or imports is dead code; dunder names such as
