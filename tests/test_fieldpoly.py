@@ -16,12 +16,25 @@ from mixbound.fieldpoly import (
     neg_log_infinity_norm,
     ord_at,
 )
+from mixbound.parse import parse_poly
 
 from conftest import irreducibles_up_to_degree, ord_by_division
 
 
 def P(coeffs, p=2):
     return FpPoly(coeffs, p)
+
+
+class TestFieldConfig:
+    # the field F_p is configured by the prime given to parse_poly
+    def test_accepts_primes(self):
+        for p in (2, 3, 5, 65521):
+            assert parse_poly("1+u1+u2", p).p == p
+
+    @pytest.mark.parametrize("bad", [0, 1, 4, 9, 65536, 65537, -7])
+    def test_rejects_non_primes_and_range(self, bad):
+        with pytest.raises(ValueError):
+            parse_poly("1+u1+u2", bad)
 
 
 class TestBasics:
