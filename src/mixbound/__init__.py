@@ -23,7 +23,7 @@ from .mixing import (
     shape_witness_search,
     voloch_identity_scan,
 )
-from .newton import ExtendedNorm, NewtonPolygon, Valuation, extended_norms, face_norm_for
+from .newton import ExtendedNorm, NewtonPolygon, Valuation, extended_norms
 from .parse import ParseError, parse_poly
 
 __version__ = "0.1.0"
@@ -55,7 +55,6 @@ __all__ = [
     "NewtonPolygon",
     "Valuation",
     "extended_norms",
-    "face_norm_for",
     "ParseError",
     "parse_poly",
     "__version__",

@@ -45,7 +45,7 @@ from .laurent import (
     exact_divides,
     relation_sum,
 )
-from .newton import face_norm_for
+from .newton import face_newton_data
 
 KMAX_DEFAULT = 16
 WINDOWS_DEFAULT = (0, 1, 2)
@@ -709,7 +709,7 @@ def sequence_diagnostics(f: LaurentPoly, entries):
     hull = geometry.convex_hull(f.support())
     if hull.degeneracy != geometry.POLYGON:
         raise DegenerateInput("diagnostics need a non-degenerate hull")
-    faces_norms = [(face, face_norm_for(f, face).vector()) for face in geometry.faces(hull)]
+    faces_norms = [(d.face, d.norm.vector()) for d in face_newton_data(f, hull)]
     out = []
     for label, points in entries:
         pts = _clean_shape(points)
@@ -723,12 +723,9 @@ def sequence_diagnostics(f: LaurentPoly, entries):
             d = face.direction
             offset = abs(d[0] * (second[1] - top[1]) - d[1] * (second[0] - top[0]))
             alignments.append(FaceAlignment(idx, top, second, gap, offset))
-        tuple_hull = geometry.convex_hull(pts)
-        if tuple_hull.degeneracy == geometry.POINT:
-            lengths = ()
-        else:
-            lengths = tuple(fc.lattice_length for fc in geometry.faces(tuple_hull))
-        ratios = tuple(Fraction(l, lengths[0]) for l in lengths) if lengths else ()
+        # two distinct points at least, so the tuple's hull has a face
+        lengths = tuple(fc.lattice_length for fc in geometry.faces(geometry.convex_hull(pts)))
+        ratios = tuple(Fraction(l, lengths[0]) for l in lengths)
         out.append(
             DiagnosticsEntry(label, tuple(pts), tuple(alignments), lengths, ratios)
         )

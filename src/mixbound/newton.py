@@ -20,10 +20,9 @@ its inverse when it points upward, and pick the segment with the face's
 slope.  The outcome is always a positive multiple of the face's
 primitive outward normal.  There are at most four coordinate changes;
 `face_newton_data` builds the Newton polygon once per change, and faces
-that share one share its polygon, while `face_norm_for` builds only the
-polygon of the one face it is asked about.  Each change indexes its
-segments by slope (num, den) in lowest terms, which a face's primitive
-direction gives directly: one dictionary lookup per face.
+that share one share its polygon.  Each change indexes its segments by
+slope (num, den) in lowest terms, which a face's primitive direction
+gives directly: one dictionary lookup per face.
 """
 
 from __future__ import annotations
@@ -212,43 +211,37 @@ def face_newton_data(f: LaurentPoly, hull: geometry.LatticePolygon) -> list:
     The Newton polygon of each coordinate change is computed once, for
     all the faces that use it.
     """
-    shared = {}
-    return [_face_record(f, face, shared) for face in geometry.faces(hull)]
-
-
-def face_norm_for(f: LaurentPoly, face: geometry.Face) -> ExtendedNorm:
-    """The norm whose log-vector is an outward normal to the given face;
-    only the Newton polygon of that face's coordinate change is built."""
-    if face not in geometry.faces(geometry.convex_hull(f.support())):
-        raise ValueError("face does not belong to the hull of f")
-    return _face_record(f, face, {}).norm
-
-
-def _face_record(f, face, shared):
     # shared maps a coordinate change to its valuation, Newton points,
     # polygon, pulled-back vectors and segment indices by slope (num, den)
-    swap = face.direction[0] == 0
-    inverted = (face.normal[0] if swap else face.normal[1]) > 0
-    if (swap, inverted) not in shared:
-        val = Valuation.finite_at(
-            FpPoly.x(f.p), coeff_axis=1 if swap else 2, inverted=inverted
-        )
-        points, np, vectors = newton_polygon(f, val)
-        by_slope = {(s.slope.numerator, s.slope.denominator): i for i, s in enumerate(np.segments)}
-        shared[swap, inverted] = (val, points, np, vectors, by_slope)
-    val, points, np, vectors, by_slope = shared[swap, inverted]
-    # the face's slope after the same change of variables, in lowest terms
-    # since the direction is primitive
-    dx, dy = face.direction[::-1] if swap else face.direction
-    num = -dy if inverted else dy
-    i = by_slope.get((num, dx) if dx > 0 else (-num, -dx))
-    if i is None:
-        raise AssertionError(
-            f"no Newton segment with slope {Fraction(num, dx)} for face {face.start}->{face.end}"
-        )
-    norm = ExtendedNorm(*vectors[i], (face, val))
-    _assert_outward(norm, face)
-    return FaceNewtonData(face, val, points, np, np.segments[i], norm)
+    shared = {}
+    out = []
+    for face in geometry.faces(hull):
+        swap = face.direction[0] == 0
+        inverted = (face.normal[0] if swap else face.normal[1]) > 0
+        if (swap, inverted) not in shared:
+            val = Valuation.finite_at(
+                FpPoly.x(f.p), coeff_axis=1 if swap else 2, inverted=inverted
+            )
+            points, np, vectors = newton_polygon(f, val)
+            by_slope = {
+                (s.slope.numerator, s.slope.denominator): i for i, s in enumerate(np.segments)
+            }
+            shared[swap, inverted] = (val, points, np, vectors, by_slope)
+        val, points, np, vectors, by_slope = shared[swap, inverted]
+        # the face's slope after the same change of variables, in lowest
+        # terms since the direction is primitive
+        dx, dy = face.direction[::-1] if swap else face.direction
+        num = -dy if inverted else dy
+        i = by_slope.get((num, dx) if dx > 0 else (-num, -dx))
+        if i is None:
+            raise AssertionError(
+                f"no Newton segment with slope {Fraction(num, dx)}"
+                f" for face {face.start}->{face.end}"
+            )
+        norm = ExtendedNorm(*vectors[i], (face, val))
+        _assert_outward(norm, face)
+        out.append(FaceNewtonData(face, val, points, np, np.segments[i], norm))
+    return out
 
 
 def _assert_outward(norm: ExtendedNorm, face: geometry.Face):

@@ -82,10 +82,10 @@ def test_criterion_2_lemma_property_suite():
         if hull.degeneracy != geometry.POLYGON:
             continue
         done += 1
-        from mixbound.newton import face_norm_for
+        from mixbound.newton import face_newton_data
 
-        for face in geometry.faces(hull):
-            v = face_norm_for(f, face).vector()
+        for d in face_newton_data(f, hull):
+            face, v = d.face, d.norm.vector()
             n = face.normal
             assert v[0] * n[1] == v[1] * n[0], (f.to_string(), face)
             assert v[0] * n[0] + v[1] * n[1] > 0, (f.to_string(), face)

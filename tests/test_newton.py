@@ -1,10 +1,11 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from mixbound import geometry, newton
+from mixbound import geometry, mixing, newton
 from mixbound.fieldpoly import INFINITE, FpPoly, neg_log_infinity_norm, ord_at
 from mixbound.laurent import LaurentPoly, as_poly_in_u1
 from mixbound.mixing import order_bounds, sequence_diagnostics
@@ -14,11 +15,10 @@ from mixbound.newton import (
     Valuation,
     extended_norms,
     face_newton_data,
-    face_norm_for,
     lower_hull,
     newton_points,
 )
-from mixbound.report import build_report
+from mixbound.report import build_report, diagnostics_json
 
 from conftest import (
     L,
@@ -176,23 +176,18 @@ class TestFaceNorm:
     def test_example_faces(self):
         f = L("u2+u1+u1^3u2")
         hull = geometry.convex_hull(f.support())
-        fs = geometry.faces(hull)
-        assert face_norm_for(f, fs[0]).vector() == (Fraction(-1), Fraction(-1))
-        assert face_norm_for(f, fs[1]).vector() == (Fraction(1, 2), Fraction(-1))
-        assert face_norm_for(f, fs[2]).vector() == (Fraction(0), Fraction(1))
+        data = face_newton_data(f, hull)
+        assert [d.face for d in data] == geometry.faces(hull)
+        assert data[0].norm.vector() == (Fraction(-1), Fraction(-1))
+        assert data[1].norm.vector() == (Fraction(1, 2), Fraction(-1))
+        assert data[2].norm.vector() == (Fraction(0), Fraction(1))
 
     def test_ledrappier_diagonal_face(self):
         f = L("1+u1+u2")
-        fs = geometry.faces(geometry.convex_hull(f.support()))
-        diag = next(fc for fc in fs if fc.normal == (1, 1))
-        v = face_norm_for(f, diag).vector()
+        data = face_newton_data(f, geometry.convex_hull(f.support()))
+        diag = next(d for d in data if d.face.normal == (1, 1))
+        v = diag.norm.vector()
         assert v[0] == v[1] > 0
-
-    def test_foreign_face_rejected(self):
-        f = L("1+u1+u2")
-        other = geometry.faces(geometry.convex_hull({(0, 0), (2, 0), (0, 2)}))[1]
-        with pytest.raises(ValueError):
-            face_norm_for(f, other)
 
     def test_lemma_property_200_random(self):
         # for every face of 200 random hulls, the face norm is a positive
@@ -211,9 +206,9 @@ class TestFaceNorm:
             if hull.degeneracy != geometry.POLYGON:
                 continue
             done += 1
-            for face in geometry.faces(hull):
-                v = face_norm_for(f, face).vector()
-                n = face.normal
+            for d in face_newton_data(f, hull):
+                v = d.norm.vector()
+                n = d.face.normal
                 assert v[0] * n[1] == v[1] * n[0]
                 assert v[0] * n[0] + v[1] * n[1] > 0
 
@@ -313,27 +308,58 @@ class TestSharedReduction:
         assert calls["newton_points"] == len(changes) <= 4 < face_count
         assert calls["divmod"] == 0
 
-    def test_face_norm_for_builds_one_polygon(self, monkeypatch):
-        # counts, not a clock: the octagon's eight faces share four
-        # coordinate changes, and face_norm_for builds the polygon of its
-        # own face's change only, so the diagnostics make one per face
+    def test_diagnostics_build_one_hull_and_one_polygon_per_change(self, monkeypatch):
+        # counts, not a clock: the diagnostics build the hull of f and the
+        # hull of the tuple once each, and the octagon's eight faces share
+        # four coordinate changes, so four Newton polygons serve them all
         f = L("u1+u1^2+u1^3u2+u1^3u2^2+u1^2u2^3+u1u2^3+u2^2+u2", 3)
         calls = Counter()
-        points = newton.newton_points
+        points, hull_of = newton.newton_points, geometry.convex_hull
 
         def counted_points(*args):
             calls["newton_points"] += 1
             return points(*args)
 
+        def counted_hull(*args):
+            calls["convex_hull"] += 1
+            return hull_of(*args)
+
         monkeypatch.setattr(newton, "newton_points", counted_points)
-        hull = geometry.convex_hull(f.support())
-        face = geometry.faces(hull)[3]
-        assert face_norm_for(f, face) == face_newton_data(f, hull)[3].norm
-        assert calls["newton_points"] == 1 + 4
-        calls.clear()
+        monkeypatch.setattr(geometry, "convex_hull", counted_hull)
         diag = sequence_diagnostics(f, [(1, [(0, 0), (3, 1), (1, 3)])])
         assert len(diag[0].alignments) == 8
-        assert calls["newton_points"] == 8
+        assert calls == {"convex_hull": 2, "newton_points": 4}
+
+    def test_diagnostics_match_per_face_oracle(self, monkeypatch):
+        # the alignment table is the same when every face's norm comes from
+        # its own from-scratch reduction instead of the shared polygons
+        rng = random.Random(20261019)
+        cells = [(a, b) for a in range(-4, 5) for b in range(-4, 5)]
+        got = []
+        done = 0
+        while done < 300:
+            p = rng.choice([2, 3, 5, 7])
+            terms = {
+                (rng.randint(-3, 6), rng.randint(-3, 6)): rng.randint(1, p - 1)
+                for _ in range(rng.randint(3, 7))
+            }
+            f = LaurentPoly(terms, p)
+            if f.is_zero() or f.is_monomial():
+                continue
+            if geometry.convex_hull(f.support()).degeneracy != geometry.POLYGON:
+                continue
+            done += 1
+            entries = [(label, rng.sample(cells, rng.randint(2, 5))) for label in (1, 2, 3)]
+            got.append((f, entries, sequence_diagnostics(f, entries)))
+        monkeypatch.setattr(
+            mixing,
+            "face_newton_data",
+            lambda f, hull: [face_newton_data_per_face(f, fc) for fc in geometry.faces(hull)],
+        )
+        for f, entries, diag in got:
+            oracle = sequence_diagnostics(f, entries)
+            assert diag == oracle, f.to_string()
+            assert json.dumps(diagnostics_json(diag)) == json.dumps(diagnostics_json(oracle))
 
 
 class TestNormAxioms:

@@ -110,3 +110,35 @@ def test_shape_test_loads_neither_render_nor_refexamples():
         capture_output=True, text=True, check=True,
     )
     assert done.stdout.split()[-3:] == ["0", "False", "False"]
+
+
+def test_readme_line_counts_match_the_sources():
+    # the README's start-up paragraph says how many lines of the package
+    # each command compiles; count them from the modules each one loads
+    def lines(path):
+        return Path(path).read_bytes().count(b"\n")
+
+    def loaded_lines(argv):
+        script = (
+            "import contextlib, io, sys\n"
+            "from mixbound.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    main({argv!r})\n"
+            "print('\\n'.join(m.__file__ for name, m in sys.modules.items()\n"
+            "                 if name.split('.')[0] == 'mixbound'))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+            capture_output=True, text=True, check=True,
+        )
+        return sum(lines(path) for path in done.stdout.splitlines())
+
+    poly = ["--prime", "2", "--poly", "1+u1+u2"]
+    total = sum(lines(path) for path in SRC.glob("*.py"))
+    assert loaded_lines(["analyze", *poly]) == total
+    render_fewer = total - loaded_lines(["render", *poly])
+    other_fewer = total - loaded_lines(["shape-test", *poly, "--shape", "(0,0);(1,0)"])
+    readme = " ".join((SRC.parent.parent / "README.md").read_text().split())
+    assert f"compile all {total} lines of `src/mixbound`" in readme
+    assert f"compiles {render_fewer} lines fewer" in readme
+    assert f"compile {other_fewer} lines fewer" in readme
