@@ -18,7 +18,6 @@ import json
 import sys
 
 from . import geometry, report as report_mod
-from .fieldpoly import FpPoly
 from .mixing import (
     DegenerateInput,
     KMAX_DEFAULT,
@@ -173,7 +172,7 @@ def _cmd_render(args):
     newton = None
     if args.newton:
         val = (
-            Valuation.finite_at(FpPoly.x(f.p))
+            Valuation.finite_at()
             if args.newton == "ord"
             else Valuation.infinity_deg()
         )

@@ -250,26 +250,6 @@ def content(polys) -> FpPoly:
     return acc.monic()
 
 
-def ord_at(a: FpPoly, g: FpPoly):
-    """Multiplicity of g in a: the largest m with g**m | a.
-
-    Returns INFINITE for a = 0.  g must be non-constant (and should be
-    irreducible for the valuation reading).  g = t is tested first: there
-    the multiplicity is the index of the lowest nonzero coefficient, read
-    off without dividing; any other g is divided out one factor at a time.
-    """
-    if g.coeffs == (0, 1):
-        for i, c in enumerate(a.coeffs):
-            if c:
-                return i
-        return INFINITE
-    if g.degree == NEG_INF or g.degree < 1:
-        raise ValueError("ord_at needs a non-constant divisor")
-    if a.is_zero():
-        return INFINITE
-    return _divide_out(a, g)[0]
-
-
 def _divide_out(a, g):
     # (m, a / g^m) for the largest m with g^m | a != 0: one divmod per step
     m = 0
@@ -279,13 +259,6 @@ def _divide_out(a, g):
             return m, a
         a = q
         m += 1
-
-
-def neg_log_infinity_norm(a: FpPoly):
-    """-deg(a), the Newton-point ordinate for the degree norm; INFINITE at 0."""
-    if a.is_zero():
-        return INFINITE
-    return -a.degree
 
 
 def is_irreducible(a: FpPoly) -> bool:

@@ -211,6 +211,16 @@ def normalize(f: LaurentPoly):
     return (s1, s2), f.shift((-s1, -s2))
 
 
+def exponent_columns(f: LaurentPoly, swap=False):
+    """{i: increasing u2-exponents of the u1^i terms of f} for the
+    nonzero columns, after exchanging u1 and u2 when `swap`.  One pass
+    over f's terms, which come sorted by (e1, e2), and no rewrite."""
+    cols = {}
+    for (a, b), _ in f.terms():
+        cols.setdefault(b if swap else a, []).append(a if swap else b)
+    return cols
+
+
 def as_poly_in_u1(f: LaurentPoly, swap=False, inverted=False) -> PolyInU1:
     """Normalized view of f as a polynomial in u1 over F_p[u2], after an
     optional change of variables: exchange u1 and u2 when `swap`, then

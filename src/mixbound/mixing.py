@@ -43,6 +43,7 @@ from .laurent import (
     as_poly_in_u1,
     combination_solve,
     exact_divides,
+    exponent_columns,
     relation_sum,
 )
 from .newton import face_newton_data
@@ -106,7 +107,7 @@ def eisenstein_certify(f: LaurentPoly):
     of c, degree 1 first.  Returns the first success in the order
     (main_axis, inverted) = (1, False), (1, True), (2, False), (2, True).
 
-    One sparse pass over f's terms per main axis gives each nonzero q_i's
+    `laurent.exponent_columns` gives, per main axis, each nonzero q_i's
     term count and lowest and highest u2-exponent.  When some q_i below
     q_n is a monomial a u2^k, c divides u2^k, so c = u2^m with m the least
     u2-order below q_n: g = u2 is the one candidate, and it certifies
@@ -125,11 +126,7 @@ def eisenstein_certify(f: LaurentPoly):
         raise DegenerateInput("Eisenstein needs a non-monomial, nonzero polynomial")
     for main_axis in (1, 2):
         swap = main_axis == 2
-        # the u2-exponents of each nonzero column q_i, increasing since
-        # the terms come sorted by (e1, e2)
-        cols = {}
-        for (a, b), _ in f.terms():
-            cols.setdefault(b if swap else a, []).append(a if swap else b)
+        cols = exponent_columns(f, swap)
         first, top = min(cols), max(cols)
         if first == top:
             continue

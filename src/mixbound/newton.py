@@ -2,18 +2,18 @@
 non-Archimedean norms on the coefficient ring, and the norm extensions
 they induce.
 
-The base norms on F_p[u2] are |a|_g = p^(-ord_g a) for an irreducible g
+The base norms on F_p[u2] are |a| = p^(-ord a), ord the order at u2,
 and the degree norm |a| = p^(deg a).  Writing f as sum q_i(u2) u1^i, the
 Newton polygon is the lower convex hull of the points (i, -log_p|q_i|),
 whose ordinates are integers (+infinity for q_i = 0).  Each segment of
 slope s, an exact rational, yields an extension norm with log_p|u1| = s.
 
-`newton_polygon` is the one place a Newton polygon is built: it rewrites
-f through the coordinate changes a valuation records, in the one rewrite
-`as_poly_in_u1(f, swap, inverted)` that reads f's terms once, takes the
-lower hull of the Newton points with `geometry.lower_chain` (the monotone
-chain of the convex hull), and maps each segment's log-vector back to the
-original coordinates.  `extended_norms` keeps every segment.
+`newton_polygon` is the one place a Newton polygon is built: it reads
+the Newton points off f's exponents after the coordinate changes a
+valuation records (ord q_i and deg q_i are the extreme u2-exponents of
+the u1^i terms), takes their lower hull with `geometry.lower_chain` (the
+monotone chain of the convex hull), and maps each segment's log-vector
+back to the original coordinates.  `extended_norms` keeps every segment.
 `face_newton_data` runs the reduction that turns the faces of f's hull
 into norms: swap the variables when a face is vertical, replace u2 by
 its inverse when it points upward, and pick the segment with the face's
@@ -31,8 +31,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import geometry
-from .fieldpoly import FpPoly, INFINITE, is_irreducible, neg_log_infinity_norm, ord_at
-from .laurent import LaurentPoly, PolyInU1, as_poly_in_u1
+from .fieldpoly import INFINITE
+from .laurent import LaurentPoly, exponent_columns
 
 FINITE = "finite"
 INFINITY_DEG = "infinity"
@@ -40,7 +40,6 @@ INFINITY_DEG = "infinity"
 
 class _ValuationFields(NamedTuple):
     kind: str
-    g: FpPoly | None = None
     coeff_axis: int = 2
     inverted: bool = False
 
@@ -48,10 +47,10 @@ class _ValuationFields(NamedTuple):
 class Valuation(_ValuationFields):
     """A base norm on the coefficient ring, plus coordinate bookkeeping.
 
-    kind is FINITE (p^-ord_g) or INFINITY_DEG (p^deg).  coeff_axis names
-    the original variable (1 or 2) that carries the coefficient ring;
-    inverted records whether that variable was replaced by its inverse
-    before the polynomial was rewritten.
+    kind is FINITE (p^-ord at the coefficient variable) or INFINITY_DEG
+    (p^deg).  coeff_axis names the original variable (1 or 2) that
+    carries the coefficient ring; inverted records whether that variable
+    was replaced by its inverse before the Newton points were read.
     """
 
     __slots__ = ()
@@ -62,34 +61,19 @@ class Valuation(_ValuationFields):
             raise ValueError(f"unknown valuation kind {self.kind!r}")
         if self.coeff_axis not in (1, 2):
             raise ValueError("coeff_axis must be 1 or 2")
-        if self.kind == FINITE:
-            if self.g is None or self.g.degree < 1:
-                raise ValueError("finite valuation needs a non-constant g")
-            if not is_irreducible(self.g):
-                raise ValueError("finite valuation needs an irreducible g")
-        elif self.g is not None:
-            raise ValueError("degree valuation takes no polynomial")
         return self
 
     @classmethod
-    def finite_at(cls, g, coeff_axis=2, inverted=False):
-        return cls(FINITE, g, coeff_axis, inverted)
+    def finite_at(cls, coeff_axis=2, inverted=False):
+        return cls(FINITE, coeff_axis, inverted)
 
     @classmethod
     def infinity_deg(cls, coeff_axis=2, inverted=False):
-        return cls(INFINITY_DEG, None, coeff_axis, inverted)
-
-    def ordinate(self, q: FpPoly):
-        """-log_p of the base norm of q (INFINITE for q = 0)."""
-        if self.kind == FINITE:
-            return ord_at(q, self.g)
-        return neg_log_infinity_norm(q)
+        return cls(INFINITY_DEG, coeff_axis, inverted)
 
     def coeff_log(self):
         """log_p of the base norm of the coefficient variable itself."""
-        if self.kind == INFINITY_DEG:
-            return Fraction(1)
-        return Fraction(-ord_at(FpPoly.x(self.g.p), self.g))
+        return Fraction(1 if self.kind == INFINITY_DEG else -1)
 
 
 class NewtonPoint(NamedTuple):
@@ -133,9 +117,29 @@ class ExtendedNorm(_ExtendedNormFields):
         return (self.log_u1, self.log_u2)
 
 
-def newton_points(f: PolyInU1, val: Valuation):
-    """One point (i, -log_p|q_i|) per coefficient of f."""
-    return [NewtonPoint(i, val.ordinate(q)) for i, q in enumerate(f.coeffs)]
+def newton_points(f: LaurentPoly, val: Valuation):
+    """One point (i, -log_p|q_i|) per u1-column i of f, counted from the
+    first, after the coordinate changes val records.
+
+    With base and peak the least and greatest u2-exponent of f, a column
+    with exponents es has ord es[0] - base and degree es[-1] - base, or
+    peak - es[-1] and peak - es[0] once u2 is inverted.
+    """
+    cols = exponent_columns(f, swap=val.coeff_axis == 1)
+    base = min(es[0] for es in cols.values())
+    peak = max(es[-1] for es in cols.values())
+    first = min(cols)
+    points = []
+    for i in range(first, max(cols) + 1):
+        es = cols.get(i)
+        if es is None:  # q_i = 0
+            y = INFINITE
+        elif val.kind == FINITE:
+            y = peak - es[-1] if val.inverted else es[0] - base
+        else:
+            y = es[0] - peak if val.inverted else base - es[-1]
+        points.append(NewtonPoint(i - first, y))
+    return tuple(points)
 
 
 def lower_hull(points) -> NewtonPolygon:
@@ -161,13 +165,12 @@ def lower_hull(points) -> NewtonPolygon:
 def newton_polygon(f: LaurentPoly, val: Valuation):
     """The Newton polygon of f under val, and the norm each segment yields.
 
-    f is rewritten as a polynomial in u1 after the coordinate changes val
+    f is read as a polynomial in u1 after the coordinate changes val
     records.  Returns the Newton points, their lower hull, and one
     log-vector (log_p|u1|, log_p|u2|) per segment, pulled back to the
     original coordinates.
     """
-    poly = as_poly_in_u1(f, swap=val.coeff_axis == 1, inverted=val.inverted)
-    points = tuple(newton_points(poly, val))
+    points = newton_points(f, val)
     polygon = lower_hull(points)
     # log-vectors pull back through the transpose of the exponent map
     c = -val.coeff_log() if val.inverted else val.coeff_log()
@@ -219,9 +222,7 @@ def face_newton_data(f: LaurentPoly, hull: geometry.LatticePolygon) -> list:
         swap = face.direction[0] == 0
         inverted = (face.normal[0] if swap else face.normal[1]) > 0
         if (swap, inverted) not in shared:
-            val = Valuation.finite_at(
-                FpPoly.x(f.p), coeff_axis=1 if swap else 2, inverted=inverted
-            )
+            val = Valuation.finite_at(coeff_axis=1 if swap else 2, inverted=inverted)
             points, np, vectors = newton_polygon(f, val)
             by_slope = {
                 (s.slope.numerator, s.slope.denominator): i for i, s in enumerate(np.segments)

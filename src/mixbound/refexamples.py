@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 from . import geometry
 from ._golden import FIGURE1_SVG, FIGURE4_SVG
-from .fieldpoly import FpPoly
 from .laurent import LaurentPoly, in_ideal, normalize, relation_sum
 from .mixing import (
     CERTIFIED_NON_MIXING,
@@ -114,7 +113,7 @@ def _newton_strings(f, val):
 def verify_paper_checks():
     """Recompute every built-in worked example; one Check per item."""
     checks = []
-    ordv = Valuation.finite_at(FpPoly.x(2))
+    ordv = Valuation.finite_at()
     degv = Valuation.infinity_deg()
 
     pts, slopes, norms = _newton_strings(TRIANGLE, ordv)

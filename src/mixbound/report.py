@@ -11,7 +11,7 @@ from __future__ import annotations
 from . import geometry
 from .fieldpoly import INFINITE
 from .mixing import MixingReport, ShapeVerdict, Witness
-from .newton import face_newton_data
+from .newton import FINITE, face_newton_data
 
 
 def rational(x):
@@ -35,8 +35,8 @@ def face_json(face: geometry.Face):
 
 def valuation_json(val):
     out = {"kind": val.kind, "coeff_axis": val.coeff_axis, "inverted": val.inverted}
-    if val.g is not None:
-        out["g"] = val.g.to_string("u2" if val.coeff_axis == 2 else "u1")
+    if val.kind == FINITE:
+        out["g"] = "u2" if val.coeff_axis == 2 else "u1"
     return out
 
 

@@ -356,7 +356,8 @@ def peel_in_rounds(f, shape):
 
 def ord_by_division(a, g):
     """Multiplicity of g in a by dividing g out one factor at a time;
-    INFINITE for a = 0.  The reference for `fieldpoly.ord_at`."""
+    INFINITE for a = 0.  With g = t, the reference for the ord_{u2}
+    Newton points that `newton.newton_points` reads off f's exponents."""
     if a.is_zero():
         return INFINITE
     m = 0
@@ -365,6 +366,12 @@ def ord_by_division(a, g):
         if not r.is_zero():
             return m
         a, m = q, m + 1
+
+
+def neg_degree(a):
+    """-deg a from a's coefficient list; INFINITE for a = 0.  The
+    reference for the degree-norm Newton points of `newton.newton_points`."""
+    return INFINITE if a.is_zero() else 1 - len(a.coeffs)
 
 
 def lower_hull_unshared(points):
@@ -408,7 +415,7 @@ def face_newton_data_per_face(f, face):
     n1 = (face.normal[1], face.normal[0]) if swap else face.normal
     inverted = n1[1] > 0
     t = FpPoly.x(f.p)
-    val = Valuation.finite_at(t, coeff_axis=1 if swap else 2, inverted=inverted)
+    val = Valuation.finite_at(coeff_axis=1 if swap else 2, inverted=inverted)
     m = ORIENTATION_MATRICES[swap, inverted]
     (a, b), (c, d) = m
     dvec = (

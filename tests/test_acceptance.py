@@ -11,8 +11,8 @@ from fractions import Fraction
 
 from mixbound import geometry
 from mixbound.cli import main
-from mixbound.fieldpoly import INFINITE, FpPoly
-from mixbound.laurent import LaurentPoly, as_poly_in_u1, combination_solve, in_ideal
+from mixbound.fieldpoly import INFINITE
+from mixbound.laurent import LaurentPoly, combination_solve, in_ideal
 from mixbound.mixing import (
     CERTIFIED_NON_MIXING,
     GEOMETRICALLY_MIXING,
@@ -35,15 +35,14 @@ def _report(n, text):
 
 def test_criterion_1_example_replay():
     f = L("u2+u1+u1^3u2")
-    ordv = Valuation.finite_at(FpPoly.x(2))
+    ordv = Valuation.finite_at()
     degv = Valuation.infinity_deg()
 
     def replay():
-        pu = as_poly_in_u1(f)
-        pts = newton_points(pu, ordv)
+        pts = newton_points(f, ordv)
         segs = lower_hull(pts).segments
         norms = [n.vector() for n in extended_norms(f, ordv)]
-        pts2 = newton_points(pu, degv)
+        pts2 = newton_points(f, degv)
         norms2 = [n.vector() for n in extended_norms(f, degv)]
         return pts, segs, norms, pts2, norms2
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mixbound.fieldpoly import (
-    INFINITE,
     NEG_INF,
     FpPoly,
     _monic_polys_of_degree,
@@ -13,12 +12,8 @@ from mixbound.fieldpoly import (
     gcd,
     is_irreducible,
     monic_divisors,
-    neg_log_infinity_norm,
-    ord_at,
 )
 from mixbound.parse import parse_poly
-
-from conftest import irreducibles_up_to_degree, ord_by_division
 
 
 def P(coeffs, p=2):
@@ -146,47 +141,6 @@ class TestFrobenius:
                 for i, c in enumerate(a.coeffs):
                     spread[i * n] = c
                 assert expected == P(spread, p)
-
-
-class TestOrd:
-    def test_examples(self):
-        t = FpPoly.x(2)
-        assert ord_at(P([0, 1, 0, 1]), t) == 1  # u2^3 + u2
-        assert ord_at(P([0, 0, 1]), t) == 2
-        assert ord_at(P([]), t) == INFINITE
-
-    def test_additive_in_multiplicity(self):
-        rng = random.Random(11)
-        for _ in range(80):
-            p = rng.choice([2, 3])
-            a = P([rng.randrange(p) for _ in range(rng.randint(1, 6))], p)
-            if a.is_zero():
-                continue
-            # t is always among the divisors: it takes the t-adic path
-            for g in (FpPoly.x(p), rng.choice(irreducibles_up_to_degree(2, p))):
-                base = ord_at(a, g)
-                m = rng.randint(0, 4)
-                assert ord_at(a * g**m, g) == base + m
-
-    @pytest.mark.parametrize("p", [2, 3, 65521])
-    def test_t_adic_matches_division(self, p):
-        rng = random.Random(p)
-        t = FpPoly.x(p)
-        assert ord_at(P([], p), t) == INFINITE == ord_by_division(P([], p), t)
-        for m in range(6):
-            c = rng.randrange(1, p)
-            assert ord_at(P([0] * m + [c], p), t) == m  # c * t^m
-        for _ in range(100):
-            a = P([rng.randrange(p) for _ in range(rng.randint(1, 9))], p)
-            assert ord_at(a, t) == ord_by_division(a, t)
-            if not a.is_zero():
-                m = rng.randint(0, 6)
-                assert ord_at(a * t**m, t) == ord_at(a, t) + m
-
-    def test_neg_log_infinity_norm(self):
-        assert neg_log_infinity_norm(FpPoly.x(2)) == -1
-        assert neg_log_infinity_norm(FpPoly.one(2)) == 0
-        assert neg_log_infinity_norm(P([])) == INFINITE
 
 
 class TestIrreducibility:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from mixbound import geometry, mixing, newton
-from mixbound.fieldpoly import INFINITE, FpPoly, neg_log_infinity_norm, ord_at
+from mixbound.fieldpoly import INFINITE, FpPoly
 from mixbound.laurent import LaurentPoly, as_poly_in_u1
 from mixbound.mixing import order_bounds, sequence_diagnostics
 from mixbound.newton import (
@@ -25,47 +25,68 @@ from conftest import (
     face_newton_data_per_face,
     irreducibles_up_to_degree,
     lower_hull_unshared,
+    neg_degree,
+    ord_by_division,
 )
 
 
 def ord_u2():
-    return Valuation.finite_at(FpPoly.x(2))
+    return Valuation.finite_at()
 
 
 class TestValuation:
-    def test_finite_needs_irreducible(self):
-        with pytest.raises(ValueError):
-            Valuation.finite_at(FpPoly((1, 0, 1), 2))  # (t+1)^2
-        with pytest.raises(ValueError):
-            Valuation.finite_at(FpPoly.one(2))
-
-    def test_degree_valuation_takes_no_poly(self):
-        with pytest.raises(ValueError):
-            Valuation("infinity", FpPoly.x(2))
-
     def test_coeff_log(self):
         assert ord_u2().coeff_log() == -1
         assert Valuation.infinity_deg().coeff_log() == 1
-        other = Valuation.finite_at(FpPoly((1, 1, 1), 2))
-        assert other.coeff_log() == 0
 
 
 class TestNewtonPoints:
     def test_ringpoly_ord(self):
-        pts = newton_points(as_poly_in_u1(L("u2+u1+u1^3u2")), ord_u2())
+        pts = newton_points(L("u2+u1+u1^3u2"), ord_u2())
         assert [(pt.index, pt.ordinate) for pt in pts] == [
             (0, 1), (1, 0), (2, INFINITE), (3, 1),
         ]
 
     def test_ringpoly_degree_norm(self):
-        pts = newton_points(as_poly_in_u1(L("u2+u1+u1^3u2")), Valuation.infinity_deg())
+        pts = newton_points(L("u2+u1+u1^3u2"), Valuation.infinity_deg())
         assert [(pt.index, pt.ordinate) for pt in pts] == [
             (0, -1), (1, 0), (2, INFINITE), (3, -1),
         ]
 
     def test_constant_coefficients(self):
-        pts = newton_points(as_poly_in_u1(L("1+u1")), ord_u2())
+        pts = newton_points(L("1+u1"), ord_u2())
         assert [(pt.index, pt.ordinate) for pt in pts] == [(0, 0), (1, 0)]
+
+    def test_matches_division_on_views(self):
+        # the points read off f's exponents against the ordinates of the
+        # rewritten view: ord_{u2} by division and minus the degree, in
+        # all four coordinate changes; negative exponents and monomials
+        # included
+        rng = random.Random(20261024)
+        primes = (2, 3, 5, 7, 65521)
+        monomials = 0
+        for _ in range(2000):
+            p = rng.choice(primes)
+            terms = {
+                (rng.randint(-4, 6), rng.randint(-4, 6)): rng.randint(1, p - 1)
+                for _ in range(rng.randint(1, 7))
+            }
+            f = LaurentPoly(terms, p)
+            monomials += f.is_monomial()
+            t = FpPoly.x(p)
+            for swap in (False, True):
+                for inverted in (False, True):
+                    view = as_poly_in_u1(f, swap=swap, inverted=inverted).coeffs
+                    axis = 1 if swap else 2
+                    ords = newton_points(f, Valuation.finite_at(axis, inverted))
+                    degs = newton_points(f, Valuation.infinity_deg(axis, inverted))
+                    assert ords == tuple(
+                        NewtonPoint(i, ord_by_division(q, t)) for i, q in enumerate(view)
+                    ), (f.to_string(), swap, inverted)
+                    assert degs == tuple(
+                        NewtonPoint(i, neg_degree(q)) for i, q in enumerate(view)
+                    ), (f.to_string(), swap, inverted)
+        assert monomials > 0
 
 
 class TestLowerHull:
@@ -228,7 +249,7 @@ class TestFaceNorm:
 
             _, g = normalize(f)
             done += 1
-            pts = newton_points(as_poly_in_u1(g), Valuation.finite_at(FpPoly.x(p)))
+            pts = newton_points(g, Valuation.finite_at())
             for pt in pts:
                 if pt.ordinate != INFINITE:
                     assert (pt.index, int(pt.ordinate)) in g.support()
@@ -285,11 +306,11 @@ class TestSharedReduction:
     )
     def test_build_report_counts(self, monkeypatch, text, p, face_count):
         # counts, not a clock: one newton_points call per coordinate change
-        # (the per-face reduction made one per face) and no division for
-        # any ordinate
+        # (the per-face reduction made one per face), no division for any
+        # ordinate, and no FpPoly at all: the points come from exponents
         rep = order_bounds(L(text, p))
         calls = Counter()
-        points, div = newton.newton_points, FpPoly.__divmod__
+        points, div, init = newton.newton_points, FpPoly.__divmod__, FpPoly.__init__
 
         def counted_points(*args):
             calls["newton_points"] += 1
@@ -299,14 +320,20 @@ class TestSharedReduction:
             calls["divmod"] += 1
             return div(a, b)
 
+        def counted_init(self, *args):
+            calls["FpPoly"] += 1
+            init(self, *args)
+
         monkeypatch.setattr(newton, "newton_points", counted_points)
         monkeypatch.setattr(FpPoly, "__divmod__", counted_divmod)
+        monkeypatch.setattr(FpPoly, "__init__", counted_init)
         out = build_report(rep)
         assert len(out["newton"]) == face_count
         changes = {(d["valuation"]["coeff_axis"], d["valuation"]["inverted"])
                    for d in out["newton"]}
         assert calls["newton_points"] == len(changes) <= 4 < face_count
         assert calls["divmod"] == 0
+        assert calls["FpPoly"] == 0
 
     def test_diagnostics_build_one_hull_and_one_polygon_per_change(self, monkeypatch):
         # counts, not a clock: the diagnostics build the hull of f and the
@@ -364,7 +391,8 @@ class TestSharedReduction:
 
 class TestNormAxioms:
     def test_base_norm_axioms_sampled(self, rng):
-        # |ab| = |a||b| and |a+b| <= max(|a|,|b|) for p^-ord_g and p^deg
+        # |ab| = |a||b| and |a+b| <= max(|a|,|b|) for p^-ord_g and p^deg,
+        # on the division and degree references for the Newton ordinates
         for _ in range(150):
             p = rng.choice([2, 3])
             a = FpPoly([rng.randrange(p) for _ in range(rng.randint(1, 7))], p)
@@ -372,15 +400,15 @@ class TestNormAxioms:
             if a.is_zero() or b.is_zero():
                 continue
             for g in irreducibles_up_to_degree(2, p):
-                assert ord_at(a * b, g) == ord_at(a, g) + ord_at(b, g)
+                assert ord_by_division(a * b, g) == (
+                    ord_by_division(a, g) + ord_by_division(b, g)
+                )
                 s = a + b
                 if not s.is_zero():
-                    assert ord_at(s, g) >= min(ord_at(a, g), ord_at(b, g))
-            assert neg_log_infinity_norm(a * b) == (
-                neg_log_infinity_norm(a) + neg_log_infinity_norm(b)
-            )
+                    assert ord_by_division(s, g) >= min(
+                        ord_by_division(a, g), ord_by_division(b, g)
+                    )
+            assert neg_degree(a * b) == neg_degree(a) + neg_degree(b)
             s = a + b
             if not s.is_zero():
-                assert neg_log_infinity_norm(s) >= min(
-                    neg_log_infinity_norm(a), neg_log_infinity_norm(b)
-                )
+                assert neg_degree(s) >= min(neg_degree(a), neg_degree(b))

@@ -136,15 +136,14 @@ CASES = [
     ),
     (
         "Valuation",
-        lambda: Valuation.finite_at(FpPoly((1, 1), 3), coeff_axis=1, inverted=True),
+        lambda: Valuation.finite_at(coeff_axis=1, inverted=True),
         "kind",
-        "Valuation(kind='finite', g=FpPoly('1+t', p=3), coeff_axis=1, inverted=True)",
+        "Valuation(kind='finite', coeff_axis=1, inverted=True)",
     ),
     (
         "NewtonPolygon",
         lambda: lower_hull(
-            newton_points(as_poly_in_u1(parse_poly("u2+u1+u1^3u2", 2)),
-                          Valuation.finite_at(FpPoly.x(2)))
+            newton_points(parse_poly("u2+u1+u1^3u2", 2), Valuation.finite_at())
         ),
         "vertices",
         "NewtonPolygon(vertices=(NewtonPoint(index=0, ordinate=1), "
@@ -164,14 +163,14 @@ CASES = [
         "face",
         "FaceNewtonData(face=Face(start=(0, 0), end=(1, 0), direction=(1, 0), "
         "normal=(0, -1), lattice_length=1), valuation=Valuation(kind='finite', "
-        "g=FpPoly('t', p=2), coeff_axis=2, inverted=False), points=(NewtonPoint("
+        "coeff_axis=2, inverted=False), points=(NewtonPoint("
         "index=0, ordinate=0), NewtonPoint(index=1, ordinate=0)), polygon="
         "NewtonPolygon(vertices=(NewtonPoint(index=0, ordinate=0), NewtonPoint("
         "index=1, ordinate=0)), segments=(Segment(slope=Fraction(0, 1), start=0, "
         "end=1),)), segment=Segment(slope=Fraction(0, 1), start=0, end=1), "
         "norm=ExtendedNorm(log_u1=Fraction(0, 1), log_u2=Fraction(-1, 1), "
         "source=(Face(start=(0, 0), end=(1, 0), direction=(1, 0), normal=(0, -1), "
-        "lattice_length=1), Valuation(kind='finite', g=FpPoly('t', p=2), "
+        "lattice_length=1), Valuation(kind='finite', "
         "coeff_axis=2, inverted=False))))",
     ),
     (
@@ -231,7 +230,7 @@ class TestConstruction:
             "searched=None, note=None, conditional=False)"
         )
         assert repr(Valuation.infinity_deg()) == (
-            "Valuation(kind='infinity', g=None, coeff_axis=2, inverted=False)"
+            "Valuation(kind='infinity', coeff_axis=2, inverted=False)"
         )
         rep = order_bounds(_f())
         assert MixingReport(
@@ -246,7 +245,7 @@ class TestConstruction:
             start=face.start, end=face.end, direction=face.direction,
             normal=face.normal, lattice_length=face.lattice_length,
         ) == face
-        assert Valuation(kind=FINITE, g=FpPoly.x(2)) == Valuation.finite_at(FpPoly.x(2))
+        assert Valuation(kind=FINITE) == Valuation.finite_at()
         assert Valuation(INFINITY_DEG, coeff_axis=1) == Valuation.infinity_deg(1)
         assert IrreducibilityCertificate("brute_force", searched_bidegree=(4, 4)) == (
             IrreducibilityCertificate("brute_force", None, False, None, (4, 4), None)
@@ -269,7 +268,7 @@ class TestConstruction:
         assert poly.to_laurent() == _f()
         assert ExtendedNorm(Fraction(1), Fraction(2), ()).vector() == (1, 2)
         assert Valuation.infinity_deg().coeff_log() == 1
-        assert Valuation.finite_at(FpPoly.x(2)).ordinate(FpPoly((0, 0, 1), 2)) == 2
+        assert newton_points(parse_poly("u2^2+u1", 2), Valuation.finite_at())[0].ordinate == 2
 
 
 class TestValidation:
@@ -300,10 +299,6 @@ class TestValidation:
         [
             ({"kind": "bogus"}, "unknown valuation kind"),
             ({"kind": INFINITY_DEG, "coeff_axis": 3}, "coeff_axis must be 1 or 2"),
-            ({"kind": FINITE}, "non-constant g"),
-            ({"kind": FINITE, "g": FpPoly.one(2)}, "non-constant g"),
-            ({"kind": FINITE, "g": FpPoly((0, 0, 1), 2)}, "irreducible g"),
-            ({"kind": INFINITY_DEG, "g": FpPoly.x(2)}, "takes no polynomial"),
         ],
     )
     def test_valuation(self, kwargs, message):

@@ -7,7 +7,6 @@ import jsonschema
 import pytest
 
 from mixbound import geometry
-from mixbound.fieldpoly import FpPoly
 from mixbound.mixing import order_bounds, sequence_diagnostics
 from mixbound.newton import Valuation, newton_polygon
 from mixbound.parse import parse_poly
@@ -247,7 +246,7 @@ class TestRender:
 
     def test_newton_figure(self):
         f = L("u2+u1+u1^3u2")
-        np1 = newton_polygon(f, Valuation.finite_at(FpPoly.x(2)))[1]
+        np1 = newton_polygon(f, Valuation.finite_at())[1]
         hull = geometry.convex_hull(f.support())
         svg = render_polygon(hull, f.support(), newton=np1)
         assert svg.count("<circle") == 3  # the infinite point is omitted
@@ -260,7 +259,7 @@ class TestRender:
     @pytest.mark.parametrize("fmt, ext", [("svg", "svg"), ("tikz", "tex")])
     def test_newton_figure_matches_golden(self, name, poly, which, fmt, ext):
         hull, support = self._fig(poly)
-        val = Valuation.finite_at(FpPoly.x(2)) if which == "ord" else Valuation.infinity_deg()
+        val = Valuation.finite_at() if which == "ord" else Valuation.infinity_deg()
         np1 = newton_polygon(L(poly), val)[1]
         text = render_polygon(hull, support, newton=np1, fmt=fmt)
         assert text == (GOLDEN / f"newton_{name}.{ext}").read_text()
