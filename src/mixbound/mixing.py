@@ -76,11 +76,11 @@ class WitnessError(RuntimeError):
 class IrreducibilityCertificate(NamedTuple):
     """How (or whether) irreducibility of f was established.
 
-    method is one of 'eisenstein', 'brute_force', 'reducible',
-    'unverified'.  Eisenstein certificates record the orientation (which
-    variable was the main one, whether the coefficient variable was
-    inverted) and the prime g; brute-force certificates record the factor
-    bidegree that was exhausted; 'reducible' carries a witness factor.
+    method is a key of `METHODS`.  Eisenstein certificates record the
+    orientation (which variable was the main one, whether the coefficient
+    variable was inverted) and the prime g; brute-force certificates
+    record the factor bidegree that was exhausted, which only a repeated
+    search can check; 'reducible' carries a witness factor.
     """
 
     method: str
@@ -92,7 +92,7 @@ class IrreducibilityCertificate(NamedTuple):
 
     @property
     def certifies_irreducible(self):
-        return self.method in ("eisenstein", "brute_force")
+        return METHODS[self.method].proves_irreducible
 
 
 def eisenstein_certify(f: LaurentPoly):
@@ -186,6 +186,14 @@ def verify_eisenstein(f: LaurentPoly, cert: IrreducibilityCertificate) -> bool:
         and not g.divides(pu.coeffs[-1])
         and not (g * g).divides(pu.coeffs[0])
     )
+
+
+def verify_reducible(f: LaurentPoly, cert: IrreducibilityCertificate) -> bool:
+    """Multiply a 'reducible' certificate back: the exact quotient of f by
+    the factor, times the factor, is f, and neither side is a monomial."""
+    q = exact_divides(cert.factor, f) if cert.method == "reducible" else None
+    return (q is not None and q * cert.factor == f
+            and not q.is_monomial() and not cert.factor.is_monomial())
 
 
 def brute_force_certify(f: LaurentPoly, hull=None):
@@ -360,27 +368,30 @@ def _at_u1(columns, c, p):
     return _strip(out, p)
 
 
-def certify_irreducible(f: LaurentPoly, hull=None) -> IrreducibilityCertificate:
-    """Eisenstein first, then the brute-force fallback, which gets the
-    hull of f's support when the caller passes it; else 'unverified'.
+# Every certificate method, with whether it proves f irreducible, the
+# re-check of its certificates (a 'brute_force' one records only the
+# bidegree it exhausted, and has none), and cert -> its JSON fields.
+Method = NamedTuple("Method", [("proves_irreducible", bool), ("recheck", object), ("fields", object)])
+METHODS = {
+    "eisenstein": Method(True, verify_eisenstein, lambda c: {
+        "main_axis": c.main_axis, "inverted": c.inverted, "g": c.g.to_string("u2")}),
+    "brute_force": Method(True, None, lambda c: {"searched_bidegree": list(c.searched_bidegree)}),
+    "reducible": Method(False, verify_reducible, lambda c: {"factor": c.factor.to_string()}),
+    "unverified": Method(False, None, lambda c: {}),
+}
 
-    An Eisenstein certificate is re-checked by `verify_eisenstein`, and a
-    'reducible' one by multiplying its factor by the exact quotient back
-    to f, with neither side a monomial (a unit); a certificate that fails
-    raises WitnessError.
+
+def certify_irreducible(f: LaurentPoly, hull=None) -> IrreducibilityCertificate:
+    """Eisenstein, then brute force (given the hull of f's support when
+    the caller passes it), else 'unverified'.  The certificate is then
+    re-checked by its row of `METHODS`; one that fails raises
+    WitnessError.  Only repeating the search could check brute force.
     """
-    cert = eisenstein_certify(f)
-    if cert is not None:
-        if not verify_eisenstein(f, cert):
-            raise WitnessError("Eisenstein certificate fails re-verification")
-        return cert
-    cert = brute_force_certify(f, hull)
-    if cert is None:
-        return IrreducibilityCertificate("unverified")
-    if cert.method == "reducible":
-        q = exact_divides(cert.factor, f)
-        if q is None or q * cert.factor != f or q.is_monomial() or cert.factor.is_monomial():
-            raise WitnessError("reducible certificate fails re-verification")
+    cert = (eisenstein_certify(f) or brute_force_certify(f, hull)
+            or IrreducibilityCertificate("unverified"))
+    recheck = METHODS[cert.method].recheck
+    if recheck is not None and not recheck(f, cert):
+        raise WitnessError(f"{cert.method} certificate fails re-verification")
     return cert
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from . import geometry
 from .fieldpoly import INFINITE
-from .mixing import MixingReport, ShapeVerdict, Witness
+from .mixing import METHODS, MixingReport, ShapeVerdict, Witness
 from .newton import FINITE, face_newton_data
 
 
@@ -105,23 +105,11 @@ def build_report(report: MixingReport, extra_notes=()):
         "exact": report.exact_order,
         "conditional": report.conditional,
     }
-    out["irreducibility"] = _cert_json(report.irreducibility)
+    cert = report.irreducibility
+    out["irreducibility"] = {"method": cert.method, **METHODS[cert.method].fields(cert)}
     if report.degenerate_verdict is not None:
         out["verdict"] = report.degenerate_verdict
     out["notes"] = list(report.notes) + list(extra_notes)
-    return out
-
-
-def _cert_json(cert):
-    out = {"method": cert.method}
-    if cert.method == "eisenstein":
-        out["main_axis"] = cert.main_axis
-        out["inverted"] = cert.inverted
-        out["g"] = cert.g.to_string("u2")
-    elif cert.method == "brute_force":
-        out["searched_bidegree"] = list(cert.searched_bidegree)
-    elif cert.method == "reducible":
-        out["factor"] = cert.factor.to_string()
     return out
 
 

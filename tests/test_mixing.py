@@ -26,6 +26,7 @@ from mixbound.mixing import (
     shape_prefilter,
     shape_witness_search,
     verify_eisenstein,
+    verify_reducible,
     voloch_identity_scan,
 )
 from mixbound.parse import parse_poly
@@ -341,6 +342,9 @@ class TestBruteForce:
         f = L("1+u2") * L("1+u1+u1^2", 2)
         cert = brute_force_certify(f)
         assert cert.method == "reducible"
+        f = L("1+u2") * L("1+u1+u2")
+        cert = brute_force_certify(f)
+        assert cert.method == "reducible" and verify_reducible(f, cert)
 
     def test_certifies_ledrappier(self):
         cert = brute_force_certify(L("1+u1+u2"))
@@ -724,6 +728,7 @@ class TestBruteForce:
     def test_wrong_reducible_certificate_never_reaches_a_report(self, monkeypatch, factor):
         f = L("1+u1+u2+u1u2+u1^2+u2^2")
         wrong = IrreducibilityCertificate("reducible", factor=factor(f))
+        assert verify_reducible(f, wrong) is False
         monkeypatch.setattr(mixing, "brute_force_certify", lambda f, hull=None: wrong)
         with pytest.raises(WitnessError):
             order_bounds(f)

@@ -12,6 +12,7 @@ from mixbound.fieldpoly import FpPoly
 from mixbound.geometry import Face, LatticePolygon, convex_hull, faces
 from mixbound.laurent import LaurentPoly, PolyInU1, as_poly_in_u1
 from mixbound.mixing import (
+    METHODS,
     DiagnosticsEntry,
     FaceAlignment,
     IrreducibilityCertificate,
@@ -262,7 +263,11 @@ class TestConstruction:
 
     def test_properties_and_methods(self):
         assert order_bounds(_f()).conditional is False
-        assert IrreducibilityCertificate("unverified").certifies_irreducible is False
+        assert set(METHODS) == {"eisenstein", "brute_force", "reducible", "unverified"}
+        for method in METHODS:
+            assert IrreducibilityCertificate(method).certifies_irreducible is (
+                method in ("eisenstein", "brute_force")
+            )
         poly = as_poly_in_u1(_f())
         assert poly.degree == 1
         assert poly.to_laurent() == _f()
