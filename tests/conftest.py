@@ -39,6 +39,7 @@ from mixbound.mixing import (
     DegenerateInput,
     IrreducibilityCertificate,
     ShapeVerdict,
+    VolochScan,
     frobenius_closure_holds,
     make_witness,
     shape_prefilter,
@@ -585,6 +586,44 @@ def _specializations_divide(cand_coeffs, specials, p):
         if gc.is_zero() or not (fc % gc).is_zero():
             return False
     return True
+
+
+def _f2_terms(*exponents):
+    """The sum of t^e over the given distinct exponents, over F_2."""
+    coeffs = [0] * (max(exponents) + 1)
+    for e in exponents:
+        coeffs[e] = 1
+    return FpPoly(coeffs, 2)
+
+
+@functools.cache
+def _trinomial_power(m):
+    """(1+t+t^2)^m over F_2, by m FpPoly multiplications; each power is kept."""
+    if m == 0:
+        return FpPoly.one(2)
+    return _trinomial_power(m - 1) * _f2_terms(0, 1, 2)
+
+
+def voloch_scan_by_ring_ops(mmax):
+    """The reference for `mixing.voloch_identity_scan`, in FpPoly ring operations.
+
+    (1+t+t^2)^m comes from repeated multiplication and is compared with
+    1+t^(2m); (1+t+t^2)^(2^e) comes from repeated squaring and is compared
+    with 1+t^(2^e)+t^(2^(e+1)).  No packed integer is involved.
+    """
+    solutions = tuple(
+        m for m in range(1, mmax + 1) if _trinomial_power(m) == _f2_terms(0, 2 * m)
+    )
+    checked, failures = [], []
+    square, e = _f2_terms(0, 1, 2), 0
+    while 2**e <= mmax:
+        if square == _f2_terms(0, 2**e, 2 ** (e + 1)):
+            checked.append(e)
+        else:
+            failures.append(e)
+        square = square * square
+        e += 1
+    return VolochScan(mmax, solutions, tuple(checked), tuple(failures))
 
 
 class CountingTokens:

@@ -48,6 +48,7 @@ from conftest import (
     shape_search_from_scratch,
     three_shape_by_rules,
     triangle_homothety,
+    voloch_scan_by_ring_ops,
 )
 
 
@@ -1415,11 +1416,16 @@ class TestSequenceDiagnostics:
 
 
 class TestVolochScan:
-    def test_no_solutions_small(self):
-        scan = voloch_identity_scan(64)
+    @pytest.mark.parametrize("mmax, emax", [(64, 6), (mixing.VOLOCH_MMAX, 16)])
+    def test_no_solutions_small(self, mmax, emax):
+        scan = voloch_identity_scan(mmax)
         assert scan.solutions == ()
         assert scan.frobenius_failures == ()
-        assert scan.frobenius_checked == tuple(range(7))
+        assert scan.frobenius_checked == tuple(range(emax + 1))
+
+    def test_matches_ring_ops_oracle(self):
+        for mmax in range(1, 257):
+            assert voloch_identity_scan(mmax) == voloch_scan_by_ring_ops(mmax)
 
     def test_m1_direct(self):
         # (1+t+t^2)^1 != 1+t^2
