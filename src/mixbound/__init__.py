@@ -10,7 +10,7 @@ shapes of lattice points.
 
 from .fieldpoly import FpPoly, INFINITE, NEG_INF
 from .geometry import Face, LatticePolygon, convex_hull, faces
-from .laurent import LaurentPoly, PolyInU1, as_poly_in_u1, combination_solve, in_ideal
+from .laurent import LaurentPoly, combination_solve, in_ideal
 from .mixing import (
     IrreducibilityCertificate,
     MixingReport,
@@ -37,8 +37,6 @@ __all__ = [
     "convex_hull",
     "faces",
     "LaurentPoly",
-    "PolyInU1",
-    "as_poly_in_u1",
     "combination_solve",
     "in_ideal",
     "IrreducibilityCertificate",

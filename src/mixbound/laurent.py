@@ -30,8 +30,6 @@ its r bases from k to k+1 with one shift each and hands them to
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from . import linalg
 from .fieldpoly import FpPoly
 
@@ -165,42 +163,6 @@ class LaurentPoly:
         return "+".join(parts)
 
 
-class _PolyInU1Fields(NamedTuple):
-    coeffs: tuple
-    shift: tuple
-    p: int
-
-
-class PolyInU1(_PolyInU1Fields):
-    """f written as sum q_i(u2) u1^i after clearing negative exponents.
-
-    `shift` is the monomial multiplier that was divided out, so that
-    u^shift * (this polynomial) reproduces the source exactly; the first
-    and last coefficients are nonzero.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.coeffs or self.coeffs[0].is_zero() or self.coeffs[-1].is_zero():
-            raise ValueError("PolyInU1 requires nonzero first and last coefficients")
-        return self
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def to_laurent(self) -> LaurentPoly:
-        terms = {}
-        s1, s2 = self.shift
-        for i, q in enumerate(self.coeffs):
-            for j, c in enumerate(q.coeffs):
-                if c:
-                    terms[(i + s1, j + s2)] = c
-        return LaurentPoly(terms, self.p)
-
-
 def normalize(f: LaurentPoly):
     """Split f = u^shift * f2 with every exponent of f2 nonnegative and
     exponent 0 attained in each variable.  Errors on f = 0."""
@@ -221,14 +183,17 @@ def exponent_columns(f: LaurentPoly, swap=False):
     return cols
 
 
-def as_poly_in_u1(f: LaurentPoly, swap=False, inverted=False) -> PolyInU1:
-    """Normalized view of f as a polynomial in u1 over F_p[u2], after an
-    optional change of variables: exchange u1 and u2 when `swap`, then
-    replace u2 by its inverse when `inverted`.
+def columns(f: LaurentPoly, swap=False, inverted=False):
+    """{i: q_i} for the nonzero q_i of f read as sum q_i(u2) u1^i over
+    F_p[u2], in increasing i, after an optional change of variables:
+    exchange u1 and u2 when `swap`, then replace u2 by its inverse when
+    `inverted`.
 
-    f's terms are read once: each exponent is mapped, the minima give
-    `shift` (in the new variables), and the shifted terms fill the
-    coefficient lists of the u1-columns directly.  Errors on f = 0.
+    The view is normalized: the least i is 0 and every u2-exponent is
+    shifted by the least one.  f's terms are read once: each exponent is
+    mapped, the minima give the shift, and the shifted terms fill the
+    coefficient lists of their columns; no zero column is built.  Errors
+    on f = 0.
     """
     if f.is_zero():
         raise ValueError("cannot normalize the zero polynomial")
@@ -236,15 +201,12 @@ def as_poly_in_u1(f: LaurentPoly, swap=False, inverted=False) -> PolyInU1:
     terms = [(b, sign * a, c) if swap else (a, sign * b, c) for (a, b), c in f.terms()]
     s1 = min(t[0] for t in terms)
     s2 = min(t[1] for t in terms)
-    cols = [[] for _ in range(max(t[0] for t in terms) - s1 + 1)]
+    cols = {}
     for e1, e2, c in terms:
-        col, j = cols[e1 - s1], e2 - s2
+        col, j = cols.setdefault(e1 - s1, []), e2 - s2
         col += [0] * (j + 1 - len(col))
         col[j] = c
-    p = f.p
-    zero = FpPoly.zero(p)
-    coeffs = [FpPoly(col, p) if col else zero for col in cols]
-    return PolyInU1(tuple(coeffs), (s1, s2), p)
+    return {i: FpPoly(cols[i], f.p) for i in sorted(cols)}
 
 
 def exact_divides(f: LaurentPoly, g: LaurentPoly):

@@ -39,8 +39,7 @@ from .fieldpoly import (
 from .laurent import (
     LaurentPoly,
     NormalForm,
-    PolyInU1,
-    as_poly_in_u1,
+    columns,
     combination_solve,
     exact_divides,
     exponent_columns,
@@ -112,8 +111,8 @@ def eisenstein_certify(f: LaurentPoly):
     q_n is a monomial a u2^k, c divides u2^k, so c = u2^m with m the least
     u2-order below q_n: g = u2 is the one candidate, and it certifies
     exactly when m > 0, ord q_n = 0 and ord q_0 < 2, read off the
-    exponents.  Only the other orientations are rewritten by
-    `as_poly_in_u1`; there a constant c takes no gcd.
+    exponents.  Only the other orientations are read by `laurent.columns`;
+    there a constant c takes no gcd.
 
     Inverting u2 turns each q_i into u2^(D - deg q_i) times its reversal,
     D the largest degree of the q_i.  When a q_i below q_n has degree D,
@@ -146,7 +145,7 @@ def eisenstein_certify(f: LaurentPoly):
                 ord_0, ord_n, m = orders[inverted]
                 g = FpPoly.x(f.p) if m > 0 and ord_n == 0 and ord_0 < 2 else None
             else:
-                g = _eisenstein_prime(as_poly_in_u1(f, swap=swap, inverted=inverted).coeffs)
+                g = _eisenstein_prime(columns(f, swap=swap, inverted=inverted))
             if g is not None:
                 return IrreducibilityCertificate(
                     "eisenstein", main_axis=main_axis, inverted=inverted, g=g
@@ -154,18 +153,20 @@ def eisenstein_certify(f: LaurentPoly):
     return None
 
 
-def _eisenstein_prime(coeffs):
-    # the first candidate g meeting the criterion on q_0, ..., q_n.  From
-    # degree 4 on, trial division of c could draw all p^2 quadratics; its
-    # part gcd(c, t^(p^2) - t), the product of its distinct factors of
-    # degree <= 2, has the same candidates in the same order
-    c = fp_content(coeffs[:-1])
-    if c.degree > 0 and fp_gcd(c, coeffs[-1]).degree == 0:
+def _eisenstein_prime(cols):
+    # the first candidate g meeting the criterion on the columns q_0, ...,
+    # q_n of a view with n >= 1.  From degree 4 on, trial division of c
+    # could draw all p^2 quadratics; its part gcd(c, t^(p^2) - t), the
+    # product of its distinct factors of degree <= 2, has the same
+    # candidates in the same order
+    n = max(cols)
+    c = fp_content(q for i, q in cols.items() if i != n)
+    if c.degree > 0 and fp_gcd(c, cols[n]).degree == 0:
         if c.degree >= 4:
             t = FpPoly.x(c.p)
             c = fp_gcd(c, pow(pow(t, c.p, c), c.p, c) - t)
         for g, _ in irreducible_factors(c, 2):
-            if not (g * g).divides(coeffs[0]):
+            if not (g * g).divides(cols[0]):
                 return g
     return None
 
@@ -178,13 +179,14 @@ def verify_eisenstein(f: LaurentPoly, cert: IrreducibilityCertificate) -> bool:
     g = cert.g
     if g.degree < 1 or not is_irreducible(g):
         return False
-    pu = as_poly_in_u1(f, swap=cert.main_axis == 2, inverted=cert.inverted)
-    if pu.degree < 1 or fp_content(pu.coeffs).degree != 0:
+    cols = columns(f, swap=cert.main_axis == 2, inverted=cert.inverted)
+    n = max(cols)
+    if n < 1 or fp_content(cols.values()).degree != 0:
         return False
     return (
-        all(g.divides(q) for q in pu.coeffs[:-1] if not q.is_zero())
-        and not g.divides(pu.coeffs[-1])
-        and not (g * g).divides(pu.coeffs[0])
+        all(g.divides(q) for i, q in cols.items() if i != n)
+        and not g.divides(cols[n])
+        and not (g * g).divides(cols[0])
     )
 
 
@@ -226,17 +228,20 @@ def brute_force_certify(f: LaurentPoly, hull=None):
     d1, d2 = (max(e) - min(e) for e in zip(*f.support()))
     if p not in BRUTE_FORCE_PRIMES or d1 > BRUTE_FORCE_BIDEGREE[0] or d2 > BRUTE_FORCE_BIDEGREE[1]:
         return None
-    pu, pv = as_poly_in_u1(f), as_poly_in_u1(f, swap=True)
+    # dense views q_0, ..., q_n in u1 and in u2, zero columns included
+    zero = FpPoly.zero(p)
+    pu, pv = ([cols.get(i, zero) for i in range(max(cols) + 1)]
+              for cols in (columns(f), columns(f, swap=True)))
     if d1 == 0:
-        return _univariate_verdict(pu.coeffs[0], swap=False, bidegree=(d1, d2))
+        return _univariate_verdict(pu[0], swap=False, bidegree=(d1, d2))
     if d2 == 0:
-        return _univariate_verdict(pv.coeffs[0], swap=True, bidegree=(d1, d2))
+        return _univariate_verdict(pv[0], swap=True, bidegree=(d1, d2))
     for view, swap in ((pu, False), (pv, True)):
-        c = fp_content(view.coeffs)
+        c = fp_content(view)
         if c.degree != 0:
             # the view really involves its main variable, so content times
             # primitive part is a genuine non-unit factorization
-            factor = PolyInU1((c,), (0, 0), p).to_laurent()
+            factor = _from_columns((c,), p)
             if swap:
                 factor = factor.swap_vars()
             return IrreducibilityCertificate("reducible", factor=factor)
@@ -260,16 +265,23 @@ def _univariate_verdict(q: FpPoly, swap, bidegree):
     if factors == {q.monic(): 1}:
         return IrreducibilityCertificate("brute_force", searched_bidegree=bidegree)
     g = sorted(factors, key=lambda h: h.coeffs)[0]
-    factor = PolyInU1((g,), (0, 0), q.p).to_laurent()
+    factor = _from_columns((g,), q.p)
     if swap:
         factor = factor.swap_vars()
     return IrreducibilityCertificate("reducible", factor=factor)
 
 
+def _from_columns(coeffs, p):
+    # sum_i coeffs[i](u2) u1^i
+    return LaurentPoly(
+        {(i, j): c for i, q in enumerate(coeffs) for j, c in enumerate(q.coeffs)}, p
+    )
+
+
 def _search_factor(f, pu):
     p = f.p
-    n = pu.degree
-    q0, qn = pu.coeffs[0], pu.coeffs[-1]
+    n = len(pu) - 1
+    q0, qn = pu[0], pu[-1]
     # a divisor specializes to a divisor at every u2 = c where f stays
     # nonzero; the divisor sets and the candidates' values there are
     # computed once, so the filter only looks values up and exact_divides
@@ -285,13 +297,13 @@ def _search_factor(f, pu):
 
     points, divisor_sets = [], []
     for c in range(p):
-        fc = FpPoly([q.eval(c) for q in pu.coeffs], p)
+        fc = FpPoly([q.eval(c) for q in pu], p)
         if not fc.is_zero():
             points.append(c)
             divisor_sets.append(divisors(fc))
     u1_sets = []
     for c in range(1, p):
-        fc = _at_u1([q.coeffs for q in pu.coeffs], c, p)
+        fc = _at_u1([q.coeffs for q in pu], c, p)
         assert fc, "f vanishes at u1 = c though its content is 1"
         u1_sets.append((c, divisors(FpPoly(fc, p))))
 
@@ -326,7 +338,7 @@ def _search_factor(f, pu):
                     columns = [q.coeffs for q in coeffs]
                     if any(_at_u1(columns, c, p) not in divs for c, divs in u1_sets):
                         continue
-                    cand = PolyInU1(coeffs, (0, 0), p).to_laurent()
+                    cand = _from_columns(coeffs, p)
                     if exact_divides(cand, f) is not None:
                         return cand
     return None

@@ -23,8 +23,6 @@ from mixbound.fieldpoly import (
 from mixbound.geometry import POLYGON, cross
 from mixbound.laurent import (
     LaurentPoly,
-    PolyInU1,
-    as_poly_in_u1,
     combination_solve,
     exact_divides,
     in_ideal,
@@ -80,13 +78,14 @@ ORIENTATION_MATRICES = {
 }
 
 
-def poly_in_u1_by_normalize(f):
-    """f as a polynomial in u1 over F_p[u2], built in three steps.
+def dense_columns_by_normalize(f):
+    """(shift, [q_0, ..., q_n]) with f = u^shift sum_i q_i(u2) u1^i,
+    zero q_i included, built in three steps.
 
-    The reference for `laurent.as_poly_in_u1`, which reads f's terms once
-    and applies the change of variables itself: here f (already mapped
-    by the caller) is normalized into a new LaurentPoly, and its terms
-    then fill one dict per u1-column.
+    The reference for `laurent.columns`, which reads f's terms once,
+    applies the change of variables itself and keeps the nonzero columns
+    only: here f (already mapped by the caller) is normalized into a new
+    LaurentPoly, and its terms then fill one dict per u1-column.
     """
     shift, g = normalize(f)
     n = max(e1 for e1, _ in g.support())
@@ -100,7 +99,20 @@ def poly_in_u1_by_normalize(f):
             coeffs.append(FpPoly([col.get(i, 0) for i in range(deg + 1)], f.p))
         else:
             coeffs.append(FpPoly.zero(f.p))
-    return PolyInU1(tuple(coeffs), shift, f.p)
+    return shift, coeffs
+
+
+def dense_view(f, swap=False, inverted=False):
+    """[q_0, ..., q_n] of f in one orientation: swap first, then invert u2."""
+    return dense_columns_by_normalize(f.map_exponents(ORIENTATION_MATRICES[swap, inverted]))[1]
+
+
+def from_dense_columns(coeffs, p, shift=(0, 0)):
+    """u^shift sum_i coeffs[i](u2) u1^i."""
+    s1, s2 = shift
+    return LaurentPoly(
+        {(i + s1, j + s2): c for i, q in enumerate(coeffs) for j, c in enumerate(q.coeffs)}, p
+    )
 
 
 def long_divide(f, g):
@@ -116,8 +128,8 @@ def long_divide(f, g):
     if g.is_zero():
         return LaurentPoly.zero(f.p)
     p = f.p
-    fu, gu = as_poly_in_u1(f), as_poly_in_u1(g)
-    rem, den = list(gu.coeffs), fu.coeffs
+    (f1, f2), den = dense_columns_by_normalize(f)
+    (g1, g2), rem = dense_columns_by_normalize(g)
     dn = len(den) - 1
     if len(rem) - 1 < dn:
         return None
@@ -133,8 +145,7 @@ def long_divide(f, g):
             rem[i - dn + j] = rem[i - dn + j] - qc * dc
     if any(not r.is_zero() for r in rem):
         return None
-    shift = (gu.shift[0] - fu.shift[0], gu.shift[1] - fu.shift[1])
-    return PolyInU1(tuple(quotient), shift, p).to_laurent()
+    return from_dense_columns(quotient, p, (g1 - f1, g2 - f2))
 
 
 def _ccw_arrangement(points):
@@ -424,9 +435,9 @@ def face_newton_data_per_face(f, face):
         c * face.direction[0] + d * face.direction[1],
     )
     target = Fraction(dvec[1], dvec[0])
-    poly = poly_in_u1_by_normalize(f.map_exponents(m))
+    coeffs = dense_view(f, swap, inverted)
     points = tuple(
-        NewtonPoint(i, ord_by_division(q, t)) for i, q in enumerate(poly.coeffs)
+        NewtonPoint(i, ord_by_division(q, t)) for i, q in enumerate(coeffs)
     )
     np = lower_hull_unshared(points)
     coeff_log = Fraction(-ord_by_division(t, t))
@@ -457,9 +468,9 @@ def _search_factor(f, pu):
     `mixing.brute_force_certify` sit outside the function this replaces.
     """
     p = f.p
-    n = pu.degree
-    q0, qn = pu.coeffs[0], pu.coeffs[-1]
-    d2 = max(q.degree for q in pu.coeffs if not q.is_zero())
+    n = len(pu) - 1
+    q0, qn = pu[0], pu[-1]
+    d2 = max(q.degree for q in pu if not q.is_zero())
     # a divisor specializes to a divisor at every u2 = c (where f stays
     # nonzero), which rejects most candidates with a few scalar divisions.
     # pu is normalized, so u2 = 0 is always one of them: it rejects every
@@ -467,7 +478,7 @@ def _search_factor(f, pu):
     # but never in the polynomial ring the factor is searched in
     specials = []
     for c in range(p):
-        fc = FpPoly([q.eval(c) for q in pu.coeffs], p)
+        fc = FpPoly([q.eval(c) for q in pu], p)
         if not fc.is_zero():
             specials.append((c, fc))
     lead_divs = monic_divisors(qn)
@@ -483,7 +494,7 @@ def _search_factor(f, pu):
                     cand_coeffs = [g0, *middle, ga]
                     if not _specializations_divide(cand_coeffs, specials, p):
                         continue
-                    cand = PolyInU1(tuple(cand_coeffs), (0, 0), p).to_laurent()
+                    cand = from_dense_columns(cand_coeffs, p)
                     if exact_divides(cand, f) is not None:
                         return cand
     return None
@@ -501,15 +512,15 @@ def brute_force_searching_every_hull(f):
     d1, d2 = (max(e) - min(e) for e in zip(*f.support()))
     if p not in (2, 3) or d1 > 4 or d2 > 4:
         return None
-    pu, pv = as_poly_in_u1(f), as_poly_in_u1(f, swap=True)
+    pu, pv = dense_view(f), dense_view(f, swap=True)
     if d1 == 0:
-        return mixing._univariate_verdict(pu.coeffs[0], swap=False, bidegree=(d1, d2))
+        return mixing._univariate_verdict(pu[0], swap=False, bidegree=(d1, d2))
     if d2 == 0:
-        return mixing._univariate_verdict(pv.coeffs[0], swap=True, bidegree=(d1, d2))
+        return mixing._univariate_verdict(pv[0], swap=True, bidegree=(d1, d2))
     for view, swap in ((pu, False), (pv, True)):
-        c = content(view.coeffs)
+        c = content(view)
         if c.degree != 0:
-            factor = PolyInU1((c,), (0, 0), p).to_laurent()
+            factor = from_dense_columns((c,), p)
             if swap:
                 factor = factor.swap_vars()
             return IrreducibilityCertificate("reducible", factor=factor)
@@ -527,17 +538,16 @@ def eisenstein_by_content(f):
 
     The reference for `mixing.eisenstein_certify`, which decides an
     orientation with a monomial coefficient below q_n from the exponents
-    alone: here every orientation is rewritten by `as_poly_in_u1`, and
+    alone: here every orientation is rewritten in full, and
     c = gcd(q_0, ..., q_{n-1}) is computed and trial-divided.  The
     inverted orientation is skipped when a q_i below q_n has the top
     u2-degree, as there.
     """
     for main_axis in (1, 2):
         for inverted in (False, True):
-            pu = as_poly_in_u1(f, swap=main_axis == 2, inverted=inverted)
-            if pu.degree < 1:
+            coeffs = dense_view(f, swap=main_axis == 2, inverted=inverted)
+            if len(coeffs) < 2:
                 break
-            coeffs = pu.coeffs
             c = content(coeffs[:-1])
             if c.degree > 0 and gcd(c, coeffs[-1]).degree == 0:
                 for g, _ in irreducible_factors(c, 2):

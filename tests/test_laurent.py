@@ -7,7 +7,7 @@ from mixbound import geometry
 from mixbound.laurent import (
     LaurentPoly,
     NormalForm,
-    as_poly_in_u1,
+    columns,
     combination_solve,
     exact_divides,
     in_ideal,
@@ -17,8 +17,8 @@ from mixbound.laurent import (
 from conftest import (
     L,
     ORIENTATION_MATRICES,
+    dense_columns_by_normalize,
     long_divide,
-    poly_in_u1_by_normalize,
     random_laurent,
     random_nonmonomial,
 )
@@ -72,54 +72,64 @@ class TestNormalize:
             assert min(e2 for _, e2 in g.support()) == 0
 
 
-class TestPolyInU1:
+def _as_strings(cols):
+    return {i: q.to_string("u2") for i, q in cols.items()}
+
+
+class TestColumns:
     def test_ringpoly_example(self):
-        pu = as_poly_in_u1(L("u2+u1+u1^3u2"))
-        assert [q.to_string("u2") for q in pu.coeffs] == ["u2", "1", "0", "u2"]
-        assert pu.shift == (0, 0)
+        cols = columns(L("u2+u1+u1^3u2"))
+        assert _as_strings(cols) == {0: "u2", 1: "1", 3: "u2"}
 
     def test_monomial_shift(self):
-        pu = as_poly_in_u1(L("u1"))
-        assert [q.to_string("u2") for q in pu.coeffs] == ["1"]
-        assert pu.shift == (1, 0)
+        assert _as_strings(columns(L("u1"))) == {0: "1"}
+        assert _as_strings(columns(L("u1^-2*u2^3+u1^-1*u2^5"))) == {0: "1", 1: "u2^2"}
 
     def test_example_quadrilateral(self):
-        pu = as_poly_in_u1(L("u1^2+u1u2^2+u2^3+u2"))
-        assert [q.to_string("u2") for q in pu.coeffs] == ["u2+u2^3", "u2^2", "1"]
+        cols = columns(L("u1^2+u1u2^2+u2^3+u2"))
+        assert _as_strings(cols) == {0: "u2+u2^3", 1: "u2^2", 2: "1"}
 
     def test_roundtrip(self, rng):
+        # the columns put back together give normalized f
         for _ in range(100):
             f = random_laurent(rng, rng.choice([2, 3, 5]))
             if f.is_zero():
                 continue
-            assert as_poly_in_u1(f).to_laurent() == f
+            terms = {(i, j): c for i, q in columns(f).items() for j, c in enumerate(q.coeffs)}
+            assert LaurentPoly(terms, f.p) == normalize(f)[1]
 
     def test_one_pass_rewrite_matches_oracle(self, rng):
         # exponents run over [-4, 4]; every third input is squeezed into
-        # one u1-column and every third into one row
+        # one u1-column and every third into one row.  The reader keeps
+        # the oracle's nonzero columns, in increasing order
         shapes = Counter()
-        for i in range(1200):
+        for i in range(1500):
             p = rng.choice([2, 3, 5, 7])
             f = random_laurent(rng, p)
             if i % 3 == 1:
                 f = LaurentPoly({(-2, e2): c for (_, e2), c in f.terms()}, p)
             elif i % 3 == 2:
                 f = LaurentPoly({(e1, -3): c for (e1, _), c in f.terms()}, p)
-            assert as_poly_in_u1(f) == poly_in_u1_by_normalize(f), f.to_string()
-            for (swap, inverted), m in ORIENTATION_MATRICES.items():
-                got = as_poly_in_u1(f, swap=swap, inverted=inverted)
-                assert got == poly_in_u1_by_normalize(f.map_exponents(m)), f.to_string()
+            views = [(columns(f), f)] + [
+                (columns(f, swap=swap, inverted=inverted), f.map_exponents(m))
+                for (swap, inverted), m in ORIENTATION_MATRICES.items()
+            ]
+            for got, mapped in views:
+                _, dense = dense_columns_by_normalize(mapped)
+                want = {k: q for k, q in enumerate(dense) if not q.is_zero()}
+                assert got == want, f.to_string()
+                assert list(got) == list(want), f.to_string()
             exps = f.support()
             shapes["negative"] += any(min(e) < 0 for e in exps)
             shapes["column"] += len({e1 for e1, _ in exps}) == 1
             shapes["row"] += len({e2 for _, e2 in exps}) == 1
-        assert min(shapes.values()) >= 300
+        assert min(shapes.values()) >= 375
 
     @pytest.mark.parametrize("swap", [False, True])
     @pytest.mark.parametrize("inverted", [False, True])
     def test_rewrite_rejects_zero(self, swap, inverted):
         with pytest.raises(ValueError):
-            as_poly_in_u1(LaurentPoly({}, 2), swap=swap, inverted=inverted)
+            columns(LaurentPoly({}, 2), swap=swap, inverted=inverted)
 
 
 class TestMul:

@@ -6,7 +6,7 @@ import pytest
 
 from mixbound import fieldpoly, geometry, laurent, mixing
 from mixbound.fieldpoly import FpPoly, content
-from mixbound.laurent import LaurentPoly, as_poly_in_u1, combination_solve, in_ideal
+from mixbound.laurent import LaurentPoly, columns, combination_solve, in_ideal
 from mixbound.mixing import (
     CERTIFIED_NON_MIXING,
     GEOMETRICALLY_MIXING,
@@ -34,15 +34,14 @@ from mixbound.report import build_report, verdict_json
 
 from conftest import (
     L,
-    ORIENTATION_MATRICES,
     _search_factor as search_factor_by_division,
     brute_force_searching_every_hull,
+    dense_view,
     eisenstein_by_content,
     frobenius_closure_by_expansion,
     irreducibles_up_to_degree,
     load_perfbench,
     peel_in_rounds,
-    poly_in_u1_by_normalize,
     prefilter_by_rules,
     random_nonmonomial,
     shape_search_from_scratch,
@@ -54,8 +53,7 @@ from conftest import (
 
 def _eisenstein_in(f, main_axis, inverted, candidates):
     # the first candidate g meeting the criterion in one orientation
-    m = ORIENTATION_MATRICES[main_axis == 2, inverted]
-    coeffs = poly_in_u1_by_normalize(f.map_exponents(m)).coeffs
+    coeffs = dense_view(f, swap=main_axis == 2, inverted=inverted)
     if len(coeffs) < 2 or content(coeffs).degree != 0:
         return None
     for g in candidates:
@@ -97,6 +95,24 @@ class TestEisenstein:
         assert verify_eisenstein(
             L("u1^2+u2", 5), IrreducibilityCertificate("eisenstein", main_axis=1, g=u2)
         )
+        # each input below breaks one condition that f meets with the
+        # prime g = 2+u2; f's q_1 is zero.  g | q_n makes g divide the
+        # content too, as g divides every q_i below q_n, and a lone q_0 is
+        # its own content
+        f = L("2+u2+2*u1^2+u2*u1^2+u1^3", 5)
+        cert = IrreducibilityCertificate("eisenstein", main_axis=1, g=FpPoly([2, 1], 5))
+        assert verify_eisenstein(f, cert)
+        for text in (
+            "2+u2+u1^2+u1^3",  # g does not divide q_2
+            "2+u2+2*u1^2+u2*u1^2+2*u1^3+u2*u1^3",  # g divides q_3
+            "4+4*u2+u2^2+2*u1^2+u2*u1^2+u1^3",  # g^2 divides q_0
+            # the content 1+u2
+            "2+3*u2+u2^2+2*u1^2+3*u2*u1^2+u2^2*u1^2+u1^3+u2*u1^3",
+            "1+u2",  # main degree 0
+        ):
+            assert not verify_eisenstein(L(text, 5), cert), text
+        for flipped in (cert._replace(main_axis=2), cert._replace(inverted=True)):
+            assert not verify_eisenstein(f, flipped), flipped
 
     def test_pentagon_example(self):
         cert = eisenstein_certify(L("u1^6+u1^5u2+u1^3u2^2+u2+u2^3"))
@@ -187,6 +203,18 @@ class TestEisenstein:
         assert verify_eisenstein(f, cert)
         assert len(calls) <= 8
         assert certify_irreducible(f) == cert
+        # nor are they built: certifying 1+u1^1048576+u2 takes each
+        # content over the nonzero u1-coefficients alone
+        sizes = []
+
+        def sized_content(polys):
+            polys = list(polys)
+            sizes.append(len(polys))
+            return fieldpoly.content(polys)
+
+        monkeypatch.setattr(mixing, "fp_content", sized_content)
+        assert certify_irreducible(L("1+u1^1048576+u2")).method == "eisenstein"
+        assert sizes and max(sizes) <= 2
 
     def test_constant_content_takes_no_gcd(self, monkeypatch):
         # c = gcd(q_0, ..., q_{n-1}) is a constant in all four orientations,
@@ -195,7 +223,7 @@ class TestEisenstein:
         f = L("1+u1+u2+u1^2*u2+u1*u2^2", 5)
         for swap in (False, True):
             for inverted in (False, True):
-                coeffs = as_poly_in_u1(f, swap=swap, inverted=inverted).coeffs
+                coeffs = dense_view(f, swap=swap, inverted=inverted)
                 assert content(coeffs[:-1]).degree == 0
         calls = []
 
@@ -217,14 +245,14 @@ class TestEisenstein:
             p = rng.choice((2, 3, 5))
             f = random_nonmonomial(rng, p, max_terms=5, span=3)
             for main_axis in (1, 2):
-                coeffs = as_poly_in_u1(f, swap=main_axis == 2).coeffs
+                coeffs = dense_view(f, swap=main_axis == 2)
                 degrees = [q.degree for q in coeffs]
                 if len(coeffs) < 2 or max(degrees[:-1]) < max(degrees):
                     continue
                 checked += 1
                 c = content(coeffs[:-1])
                 v = next(i for i, x in enumerate(c.coeffs) if x)
-                inverted = as_poly_in_u1(f, swap=main_axis == 2, inverted=True).coeffs
+                inverted = dense_view(f, swap=main_axis == 2, inverted=True)
                 assert content(inverted[:-1]) == FpPoly(c.coeffs[v:][::-1], p).monic()
                 g = _eisenstein_in(f, main_axis, True, candidates[p])
                 if g is not None:
@@ -241,9 +269,9 @@ class TestEisenstein:
 
         def counted(g, swap=False, inverted=False):
             calls.append((swap, inverted))
-            return as_poly_in_u1(g, swap=swap, inverted=inverted)
+            return columns(g, swap=swap, inverted=inverted)
 
-        monkeypatch.setattr(mixing, "as_poly_in_u1", counted)
+        monkeypatch.setattr(mixing, "columns", counted)
         assert eisenstein_certify(f) is None
         assert calls == []
 
@@ -256,9 +284,9 @@ class TestEisenstein:
 
         def counted(g, swap=False, inverted=False):
             calls.append((swap, inverted))
-            return as_poly_in_u1(g, swap=swap, inverted=inverted)
+            return columns(g, swap=swap, inverted=inverted)
 
-        monkeypatch.setattr(mixing, "as_poly_in_u1", counted)
+        monkeypatch.setattr(mixing, "columns", counted)
         assert eisenstein_certify(f) is None
         assert calls == [(False, False), (True, False)]
 
@@ -296,17 +324,17 @@ class TestEisenstein:
         views = []
 
         def recorded(g, swap=False, inverted=False):
-            view = as_poly_in_u1(g, swap=swap, inverted=inverted)
+            view = columns(g, swap=swap, inverted=inverted)
             views.append(view)
             return view
 
-        monkeypatch.setattr(mixing, "as_poly_in_u1", recorded)
+        monkeypatch.setattr(mixing, "columns", recorded)
         for p, text in workloads.corpus_inputs(1):
             eisenstein_certify(parse_poly(text, p))
         # the content-based search rewrote 649 orientations of these inputs
         assert len(views) == 37
         for view in views:
-            below = [q for q in view.coeffs[:-1] if not q.is_zero()]
+            below = [q for i, q in view.items() if i != max(view)]
             assert all(sum(1 for c in q.coeffs if c) >= 2 for q in below)
 
     def test_wrong_certificate_never_reaches_a_report(self, monkeypatch):
@@ -400,7 +428,7 @@ class TestBruteForce:
         def refuse(*args, **kwargs):
             raise AssertionError("f was rewritten for an input out of range")
 
-        monkeypatch.setattr(mixing, "as_poly_in_u1", refuse)
+        monkeypatch.setattr(mixing, "columns", refuse)
         assert brute_force_certify(L("1+u1+u2+u1u2+u1^2+u2^2", 5)) is None
         assert brute_force_certify(L("u1^-1+u1^4+u2", 3)) is None
         assert brute_force_certify(L("u2^-3+u1+u2^2")) is None
@@ -501,13 +529,13 @@ class TestBruteForce:
                     return g
 
         def past_content_checks(f):
-            pu, pv = as_poly_in_u1(f), as_poly_in_u1(f.swap_vars())
+            pu, pv = dense_view(f), dense_view(f, swap=True)
             return all(
-                1 <= view.degree <= 4 and content(view.coeffs).degree == 0 for view in (pu, pv)
+                1 <= len(view) - 1 <= 4 and content(view).degree == 0 for view in (pu, pv)
             )
 
         def expected(f, bidegree):
-            factor = search_factor_by_division(f, as_poly_in_u1(f))
+            factor = search_factor_by_division(f, dense_view(f))
             if factor is None:
                 return "brute_force", None, bidegree
             return "reducible", factor.to_string(), None
@@ -568,16 +596,17 @@ class TestBruteForce:
             m.setattr(mixing, "_search_factor", refuse)
             cert = brute_force_certify(f)
         assert cert.method == "brute_force"
-        assert search_factor_by_division(f, as_poly_in_u1(f)) is None
+        assert search_factor_by_division(f, dense_view(f)) is None
 
     @pytest.mark.parametrize(
         "p, poly, built, divisions",
         [
             # the two slowest brute-force searches of the seed-1 corpus;
             # enumerating every middle polynomial of degree <= 4 built 922
-            # and 383 polynomials here; gcd builds only its result
-            (3, "u1^2*u2^4+2*u1^3*u2^3+u1^4*u2^4+u1^5+2*u1^5*u2^2+2*u1^6", 228, 5),
-            (2, "u1^2*u2^6+u1^3*u2^3+u1^5*u2^3+u1^6*u2^2+u1^6*u2^4", 161, 29),
+            # and 383 polynomials here; gcd builds only its result, and the
+            # two views share one zero column
+            (3, "u1^2*u2^4+2*u1^3*u2^3+u1^4*u2^4+u1^5+2*u1^5*u2^2+2*u1^6", 227, 5),
+            (2, "u1^2*u2^6+u1^3*u2^3+u1^5*u2^3+u1^6*u2^2+u1^6*u2^4", 160, 29),
         ],
     )
     def test_middles_are_solved_for(self, p, poly, built, divisions, monkeypatch):

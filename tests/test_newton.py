@@ -7,7 +7,7 @@ import pytest
 
 from mixbound import geometry, mixing, newton
 from mixbound.fieldpoly import INFINITE, FpPoly
-from mixbound.laurent import LaurentPoly, as_poly_in_u1
+from mixbound.laurent import LaurentPoly
 from mixbound.mixing import order_bounds, sequence_diagnostics
 from mixbound.newton import (
     ExtendedNorm,
@@ -22,6 +22,7 @@ from mixbound.report import build_report, diagnostics_json
 
 from conftest import (
     L,
+    dense_view,
     face_newton_data_per_face,
     irreducibles_up_to_degree,
     lower_hull_unshared,
@@ -76,7 +77,7 @@ class TestNewtonPoints:
             t = FpPoly.x(p)
             for swap in (False, True):
                 for inverted in (False, True):
-                    view = as_poly_in_u1(f, swap=swap, inverted=inverted).coeffs
+                    view = dense_view(f, swap=swap, inverted=inverted)
                     axis = 1 if swap else 2
                     ords = newton_points(f, Valuation.finite_at(axis, inverted))
                     degs = newton_points(f, Valuation.infinity_deg(axis, inverted))

@@ -1,6 +1,6 @@
 """The contract of the package's result records: repr text, construction
 with keywords and defaults, equality and hash, immutability, and the
-ValueErrors of the three records that validate their fields and of the
+ValueErrors of the two records that validate their fields and of the
 prime that parse_poly checks for the field F_p."""
 
 from fractions import Fraction
@@ -8,9 +8,8 @@ from fractions import Fraction
 import pytest
 
 from mixbound import cli
-from mixbound.fieldpoly import FpPoly
 from mixbound.geometry import Face, LatticePolygon, convex_hull, faces
-from mixbound.laurent import LaurentPoly, PolyInU1, as_poly_in_u1
+from mixbound.laurent import LaurentPoly
 from mixbound.mixing import (
     METHODS,
     DiagnosticsEntry,
@@ -63,12 +62,6 @@ CASES = [
         "start",
         "Face(start=(0, 0), end=(1, 0), direction=(1, 0), normal=(0, -1), "
         "lattice_length=1)",
-    ),
-    (
-        "PolyInU1",
-        lambda: as_poly_in_u1(_f()),
-        "coeffs",
-        "PolyInU1(coeffs=(FpPoly('1+t', p=2), FpPoly('1', p=2)), shift=(0, 0), p=2)",
     ),
     (
         "IrreducibilityCertificate",
@@ -192,7 +185,7 @@ IDS = [case[0] for case in CASES]
 
 
 def test_every_record_is_covered():
-    assert len(set(IDS)) == 16
+    assert len(set(IDS)) == 15
 
 
 @pytest.mark.parametrize("name, build, field, text", CASES, ids=IDS)
@@ -268,9 +261,6 @@ class TestConstruction:
             assert IrreducibilityCertificate(method).certifies_irreducible is (
                 method in ("eisenstein", "brute_force")
             )
-        poly = as_poly_in_u1(_f())
-        assert poly.degree == 1
-        assert poly.to_laurent() == _f()
         assert ExtendedNorm(Fraction(1), Fraction(2), ()).vector() == (1, 2)
         assert Valuation.infinity_deg().coeff_log() == 1
         assert newton_points(parse_poly("u2^2+u1", 2), Valuation.finite_at())[0].ordinate == 2
@@ -289,15 +279,6 @@ class TestValidation:
             parse_poly("1+u1+u2", p)
         assert type(info.value) is ValueError
         assert str(info.value) == message
-
-    def test_poly_in_u1(self):
-        one, zero = FpPoly.one(2), FpPoly.zero(2)
-        with pytest.raises(ValueError, match="nonzero first and last"):
-            PolyInU1((), (0, 0), 2)
-        with pytest.raises(ValueError, match="nonzero first and last"):
-            PolyInU1((zero, one), (0, 0), 2)
-        with pytest.raises(ValueError, match="nonzero first and last"):
-            PolyInU1(coeffs=(one, zero), shift=(0, 0), p=2)
 
     @pytest.mark.parametrize(
         "kwargs, message",
