@@ -383,12 +383,12 @@ def combination_solve(f: LaurentPoly, points, window, *, bases=None):
     shape_witness_search carries them along the dilation ray.  Without
     it each base is reduced from the monomial 1.
 
-    Returns the list of m_i or None.  The result is re-verified by
-    expansion and ideal membership before being returned.  That check
-    reduces with the same `NormalForm` that built the system, so it
-    catches a wrong kernel vector, not a fault in the reduction; the
+    Returns the list of m_i or None.  Each kernel vector is checked when
+    its quotient is computed: a remainder raises RuntimeError.  That
+    check reduces with the same `NormalForm` that built the system, so
+    it catches a wrong kernel vector, not a fault in the reduction.  The
     check independent of it is `mixing.make_witness`, which multiplies
-    the quotient back.
+    the quotient back; direct callers re-check with `in_ideal`.
     """
     if f.is_zero() or f.is_monomial():
         raise ValueError("relation search needs a non-monomial, nonzero f")
@@ -402,13 +402,8 @@ def combination_solve(f: LaurentPoly, points, window, *, bases=None):
         bases = [nf.shift({(0, 0): 1}, pt) for pt in pts]
     elif len(bases) != len(pts):
         raise ValueError("one normal form per relation point is needed")
-    ms = _solve_blocks(nf, pts, bases, _window_box(window),
-                       active=tuple(range(len(pts))))
-    if ms is None:
-        return None
-    if not in_ideal(relation_sum(f, pts, 1, ms), f):
-        raise RuntimeError("solver returned a vector that fails re-verification")
-    return ms
+    return _solve_blocks(nf, pts, bases, _window_box(window),
+                         active=tuple(range(len(pts))))
 
 
 def _solve_blocks(nf, pts, bases, box, active):

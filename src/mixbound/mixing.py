@@ -52,6 +52,7 @@ WINDOWS_DEFAULT = (0, 1, 2)
 BRUTE_FORCE_BIDEGREE = (4, 4)
 BRUTE_FORCE_PRIMES = (2, 3)
 VOLOCH_MMAX = 1 << 16
+KMAX_LIMIT = 512
 
 CERTIFIED_NON_MIXING = "certified_non_mixing"
 GEOMETRICALLY_MIXING = "geometrically_mixing"
@@ -522,22 +523,6 @@ def make_witness(f: LaurentPoly, shape, k, ms) -> Witness:
     return Witness(k, ms, constant, quotient)
 
 
-def frobenius_closure_holds(f, shape, witness: Witness) -> bool:
-    """Whether the witness's relation holds at every dilation k p^j, j >= 0.
-
-    Two checks suffice: every coefficient m_i is a constant, and
-    quotient * f equals the relation combo_k = sum m_i u^{k n_i}.  The
-    p-th power map is a ring endomorphism in characteristic p that fixes
-    constants, so combo_{kp} = combo_k^p = (q^p f^(p-1)) f, and induction
-    on j carries the relation to every k p^j.  Only multiplication is
-    used, never a reduction modulo f, so the check shares no code with
-    the solver that found the relation.
-    """
-    ms, q = witness.coefficients, witness.quotient
-    constant = all(m.support() <= {(0, 0)} for m in ms)
-    return constant and q is not None and q * f == relation_sum(f, shape, witness.k, ms)
-
-
 def _clean_shape(shape):
     pts = [tuple(n) for n in shape]
     if len(set(pts)) != len(pts):
@@ -650,10 +635,16 @@ def shape_witness_search(
     one shift by n_i each, and every cell at k gets them as its bases:
     no cell reduces a dilated monomial from 1, and the cost of a grid
     grows like kmax^2 rather than kmax^3.
+
+    kmax must lie in [1, KMAX_LIMIT]: at the limit, the constants-only
+    grid of the quartic vertex triangle takes 2-3 s at p = 65521 on a
+    2-vCPU VM.
     """
     pts = _clean_shape(shape)
     if kmax < 1:
         raise ValueError("kmax must be positive")
+    if kmax > KMAX_LIMIT:
+        raise ValueError(f"kmax must be at most {KMAX_LIMIT}")
     windows = tuple(windows)
     if not windows:
         raise ValueError("window schedule must be nonempty")
@@ -669,7 +660,7 @@ def shape_witness_search(
         bases = [nf.shift(base, n) for base, n in zip(bases, pts)]
         ms = combination_solve(f, dil, 0, bases=bases)
         if ms is not None:
-            return _certify(f, pts, make_witness(f, pts, k, ms), searched)
+            return _certify(make_witness(f, pts, k, ms), searched)
         if relation is None:
             for w in windows:
                 if w == 0:
@@ -688,9 +679,14 @@ def shape_witness_search(
     return ShapeVerdict(UNRESOLVED, searched=searched, reason=reason)
 
 
-def _certify(f, pts, witness, searched):
-    if not frobenius_closure_holds(f, pts, witness):
-        raise WitnessError("witness fails the Frobenius closure check")
+def _certify(witness, searched):
+    # make_witness has checked quotient * f = combo_k = sum m_i u^{k n_i}
+    # by multiplication.  The p-th power map is a ring endomorphism in
+    # characteristic p that fixes constants, so with every m_i constant
+    # combo_{kp} = combo_k^p = (q^p f^(p-1)) f, and induction on j
+    # carries the relation to every dilation k p^j.
+    if not witness.constant_flag:
+        raise WitnessError("a certifying witness needs constant coefficients")
     return ShapeVerdict(CERTIFIED_NON_MIXING, witness=witness, searched=searched)
 
 

@@ -38,7 +38,6 @@ from mixbound.mixing import (
     IrreducibilityCertificate,
     ShapeVerdict,
     VolochScan,
-    frobenius_closure_holds,
     make_witness,
     shape_prefilter,
 )
@@ -208,10 +207,12 @@ def frobenius_closure_by_expansion(f, shape, witness):
     """Whether the witness's relation, expanded afresh at k p and k p^2,
     lies in <f>.
 
-    The reference for `mixing.frobenius_closure_holds`, which checks the
-    relation at k alone and lets the p-th power map carry it to every
-    k p^j: here both dilations are expanded term by term and reduced
-    modulo f by `in_ideal`, about (k p^2)^2 term updates.
+    The reference for certification in `mixing.shape_witness_search`,
+    which checks the relation at k alone, by `make_witness`'s
+    multiply-back, and lets the p-th power map carry it to every k p^j
+    once its coefficients are constants: here both dilations are
+    expanded term by term and reduced modulo f by `in_ideal`, about
+    (k p^2)^2 term updates.
     """
     for j in (1, 2):
         kk = witness.k * f.p**j
@@ -240,7 +241,7 @@ def shape_search_from_scratch(f, shape, kmax, windows):
         ms = combination_solve(f, dil, 0)
         if ms is not None:
             witness = make_witness(f, pts, k, ms)
-            assert frobenius_closure_holds(f, pts, witness)
+            assert witness.constant_flag
             return CERTIFIED_NON_MIXING, witness
         if relation is None:
             for w in windows:

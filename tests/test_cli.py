@@ -199,6 +199,14 @@ class TestShapeTest:
         assert code == 0
         assert json.loads(out)["kind"] in ("geometrically_mixing", "unresolved")
 
+    def test_kmax_above_limit_is_invalid_input(self, capsys):
+        code, out, err = run(
+            capsys, "shape-test", "--prime", "2", "--poly", "1+u1+u2",
+            "--shape", "(0,0);(1,0);(0,1)", "--kmax", "100000000",
+        )
+        assert (code, out) == (2, "")
+        assert err == "invalid input: kmax must be at most 512\n"
+
     def test_malformed_shape_exit_2(self, capsys):
         code, _, err = run(
             capsys, "shape-test", "--prime", "2", "--poly", "1+u1+u2",

@@ -1,10 +1,11 @@
+import functools
 import json
 import random
 from collections import Counter
 
 import pytest
 
-from mixbound import fieldpoly, geometry, laurent, mixing
+from mixbound import fieldpoly, geometry, laurent, linalg, mixing
 from mixbound.fieldpoly import FpPoly, content
 from mixbound.laurent import LaurentPoly, columns, combination_solve, in_ideal
 from mixbound.mixing import (
@@ -19,7 +20,6 @@ from mixbound.mixing import (
     brute_force_certify,
     certify_irreducible,
     eisenstein_certify,
-    frobenius_closure_holds,
     make_witness,
     order_bounds,
     sequence_diagnostics,
@@ -32,6 +32,7 @@ from mixbound.mixing import (
 from mixbound.parse import parse_poly
 from mixbound.report import build_report, verdict_json
 
+import recheck
 from conftest import (
     L,
     _search_factor as search_factor_by_division,
@@ -839,9 +840,9 @@ class TestWitness:
         assert w.quotient == L("1")
 
     def test_frobenius_closure(self):
-        f = L("1+u1+u2")
-        w = make_witness(f, [(0, 0), (1, 0), (0, 1)], 1, (L("1"), L("1"), L("1")))
-        assert frobenius_closure_holds(f, [(0, 0), (1, 0), (0, 1)], w)
+        f, shape = L("1+u1+u2"), [(0, 0), (1, 0), (0, 1)]
+        w = make_witness(f, shape, 1, (L("1"), L("1"), L("1")))
+        assert w.constant_flag and frobenius_closure_by_expansion(f, shape, w)
 
 
 class TestFrobeniusClosure:
@@ -849,6 +850,8 @@ class TestFrobeniusClosure:
     ONES = (L("1"), L("1"), L("1"))
 
     def test_agrees_with_expansion_on_certified_witnesses(self, rng):
+        # certification rests on make_witness's multiply-back at k and on
+        # constant coefficients; the relation then holds at k p and k p^2
         done = 0
         while done < 60:
             p = rng.choice([2, 3, 5, 7, 11, 13])
@@ -858,44 +861,46 @@ class TestFrobeniusClosure:
             done += 1
             shape = sorted(f.support())
             v = shape_witness_search(f, shape, kmax=1, windows=(0,))
-            assert v.kind == CERTIFIED_NON_MIXING
-            assert frobenius_closure_holds(f, shape, v.witness) == frobenius_closure_by_expansion(
-                f, shape, v.witness
-            ), f.to_string()
+            assert v.kind == CERTIFIED_NON_MIXING and v.witness.constant_flag
+            assert frobenius_closure_by_expansion(f, shape, v.witness), f.to_string()
 
-    def test_non_constant_witness_rejected(self):
+    def test_non_constant_witness_rejected(self, monkeypatch):
+        # a valid relation with a polynomial coefficient, returned by the
+        # constant cell, is not certified
         f = L("1+u1+u2+u2^2")
         shape = [(0, 0), (1, 0), (0, 2)]
         v = shape_witness_search(f, shape)
-        assert v.kind == RELATION_FOUND
-        assert not frobenius_closure_holds(f, shape, v.witness)
+        assert v.kind == RELATION_FOUND and not v.witness.constant_flag
+        ms = list(v.witness.coefficients)
+        monkeypatch.setattr(mixing, "combination_solve", lambda *args, **kwargs: ms)
+        with pytest.raises(WitnessError, match="constant coefficients"):
+            shape_witness_search(f, shape, kmax=1, windows=(0,))
 
     def test_tampered_witness_rejected(self):
+        # the external re-checker reads the witness as printed
         f = L("1+u1+u2")
         w = make_witness(f, self.SHAPE, 1, self.ONES)
-        assert frobenius_closure_holds(f, self.SHAPE, w)
-        assert not frobenius_closure_holds(f, self.SHAPE, w._replace(quotient=L("u1")))
-        assert not frobenius_closure_holds(f, self.SHAPE, w._replace(quotient=None))
-        # at k = 2 the relation is (1+u1+u2)^2, whose quotient is not 1
-        assert not frobenius_closure_holds(f, self.SHAPE, w._replace(k=2))
 
-    def test_tampered_witness_never_certified(self, monkeypatch):
-        build = mixing.make_witness
-        monkeypatch.setattr(
-            mixing, "make_witness", lambda *args: build(*args)._replace(quotient=L("u1"))
-        )
-        with pytest.raises(WitnessError):
-            shape_witness_search(L("1+u1+u2"), self.SHAPE, kmax=1, windows=(0,))
+        def problems(witness):
+            report = verdict_json(ShapeVerdict(CERTIFIED_NON_MIXING, witness=witness),
+                                  shape=self.SHAPE)
+            return recheck.witness_problems(report, f.to_string(), f.p)
+
+        assert problems(w) == []
+        assert problems(w._replace(quotient=L("u1")))
+        assert problems(w._replace(quotient=None))
+        # at k = 2 the relation is (1+u1+u2)^2, whose quotient is not 1
+        assert problems(w._replace(k=2))
 
     def test_no_reduction_modulo_f(self, monkeypatch):
+        # make_witness decides by multiplying back, so a reduction that
+        # claims exact division with a wrong quotient is caught
         f = L("1+u1+u2")
-        w = make_witness(f, self.SHAPE, 1, self.ONES)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("frobenius_closure_holds reduced modulo f")
-
-        monkeypatch.setattr(laurent.NormalForm, "_reduce", refuse)
-        assert frobenius_closure_holds(f, self.SHAPE, w)
+        divide = laurent.NormalForm.divmod
+        monkeypatch.setattr(laurent.NormalForm, "divmod",
+                            lambda nf, g: (divide(nf, g)[0].shift((1, 0)), {}))
+        with pytest.raises(WitnessError, match="re-verification by expansion"):
+            make_witness(f, self.SHAPE, 1, self.ONES)
 
     def test_only_the_constant_cell_finds_constants(self, rng):
         # when the W = 0 cell finds no relation at some k, no W > 0 cell
@@ -935,6 +940,104 @@ class TestFrobeniusClosure:
         v = shape_witness_search(L("1+u1+u2"), self.SHAPE, kmax=1, windows=(0, 1))
         assert v.kind == CERTIFIED_NON_MIXING
         assert len(divisions) == 1
+
+
+@functools.cache
+def _fault_cases():
+    # (f, shape, budget, unfaulted verdict): the support shapes of 40
+    # random polygons, certified at k = 1, and the two paper shapes at the
+    # default budget
+    rng = random.Random(0xC0FFEE)
+    cases = []
+    while len(cases) < 40:
+        p = rng.choice([2, 3, 5, 7])
+        f = random_nonmonomial(rng, p, max_terms=4, span=2)
+        if geometry.convex_hull(f.support()).degeneracy == geometry.POLYGON:
+            cases.append((f, sorted(f.support()), {"kmax": 1, "windows": (0,)}))
+    cases.append((L("1+u1+u2"), [(0, 0), (1, 0), (0, 1)], {}))
+    cases.append((L("1+u1+u2+u2^2"), [(0, 0), (1, 0), (0, 2)], {}))
+    return [(f, shape, budget, shape_witness_search(f, shape, **budget))
+            for f, shape, budget in cases]
+
+
+def _changed_kernel_entry(nullspace):
+    def faulty(rows, ncols, p):
+        basis = nullspace(rows, ncols, p)
+        if basis:
+            basis[0] = ((basis[0][0] + 1) % p, *basis[0][1:])
+        return basis
+    return faulty
+
+
+def _dropped_product_term(mul):
+    def faulty(a, b):
+        out = mul(a, b)
+        return LaurentPoly(dict(out.terms()[:-1]), out.p) if len(out) > 1 else out
+    return faulty
+
+
+def _negated_inverses(init):
+    def faulty(nf, f):
+        init(nf, f)
+        nf._lead_inv = -nf._lead_inv % nf.p
+        nf._trail_inv = -nf._trail_inv % nf.p
+    return faulty
+
+
+def _non_constant_first(canonicalize):
+    def faulty(ms):
+        ms = canonicalize(ms)
+        return [ms[0] + LaurentPoly({(1, 0): 1}, ms[0].p), *ms[1:]]
+    return faulty
+
+
+def _changed_reduced_entry(row_reduce):
+    def faulty(rows, ncols, p):
+        reduced = row_reduce(rows, ncols, p)
+        if reduced:
+            reduced[0] = [*reduced[0][:-1], (reduced[0][-1] + 1) % p]
+        return reduced
+    return faulty
+
+
+MAKE_WITNESS_CATCH = "relation fails re-verification by expansion"
+
+
+class TestWitnessFaults:
+    """One injected fault at a time over 42 seeded searches: each run
+    raises, returns its unfaulted verdict or a verdict that certifies
+    nothing, and never a certified witness the expansion oracle rejects.
+    The tally pins which check catches each fault first."""
+
+    @pytest.mark.parametrize("target, name, fault, tally", [
+        (linalg, "nullspace", _changed_kernel_entry,
+         {"kernel vector is not a relation": 42}),
+        (LaurentPoly, "__mul__", _dropped_product_term,
+         {MAKE_WITNESS_CATCH: 40, "reducible certificate fails re-verification": 2}),
+        # -1 = 1 at p = 2, so the 11 searches over F_2 are unchanged
+        (laurent.NormalForm, "__init__", _negated_inverses,
+         {MAKE_WITNESS_CATCH: 31, "unchanged": 11}),
+        (laurent, "_unit_canonicalize", _non_constant_first, {MAKE_WITNESS_CATCH: 42}),
+        # the weaker verdicts are a completeness gap no check sees
+        (linalg, "row_reduce", _changed_reduced_entry,
+         {MAKE_WITNESS_CATCH: 18, UNRESOLVED: 23, RELATION_FOUND: 1}),
+    ], ids=["kernel-entry", "mul-drops-term", "negated-inverses", "non-constant-m0",
+            "row-reduce-entry"])
+    def test_fault_is_caught_or_harmless(self, monkeypatch, target, name, fault, tally):
+        cases = _fault_cases()
+        monkeypatch.setattr(target, name, fault(getattr(target, name)))
+        outcomes = Counter()
+        for f, shape, budget, before in cases:
+            try:
+                v = shape_witness_search(f, shape, **budget)
+            except RuntimeError as exc:  # WitnessError included
+                outcomes[str(exc)] += 1
+                continue
+            if v.kind == CERTIFIED_NON_MIXING:
+                assert v.witness.constant_flag, f.to_string()
+                assert frobenius_closure_by_expansion(f, shape, v.witness), f.to_string()
+            outcomes["unchanged" if v == before else v.kind] += 1
+        assert dict(outcomes) == tally
 
 
 class TestPrefilter:
@@ -1156,6 +1259,14 @@ class TestWitnessSearch:
             shape_witness_search(f, [(0, 0), (1, 0), (0, 1)], kmax=0)
         with pytest.raises(ValueError):
             shape_witness_search(f, [(0, 0), (1, 0), (0, 1)], windows=())
+
+    def test_kmax_is_bounded(self):
+        f, shape = L("1+u1+u2"), [(0, 0), (1, 0), (0, 1)]
+        v = shape_witness_search(f, shape, kmax=mixing.KMAX_LIMIT)
+        assert v.kind == CERTIFIED_NON_MIXING
+        for kmax in (mixing.KMAX_LIMIT + 1, 100_000_000):
+            with pytest.raises(ValueError, match="kmax must be at most 512"):
+                shape_witness_search(f, shape, kmax=kmax)
 
     def test_monotone_under_bigger_budget(self):
         f = L("1+u1+u2")

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mixbound"
+RECHECK = Path(__file__).resolve().parent / "recheck.py"
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -22,6 +23,20 @@ def test_runtime_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno} {name}")
     assert paths and outside == []
+
+
+def test_recheck_imports_only_the_standard_library():
+    # the witness re-checker stays independent of the package it checks:
+    # a relative import, mixbound or anything outside the standard library
+    # fails
+    names = []
+    for node in ast.walk(ast.parse(RECHECK.read_text(), str(RECHECK))):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append("." * node.level + (node.module or ""))
+    outside = [name for name in names if name.split(".")[0] not in sys.stdlib_module_names]
+    assert names and outside == []
 
 
 def test_no_private_names_imported_across_modules():
