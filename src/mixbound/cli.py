@@ -148,18 +148,11 @@ def _cmd_verify_paper(args):
 
     checks = refexamples.verify_paper_checks()
     out = [
-        {"check": c.name, "expected": _jsonable(c.expected), "got": _jsonable(c.got),
-         "pass": c.ok}
+        {"check": c.name, "expected": c.expected, "got": c.got, "pass": c.ok}
         for c in checks
     ]
     _emit({"checks": out, "passed": sum(c.ok for c in checks), "total": len(checks)})
     return EXIT_OK if all(c.ok for c in checks) else EXIT_MISMATCH
-
-
-def _jsonable(x):
-    if isinstance(x, tuple):
-        return [_jsonable(v) for v in x]
-    return x
 
 
 def _cmd_render(args):

@@ -183,11 +183,9 @@ def exponent_columns(f: LaurentPoly, swap=False):
     return cols
 
 
-def columns(f: LaurentPoly, swap=False, inverted=False):
+def columns(f: LaurentPoly, swap=False):
     """{i: q_i} for the nonzero q_i of f read as sum q_i(u2) u1^i over
-    F_p[u2], in increasing i, after an optional change of variables:
-    exchange u1 and u2 when `swap`, then replace u2 by its inverse when
-    `inverted`.
+    F_p[u2], in increasing i, after exchanging u1 and u2 when `swap`.
 
     The view is normalized: the least i is 0 and every u2-exponent is
     shifted by the least one.  f's terms are read once: each exponent is
@@ -197,8 +195,7 @@ def columns(f: LaurentPoly, swap=False, inverted=False):
     """
     if f.is_zero():
         raise ValueError("cannot normalize the zero polynomial")
-    sign = -1 if inverted else 1
-    terms = [(b, sign * a, c) if swap else (a, sign * b, c) for (a, b), c in f.terms()]
+    terms = [(b, a, c) if swap else (a, b, c) for (a, b), c in f.terms()]
     s1 = min(t[0] for t in terms)
     s2 = min(t[1] for t in terms)
     cols = {}
@@ -383,12 +380,12 @@ def combination_solve(f: LaurentPoly, points, window, *, bases=None):
     shape_witness_search carries them along the dilation ray.  Without
     it each base is reduced from the monomial 1.
 
-    Returns the list of m_i or None.  Each kernel vector is checked when
-    its quotient is computed: a remainder raises RuntimeError.  That
-    check reduces with the same `NormalForm` that built the system, so
-    it catches a wrong kernel vector, not a fault in the reduction.  The
-    check independent of it is `mixing.make_witness`, which multiplies
-    the quotient back; direct callers re-check with `in_ideal`.
+    Returns the list of m_i or None.  Each canonical basis vector is
+    checked against the cell's own rows, or RuntimeError is raised; those
+    rows are the normal forms that built the system, so the check
+    catches a wrong kernel or basis vector, not a fault in the reduction.
+    The check independent of it is `mixing.make_witness`, which
+    multiplies the quotient back; direct callers re-check with `in_ideal`.
     """
     if f.is_zero() or f.is_monomial():
         raise ValueError("relation search needs a non-monomial, nonzero f")
@@ -420,6 +417,8 @@ def _solve_blocks(nf, pts, bases, box, active):
     survivors = []
     offenders = set()
     for vec in _canonical_basis(nf, pts, columns, relations):
+        if any(sum(a * b for a, b in zip(row, vec)) % p for row in rows):
+            raise RuntimeError("kernel vector is not a relation")
         ms = _extract_ms(vec, columns, pts, p)
         bad = [i for i in active if not nf(ms[i])]
         if bad:
@@ -450,10 +449,7 @@ def _canonical_basis(nf, pts, columns, relations):
         for val, (i, (w1, w2)) in zip(rel, columns):
             e = (pts[i][0] + w1, pts[i][1] + w2)
             terms[e] = terms.get(e, 0) + val
-        q, r = nf.divmod(LaurentPoly(terms, p))
-        if r:
-            raise RuntimeError("kernel vector is not a relation")
-        graphs.append((rel, q))
+        graphs.append((rel, nf.divmod(LaurentPoly(terms, p))[0]))
     qcols = sorted(set().union(*(q.support() for _, q in graphs)))
     rows = [list(rel) + [q.coeff(v) for v in qcols] for rel, q in graphs]
     ncols = len(columns) + len(qcols)

@@ -112,15 +112,19 @@ def eisenstein_certify(f: LaurentPoly):
     q_n is a monomial a u2^k, c divides u2^k, so c = u2^m with m the least
     u2-order below q_n: g = u2 is the one candidate, and it certifies
     exactly when m > 0, ord q_n = 0 and ord q_0 < 2, read off the
-    exponents.  Only the other orientations are read by `laurent.columns`;
-    there a constant c takes no gcd.
+    exponents.  Only the other plain orientations are read by
+    `laurent.columns`; there a constant c takes no gcd.
 
-    Inverting u2 turns each q_i into u2^(D - deg q_i) times its reversal,
-    D the largest degree of the q_i.  When a q_i below q_n has degree D,
-    the inverted c is the reversal of c's part prime to u2, and reversal
-    maps candidates prime to u2 onto each other with every condition kept
-    (normalization leaves c or q_n prime to u2); so the inverted
-    orientation certifies nothing new and is skipped.
+    The inverted orientation, u2 -> 1/u2, needs no view.  It turns each
+    q_i into u2^(D - deg q_i) times its reversal, D the largest degree of
+    the q_i.  Reversal maps the candidates prime to u2, and the parts of c
+    and q_n prime to u2, onto each other with every condition kept, and
+    normalization leaves c or q_n prime to u2; so a prime other than u2
+    certifies the inverted orientation only where the plain one, tried
+    first, is certified.  Left is g = u2 at infinity, the place of the
+    degree norm: once the plain orientation has gcd(c, q_n) = 1 (as it
+    has when c = u2^m), the rule above decides it on the orders
+    D - deg q_0, D - deg q_n and D - max deg q_i (i < n).
     """
     if f.is_zero() or f.is_monomial():
         raise DegenerateInput("Eisenstein needs a non-monomial, nonzero polynomial")
@@ -134,53 +138,57 @@ def eisenstein_certify(f: LaurentPoly):
         low = min(es[0] for es in cols.values())
         high = max(es[-1] for es in cols.values())
         # u2-exponents run from base to peak; the u2-orders of q_0, q_n and
-        # c = u2^m in the plain orientation, then in the inverted one
+        # c = u2^m at u2 = 0, then at u2 = infinity, decide g = u2 there
         base, peak = min(low, qn[0]), max(high, qn[-1])
-        orders = (
-            (q0[0] - base, qn[0] - base, low - base),
-            (peak - q0[-1], peak - qn[-1], peak - high),
+        at_zero, at_infinity = (
+            FpPoly.x(f.p) if m > 0 and ord_n == 0 and ord_0 < 2 else None
+            for ord_0, ord_n, m in ((q0[0] - base, qn[0] - base, low - base),
+                                    (peak - q0[-1], peak - qn[-1], peak - high))
         )
-        monomial = any(len(es) == 1 for es in cols.values())
-        for inverted in (False, True) if high < peak else (False,):
-            if monomial:
-                ord_0, ord_n, m = orders[inverted]
-                g = FpPoly.x(f.p) if m > 0 and ord_n == 0 and ord_0 < 2 else None
-            else:
-                g = _eisenstein_prime(columns(f, swap=swap, inverted=inverted))
-            if g is not None:
-                return IrreducibilityCertificate(
-                    "eisenstein", main_axis=main_axis, inverted=inverted, g=g
-                )
+        if any(len(es) == 1 for es in cols.values()):
+            g, coprime = at_zero, True
+        else:
+            g, coprime = _eisenstein_prime(columns(f, swap=swap))
+        inverted = g is None and coprime
+        g = at_infinity if inverted else g
+        if g is not None:
+            return IrreducibilityCertificate("eisenstein", main_axis, inverted, g)
     return None
 
 
 def _eisenstein_prime(cols):
-    # the first candidate g meeting the criterion on the columns q_0, ...,
-    # q_n of a view with n >= 1.  From degree 4 on, trial division of c
-    # could draw all p^2 quadratics; its part gcd(c, t^(p^2) - t), the
-    # product of its distinct factors of degree <= 2, has the same
-    # candidates in the same order
+    # (g, coprime) on the columns q_0, ..., q_n of a view with n >= 1: the
+    # first candidate g meeting the criterion, or None, and whether
+    # gcd(c, q_n) = 1.  From degree 4 on, trial division of c could draw
+    # all p^2 quadratics; its part gcd(c, t^(p^2) - t), the product of its
+    # distinct factors of degree <= 2, has the same candidates in the same
+    # order
     n = max(cols)
     c = fp_content(q for i, q in cols.items() if i != n)
-    if c.degree > 0 and fp_gcd(c, cols[n]).degree == 0:
-        if c.degree >= 4:
-            t = FpPoly.x(c.p)
-            c = fp_gcd(c, pow(pow(t, c.p, c), c.p, c) - t)
-        for g, _ in irreducible_factors(c, 2):
-            if not (g * g).divides(cols[0]):
-                return g
-    return None
+    if c.degree == 0 or fp_gcd(c, cols[n]).degree > 0:
+        return None, c.degree == 0
+    if c.degree >= 4:
+        t = FpPoly.x(c.p)
+        c = fp_gcd(c, pow(pow(t, c.p, c), c.p, c) - t)
+    for g, _ in irreducible_factors(c, 2):
+        if not (g * g).divides(cols[0]):
+            return g, True
+    return None, True
 
 
 def verify_eisenstein(f: LaurentPoly, cert: IrreducibilityCertificate) -> bool:
     """Re-check every Eisenstein condition recorded in the certificate,
-    the primality of g included."""
+    the primality of g included, on the view it names; an inverted view
+    first negates the coefficient variable's exponents."""
     if cert.method != "eisenstein":
         return False
     g = cert.g
     if g.degree < 1 or not is_irreducible(g):
         return False
-    cols = columns(f, swap=cert.main_axis == 2, inverted=cert.inverted)
+    swap = cert.main_axis == 2
+    if cert.inverted:
+        f = f.map_exponents(((-1, 0), (0, 1)) if swap else ((1, 0), (0, -1)))
+    cols = columns(f, swap=swap)
     n = max(cols)
     if n < 1 or fp_content(cols.values()).degree != 0:
         return False
@@ -210,12 +218,13 @@ def brute_force_certify(f: LaurentPoly, hull=None):
     A factor free of u1 or of u2 shows as the coefficient content in one
     of the two variable orders.  With trivial content in both, every
     factor of a nontrivial factorization of the normalized f has degree
-    at least 1 in both variables, so f is irreducible when its bidegree
-    (d1, d2) has min(d1, d2) <= 1.  Each such factor's Newton polygon
-    then has positive width in both coordinates, and by Ostrowski's
-    theorem, Newt(g h) = Newt(g) + Newt(h), the hull of f is the Minkowski
-    sum of two of them; so f is irreducible, with no search, when its hull
-    does not split that way (`geometry.splits_with_both_extents`).
+    at least 1 in both variables, so its Newton polygon has positive
+    width in both coordinates.  By Ostrowski's theorem,
+    Newt(g h) = Newt(g) + Newt(h), the hull of f is then the Minkowski
+    sum of two such polygons; so f is irreducible, with no search, when
+    its hull does not split that way (`geometry.splits_with_both_extents`).
+    Widths add under Minkowski sums, so a hull of width 1 in either
+    coordinate never splits.
     Otherwise one factor has u1-degree between 1 and d1//2 and another has
     u2-degree between 1 and d2//2.  `_search_factor` looks for the first
     kind in the u1-view; when d2 < d1 the swapped view, whose main degree
@@ -248,8 +257,7 @@ def brute_force_certify(f: LaurentPoly, hull=None):
             return IrreducibilityCertificate("reducible", factor=factor)
     irreducible = IrreducibilityCertificate("brute_force", searched_bidegree=(d1, d2))
     if (
-        min(d1, d2) <= 1
-        or not geometry.splits_with_both_extents(hull or geometry.convex_hull(f.support()))
+        not geometry.splits_with_both_extents(hull or geometry.convex_hull(f.support()))
         or (d2 < d1 and _search_factor(f.swap_vars(), pv) is None)
     ):
         return irreducible

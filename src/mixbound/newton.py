@@ -222,7 +222,7 @@ def face_newton_data(f: LaurentPoly, hull: geometry.LatticePolygon) -> list:
         swap = face.direction[0] == 0
         inverted = (face.normal[0] if swap else face.normal[1]) > 0
         if (swap, inverted) not in shared:
-            val = Valuation.finite_at(coeff_axis=1 if swap else 2, inverted=inverted)
+            val = Valuation.finite_at(1 if swap else 2, inverted)
             points, np, vectors = newton_polygon(f, val)
             by_slope = {
                 (s.slope.numerator, s.slope.denominator): i for i, s in enumerate(np.segments)

@@ -77,6 +77,14 @@ ORIENTATION_MATRICES = {
 }
 
 
+def invert_coefficient(f, swap=False):
+    """f with the coefficient variable of a view inverted, as
+    `mixing.verify_eisenstein` builds its inverted view before
+    `laurent.columns` reads it: u2 -> 1/u2, or u1 -> 1/u1 when the view
+    exchanges u1 and u2."""
+    return f.map_exponents(((-1, 0), (0, 1)) if swap else ((1, 0), (0, -1)))
+
+
 def dense_columns_by_normalize(f):
     """(shift, [q_0, ..., q_n]) with f = u^shift sum_i q_i(u2) u1^i,
     zero q_i included, built in three steps.
@@ -542,7 +550,8 @@ def eisenstein_by_content(f):
     alone: here every orientation is rewritten in full, and
     c = gcd(q_0, ..., q_{n-1}) is computed and trial-divided.  The
     inverted orientation is skipped when a q_i below q_n has the top
-    u2-degree, as there.
+    u2-degree: its c is then the reversal of the plain c's part prime to
+    u2, and it certifies nothing the plain orientation does not.
     """
     for main_axis in (1, 2):
         for inverted in (False, True):

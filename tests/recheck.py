@@ -1,5 +1,6 @@
-"""Re-check the relation witness of a printed `shape-test` report with code
-that shares nothing with mixbound.
+"""Re-check the relation witness of a printed `shape-test` report, and the
+Eisenstein certificate of a printed `analyze` report, with code that
+shares nothing with mixbound.
 
 A report prints its witness as k, the coefficients m_i and the quotient
 q, each a polynomial string.  This module reads those strings, and the
@@ -14,9 +15,22 @@ For the shape n_1, ..., n_r of the report it checks
 The printed `constant` flag must agree with the coefficients.  The other
 verdicts carry no witness and have nothing to re-check.
 
+An `analyze` report carries its own `poly` and `prime`.  When its
+`irreducibility` method is `eisenstein`, f is read as sum q_i(u2) u1^i in
+the printed orientation (u1 and u2 exchanged when `main_axis` is 2, then
+u2 inverted when `inverted`, then shifted to exponents from 0), each q_i
+a coefficient list over F_p with its own remainder and gcd, and it checks
+  - g has degree 1 or 2, and no root in F_p when its degree is 2;
+  - the content of the q_i is 1;
+  - g divides every q_i below q_n, g does not divide q_n, and g^2 does
+    not divide q_0.
+A `brute_force` certificate can only be checked by repeating the search;
+`reducible` and `unverified` ones are not checked here.
+
 Run it on a saved report:
 
-    python tests/recheck.py --prime 2 --poly "1+u1+u2" < report.json
+    python tests/recheck.py --prime 2 --poly "1+u1+u2" < shape_report.json
+    python tests/recheck.py < analyze_report.json
 
 It prints each problem found and exits 1 if there is one, else 0.
 """
@@ -28,6 +42,7 @@ import sys
 
 WITNESS_KINDS = ("certified_non_mixing", "relation_found")
 OTHER_KINDS = ("geometrically_mixing", "unresolved")
+OTHER_METHODS = ("brute_force", "reducible", "unverified")
 
 # an integer, a variable with an optional exponent, or an operator
 _TOKEN = re.compile(r"\s*(?:(\d+)|(u1|u2|t)(?:\s*\^\s*(-?)\s*(\d+))?|([-+*]))")
@@ -129,12 +144,107 @@ def witness_problems(report, poly, prime):
     return problems
 
 
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def poly_rem(a, b, p):
+    """The remainder of a by b over F_p, both coefficient lists with the
+    constant first, b without trailing zeros and not empty."""
+    a = _trim([x % p for x in a])
+    inv = pow(b[-1], -1, p)
+    while len(a) >= len(b):
+        c, off = a[-1] * inv % p, len(a) - len(b)
+        for j, y in enumerate(b):
+            a[off + j] = (a[off + j] - c * y) % p
+        _trim(a)
+    return a
+
+
+def poly_product(a, b, p):
+    """a times b over F_p."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _trim(out)
+
+
+def poly_gcd(a, b, p):
+    """A greatest common divisor of a and b over F_p, not made monic."""
+    while b:
+        a, b = b, poly_rem(a, b, p)
+    return a
+
+
+def eisenstein_view(f, main_axis, inverted):
+    """{i: q_i} for the nonzero q_i of f = sum q_i u1^i in the printed
+    orientation, each q_i a coefficient list with the constant first."""
+    mapped = {}
+    for (e1, e2), c in f.items():
+        a, b = (e2, e1) if main_axis == 2 else (e1, e2)
+        mapped[a, -b if inverted else b] = c
+    lo1 = min(a for a, _ in mapped)
+    lo2 = min(b for _, b in mapped)
+    rows = {}
+    for (a, b), c in mapped.items():
+        rows.setdefault(a - lo1, {})[b - lo2] = c
+    return {i: [row.get(j, 0) for j in range(max(row) + 1)] for i, row in rows.items()}
+
+
+def eisenstein_problems(report):
+    """The problems found in the irreducibility certificate of an
+    `analyze` report (a parsed JSON object), read against the report's
+    own `poly` and `prime`; [] when it checks or is not `eisenstein`."""
+    cert = report["irreducibility"]
+    if cert["method"] != "eisenstein":
+        return [] if cert["method"] in OTHER_METHODS else [f"unknown method {cert['method']!r}"]
+    p = report["prime"]
+    axis, inverted = cert["main_axis"], cert["inverted"]
+    if axis not in (1, 2) or isinstance(axis, bool) or not isinstance(inverted, bool):
+        return [f"main_axis {axis!r}, inverted {inverted!r} names no orientation"]
+    g_terms = read_poly(cert["g"], p)
+    if any(e1 or e2 < 0 for e1, e2 in g_terms):
+        return [f"g = {cert['g']} is not a polynomial in u2"]
+    degree = max((e2 for _, e2 in g_terms), default=0)
+    if degree not in (1, 2):
+        return [f"g = {cert['g']} does not have degree 1 or 2"]
+    g = [g_terms.get((0, j), 0) for j in range(degree + 1)]
+    problems = []
+    if degree == 2 and any((g[0] + g[1] * x + g[2] * x * x) % p == 0 for x in range(p)):
+        problems.append(f"g = {cert['g']} has a root in F_{p}")
+    cols = eisenstein_view(read_poly(report["poly"], p), axis, inverted)
+    n = max(cols)
+    if n < 1:
+        return problems + ["the orientation has main degree 0"]
+    content = []
+    for q in cols.values():
+        content = poly_gcd(q, content, p)
+    if len(content) != 1:
+        problems.append("the content of the q_i is not 1")
+    if any(poly_rem(q, g, p) for i, q in cols.items() if i != n):
+        problems.append("g does not divide every q_i below q_n")
+    if not poly_rem(cols[n], g, p):
+        problems.append("g divides q_n")
+    if not poly_rem(cols[0], poly_product(g, g, p), p):
+        problems.append("g^2 divides q_0")
+    return problems
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--prime", type=int, required=True)
-    parser.add_argument("--poly", required=True)
+    parser.add_argument("--prime", type=int, help="the shape-test's --prime")
+    parser.add_argument("--poly", help="the shape-test's --poly")
     args = parser.parse_args(argv)
-    problems = witness_problems(json.load(sys.stdin), args.poly, args.prime)
+    report = json.load(sys.stdin)
+    if "irreducibility" in report:
+        problems = eisenstein_problems(report)
+    elif args.prime is None or args.poly is None:
+        parser.error("a shape-test report needs --prime and --poly")
+    else:
+        problems = witness_problems(report, args.poly, args.prime)
     for problem in problems:
         print(problem)
     return 1 if problems else 0

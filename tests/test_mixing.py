@@ -261,16 +261,39 @@ class TestEisenstein:
                     assert _eisenstein_in(f, main_axis, False, candidates[p]) is not None
         assert inverted_hits >= 20
 
+    def test_inverted_orientation_adds_only_u2(self, rng):
+        # with the top u2-degree anywhere, the enumeration finds an
+        # inverted certificate with a g other than u2 only where it finds
+        # a plain one; every inverted g = u2 is decided from the exponents
+        candidates = {p: irreducibles_up_to_degree(2, p) for p in (2, 3, 5)}
+        counts = Counter()
+        for _ in range(600):
+            p = rng.choice((2, 3, 5))
+            f = random_nonmonomial(rng, p, max_terms=5, span=3)
+            for main_axis in (1, 2):
+                g = _eisenstein_in(f, main_axis, True, candidates[p])
+                if g is None:
+                    continue
+                plain = _eisenstein_in(f, main_axis, False, candidates[p])
+                counts["u2" if g == FpPoly.x(p) else "other"] += 1
+                assert g == FpPoly.x(p) or plain is not None, f.to_string()
+                cert = eisenstein_certify(f)
+                assert cert is not None, f.to_string()
+                if plain is None and cert.main_axis == main_axis:
+                    assert cert.inverted and cert.g == FpPoly.x(p), f.to_string()
+        assert counts["u2"] >= 50 and counts["other"] >= 20, counts
+
     def test_inverted_orientation_is_not_rewritten(self, monkeypatch):
         # q_1 = u2 is a monomial below q_n in both variable orders, so both
-        # plain orientations are decided from the exponents, and the top
-        # u2-degree 2 is reached below q_n, so neither inverted one is tried
+        # plain orientations are decided from the exponents, and so are the
+        # inverted ones, at u2 = infinity.  A view of another polynomial
+        # than f would be an inverted one
         f = L("1+u1^2+u2^2+u1*u2", 5)
         calls = []
 
-        def counted(g, swap=False, inverted=False):
-            calls.append((swap, inverted))
-            return columns(g, swap=swap, inverted=inverted)
+        def counted(g, swap=False):
+            calls.append((swap, g != f))
+            return columns(g, swap=swap)
 
         monkeypatch.setattr(mixing, "columns", counted)
         assert eisenstein_certify(f) is None
@@ -278,14 +301,14 @@ class TestEisenstein:
 
     def test_inverted_orientation_is_not_rewritten_without_monomials(self, monkeypatch):
         # every nonzero q_i below q_n has two terms in both variable orders,
-        # so the plain orientations are rewritten; the top u2-degree 2 is
-        # reached below q_n, so the inverted ones are not
+        # so the plain orientations are rewritten; the inverted ones are
+        # decided from the exponents
         f = L("1+u1+u2+u1^2*u2+u1*u2^2", 5)
         calls = []
 
-        def counted(g, swap=False, inverted=False):
-            calls.append((swap, inverted))
-            return columns(g, swap=swap, inverted=inverted)
+        def counted(g, swap=False):
+            calls.append((swap, g != f))
+            return columns(g, swap=swap)
 
         monkeypatch.setattr(mixing, "columns", counted)
         assert eisenstein_certify(f) is None
@@ -324,8 +347,8 @@ class TestEisenstein:
         workloads = load_perfbench("workloads")
         views = []
 
-        def recorded(g, swap=False, inverted=False):
-            view = columns(g, swap=swap, inverted=inverted)
+        def recorded(g, swap=False):
+            view = columns(g, swap=swap)
             views.append(view)
             return view
 
@@ -1018,9 +1041,9 @@ class TestWitnessFaults:
         (laurent.NormalForm, "__init__", _negated_inverses,
          {MAKE_WITNESS_CATCH: 31, "unchanged": 11}),
         (laurent, "_unit_canonicalize", _non_constant_first, {MAKE_WITNESS_CATCH: 42}),
-        # the weaker verdicts are a completeness gap no check sees
+        # the check of each basis vector against the cell's own rows
         (linalg, "row_reduce", _changed_reduced_entry,
-         {MAKE_WITNESS_CATCH: 18, UNRESOLVED: 23, RELATION_FOUND: 1}),
+         {"kernel vector is not a relation": 42}),
     ], ids=["kernel-entry", "mul-drops-term", "negated-inverses", "non-constant-m0",
             "row-reduce-entry"])
     def test_fault_is_caught_or_harmless(self, monkeypatch, target, name, fault, tally):
@@ -1037,6 +1060,92 @@ class TestWitnessFaults:
                 assert v.witness.constant_flag, f.to_string()
                 assert frobenius_closure_by_expansion(f, shape, v.witness), f.to_string()
             outcomes["unchanged" if v == before else v.kind] += 1
+        assert dict(outcomes) == tally
+
+
+@functools.cache
+def _certificate_cases():
+    # (f, unfaulted certificate): the seed-1 corpus and 1000 random
+    # Laurent polynomials
+    workloads = load_perfbench("workloads")
+    inputs = [parse_poly(text, p) for p, text in workloads.corpus_inputs(1)]
+    rng = random.Random(24)
+    while len(inputs) < 1300:
+        p = rng.choice((2, 3, 5, 7, 11, 13, 101))
+        terms = {(rng.randint(-2, 5), rng.randint(-2, 5)): rng.randint(1, p - 1)
+                 for _ in range(rng.randint(2, 7))}
+        if len(terms) > 1:
+            inputs.append(LaurentPoly(terms, p))
+    return [(f, certify_irreducible(f)) for f in inputs]
+
+
+def _lowered_tops(exponent_columns):
+    def faulty(f, swap=False):
+        return {i: [*es[:-1], es[-1] - 1] for i, es in exponent_columns(f, swap).items()}
+    return faulty
+
+
+def _swap_ignored(columns_of):
+    return lambda f, swap=False: columns_of(f)
+
+
+def _gcd_one(gcd):
+    return lambda a, b: FpPoly([1], a.p)
+
+
+def _first_column_content(content_of):
+    return lambda polys: next(iter(polys))
+
+
+ECERT_CATCH = "eisenstein certificate fails re-verification"
+
+
+class TestCertificateFaults:
+    """One injected fault at a time in certification, over the seed-1
+    corpus and 1000 random inputs: each run raises, returns its unfaulted
+    certificate, 'unverified', or a certificate that holds.  An Eisenstein
+    certificate must pass the outside re-checker, as `verify_eisenstein`
+    reads the faulted `columns` and `fp_content` itself; brute force must
+    agree with an unfaulted proof of irreducibility, and a factor must
+    multiply back.  The tally pins which check catches each fault first."""
+
+    @pytest.mark.parametrize("name, fault, tally", [
+        ("exponent_columns", _lowered_tops,
+         {"unchanged": 1188, ECERT_CATCH: 51, "unverified": 50, "brute_force": 8,
+          "eisenstein": 3}),
+        # two views with a u2-degree of 0 end in an IndexError in brute force
+        ("columns", _swap_ignored,
+         {"unchanged": 1145, ECERT_CATCH: 121, "unverified": 28, "brute_force": 4,
+          "IndexError": 2}),
+        ("fp_gcd", _gcd_one,
+         {"unchanged": 1265, "unverified": 27, ECERT_CATCH: 3, "eisenstein": 3,
+          "brute_force": 2}),
+        ("fp_content", _first_column_content,
+         {"unchanged": 913, ECERT_CATCH: 349,
+          "reducible certificate fails re-verification": 34, "unverified": 4}),
+    ], ids=["lowered-top-exponent", "swap-ignored", "gcd-one", "first-column-content"])
+    def test_fault_is_caught_or_harmless(self, monkeypatch, name, fault, tally):
+        cases = _certificate_cases()
+        monkeypatch.setattr(mixing, name, fault(getattr(mixing, name)))
+        outcomes = Counter()
+        for f, before in cases:
+            try:
+                cert = certify_irreducible(f)
+            except RuntimeError as exc:  # WitnessError included
+                outcomes[str(exc)] += 1
+                continue
+            except Exception as exc:
+                outcomes[type(exc).__name__] += 1
+                continue
+            if cert.method == "eisenstein":
+                report = {"prime": f.p, "poly": f.to_string(), "irreducibility": {
+                    "method": "eisenstein", **mixing.METHODS["eisenstein"].fields(cert)}}
+                assert recheck.eisenstein_problems(report) == [], f.to_string()
+            elif cert.method == "brute_force":
+                assert before.certifies_irreducible, f.to_string()
+            elif cert.method == "reducible":
+                assert verify_reducible(f, cert), f.to_string()
+            outcomes["unchanged" if cert == before else cert.method] += 1
         assert dict(outcomes) == tally
 
 

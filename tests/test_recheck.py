@@ -1,23 +1,33 @@
-"""The external witness re-checker, `tests/recheck.py`, on printed reports.
+"""The external re-checker, `tests/recheck.py`, on printed reports.
 
 Every `shape-test` op pinned in `perfbench/expected.json`, and a seeded
 run of certified searches over small random polygons, print reports whose
-witness the re-checker accepts; altered reports fail it.
+witness the re-checker accepts; altered reports fail it.  Every
+`eisenstein` certificate of the `corpus` inputs, of the paper's examples
+and of seeded random inputs passes its Eisenstein re-check, which agrees
+with `mixing.verify_eisenstein` on altered certificates.
 """
 
+import functools
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import recheck
 from conftest import load_perfbench, random_nonmonomial
-from mixbound import geometry
+from mixbound import geometry, mixing
 from mixbound.cli import main
+from mixbound.fieldpoly import FpPoly
+from mixbound.laurent import LaurentPoly
+from mixbound.parse import parse_poly
+from mixbound.report import build_report
 
 workloads = load_perfbench("workloads")
 SHAPE_OPS = [
@@ -127,3 +137,123 @@ def test_script_exit_codes(capsys):
         for text in (out, bad)
     ]
     assert codes == [0, 1]
+
+
+def analyze_report(f):
+    """The `analyze` report of f, as printed and read back."""
+    return json.loads(json.dumps(build_report(mixing.order_bounds(f))))
+
+
+def test_corpus_eisenstein_reports_recheck():
+    methods = Counter()
+    for seed in (1, 2, 3):
+        for p, text in workloads.corpus_inputs(seed):
+            report = analyze_report(parse_poly(text, p))
+            cert = report["irreducibility"]
+            if cert["method"] == "eisenstein":
+                methods["inverted" if cert["inverted"] else "plain"] += 1
+            assert recheck.eisenstein_problems(report) == [], text
+    assert methods == {"plain": 162, "inverted": 81}
+
+
+@pytest.mark.parametrize("poly", ["u1^2+u1u2^2+u2^3+u2", "u1^6+u1^5u2+u1^3u2^2+u2+u2^3"],
+                         ids=["quadrilateral", "pentagon"])
+def test_paper_examples_recheck(poly, capsys):
+    assert main(["analyze", "--prime", "2", "--poly", poly]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["irreducibility"]["method"] == "eisenstein"
+    assert recheck.eisenstein_problems(report) == []
+
+
+@functools.lru_cache(maxsize=None)
+def random_eisenstein_inputs():
+    """Seeded random Laurent polynomials with an Eisenstein certificate:
+    at least 500, of which at least 100 inverted."""
+    rng = random.Random(36)
+    found, inverted = [], 0
+    while len(found) < 500 or inverted < 100:
+        p = rng.choice((2, 3, 5, 7, 11, 13, 101))
+        terms = {(rng.randint(-2, 8), rng.randint(-2, 8)): rng.randint(1, p - 1)
+                 for _ in range(rng.randint(2, 8))}
+        if len(terms) < 2:
+            continue
+        f = LaurentPoly(terms, p)
+        cert = mixing.eisenstein_certify(f)
+        if cert is not None:
+            found.append((f, cert))
+            inverted += cert.inverted
+    return found
+
+
+def test_random_eisenstein_certificates_recheck():
+    for f, cert in random_eisenstein_inputs():
+        report = analyze_report(f)
+        assert report["irreducibility"] == {"method": "eisenstein", **mixing.METHODS[
+            "eisenstein"].fields(cert)}
+        assert recheck.eisenstein_problems(report) == [], f.to_string()
+
+
+def test_tampered_eisenstein_certificates_agree_with_verify():
+    # each certificate with its orientation flipped, or with g replaced by
+    # a polynomial of degree 0 to 2: a linear one, u2^2, a random quadratic
+    rng = random.Random(37)
+    verdicts = Counter()
+    for f, cert in random_eisenstein_inputs():
+        p = f.p
+        changes = [{"main_axis": 3 - cert.main_axis}, {"inverted": not cert.inverted},
+                   {"main_axis": 3 - cert.main_axis, "inverted": not cert.inverted},
+                   {"g": FpPoly([1], p)}, {"g": FpPoly([0, 0, 1], p)},
+                   {"g": FpPoly([rng.randrange(p), 1], p)},
+                   {"g": FpPoly([rng.randrange(p), rng.randrange(p), 1], p)}]
+        for change in changes:
+            tampered = cert._replace(**change)
+            report = {"prime": p, "poly": f.to_string(), "irreducibility": {
+                "method": "eisenstein", **mixing.METHODS["eisenstein"].fields(tampered)}}
+            accepted = recheck.eisenstein_problems(report) == []
+            assert accepted == mixing.verify_eisenstein(f, tampered), (f.to_string(), change)
+            verdicts[accepted] += 1
+    # 500 inputs times 7 changes; a change that keeps every condition is
+    # accepted by both
+    assert verdicts == {False: 3330, True: 170}
+
+
+def test_eisenstein_problems_name_the_failed_condition():
+    # u1^2+u2 over F_5 meets the criterion with g = u2 in the plain u1-view
+    report = {"prime": 5, "poly": "u2+u1^2", "irreducibility": {
+        "method": "eisenstein", "main_axis": 1, "inverted": False, "g": "u2"}}
+    assert recheck.eisenstein_problems(report) == []
+
+    def problems(poly=None, **cert):
+        return recheck.eisenstein_problems({
+            **report, "poly": poly or report["poly"],
+            "irreducibility": {**report["irreducibility"], **cert}})
+
+    assert problems(g="u2^2") == ["g = u2^2 has a root in F_5",
+                                  "g does not divide every q_i below q_n"]
+    assert problems(g="1+u2^2") == ["g = 1+u2^2 has a root in F_5",
+                                    "g does not divide every q_i below q_n"]
+    assert problems(g="2") == ["g = 2 does not have degree 1 or 2"]
+    assert problems(g="u2^3") == ["g = u2^3 does not have degree 1 or 2"]
+    assert problems(g="u1") == ["g = u1 is not a polynomial in u2"]
+    assert problems(main_axis=0) and problems(inverted=1) and problems(main_axis=True)
+    assert problems(poly="u2^2+u1^2") == ["g^2 divides q_0"]
+    assert problems(poly="u2+u2^2+u1^2+u1^2*u2") == ["the content of the q_i is not 1"]
+    assert problems(poly="1+u2+u1^2+u1^2*u2", g="1+u2") == [
+        "the content of the q_i is not 1", "g divides q_n"]
+    assert problems(poly="1+u2", main_axis=1) == ["the orientation has main degree 0"]
+    assert problems(method="brute_force") == [] and problems(method="magic")
+
+
+def test_script_checks_analyze_reports(capsys):
+    assert main(["analyze", "--prime", "2", "--poly", "u1^2+u1u2^2+u2^3+u2"]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    bad = json.dumps({**report, "irreducibility": {**report["irreducibility"], "g": "1+u2+u2^2"}})
+    script = Path(recheck.__file__)
+    runs = [
+        subprocess.run([sys.executable, str(script)], input=text, capture_output=True,
+                       text=True, env={**os.environ, "PYTHONPATH": ""})
+        for text in (out, bad)
+    ]
+    assert [run.returncode for run in runs] == [0, 1]
+    assert runs[1].stdout == "g does not divide every q_i below q_n\n"
