@@ -7,10 +7,12 @@ nonzero residues mod p.
 Every division modulo f goes through `NormalForm`.  After a unimodular
 change of exponents the quotient F_p[u^±]/<f> is a free F_p[u2'^±]-module
 of finite rank, and `NormalForm` reduces every element to its unique
-representative (its normal form, NF).  g lies in <f> exactly when NF(g)
-is empty, and `NormalForm.divmod` also returns the quotient q, the sum of
-the multiples of f the reduction subtracted; that is how `exact_divides`
-and `in_ideal` are answered.
+representative (its normal form, NF).  It has two entries:
+`NormalForm.divmod` returns NF(g) with the quotient q, the sum of the
+multiples of f the reduction subtracted, and `NormalForm.shift` takes a
+normal form to that of its product with a monomial, with no quotient.  g
+lies in <f> exactly when NF(g) is empty; that is how `exact_divides` and
+`in_ideal` are answered.
 
 `combination_solve` searches for module relations
     m_1 u^{a_1} + ... + m_r u^{a_r} = q f.
@@ -230,7 +232,7 @@ def in_ideal(g: LaurentPoly, f: LaurentPoly) -> bool:
         raise ValueError("the zero ideal needs no membership test")
     if f.is_monomial():
         raise ValueError("monomial generator: <f> is the unit ideal")
-    return not NormalForm(f)(g)
+    return not NormalForm(f).divmod(g)[1]
 
 
 def relation_sum(f: LaurentPoly, shape, k, ms) -> LaurentPoly:
@@ -253,8 +255,9 @@ class NormalForm:
     F_p[u2'^±] with basis 1, u1', ..., u1'^(width-1).
 
     A normal form is a dict {(u1'-degree, u2'-exponent): residue}; it is
-    empty exactly when the element lies in <f>.  `divmod` also returns
-    the quotient, the sum of the multiples of f the reduction subtracted.
+    empty exactly when the element lies in <f>.  `divmod` returns it with
+    the quotient, the sum of the multiples of f the reduction subtracted;
+    `shift` multiplies an element given by its normal form by a monomial.
     A monomial f has width 0: it is a unit and every NF is empty.
     """
 
@@ -282,11 +285,6 @@ class NormalForm:
         self._below_lead = [g for g in gen if g[0] != self.width]
         self._above_trail = [g for g in gen if g[0] != 0]
 
-    def __call__(self, g: LaurentPoly):
-        """NF of g."""
-        t = self.t
-        return self._reduce({(e1 + t * e2, e2): c for (e1, e2), c in g.terms()})
-
     def shift(self, nf, e):
         """NF of u^e times the element whose normal form is nf."""
         d1, d2 = e[0] + self.t * e[1], e[1]
@@ -308,7 +306,11 @@ class NormalForm:
             rows.setdefault(j, {})[k] = c
 
         def subtract(scale, shift, body, offset):
-            # rows -= scale * u1'^offset u2'^shift * body
+            # rows -= scale * u1'^offset u2'^shift * body, which removes the
+            # multiple scale * u1'^(offset - lo) u2'^shift * f (f in the
+            # sheared exponents); `divmod` records it in quotient
+            if quotient is not None:
+                quotient[(offset - lo, shift)] = scale
             for gj, gk, gc in body:
                 target = rows.setdefault(offset + gj, {})
                 key = gk + shift
@@ -317,15 +319,6 @@ class NormalForm:
                     target[key] = v
                 else:
                     target.pop(key, None)
-
-        if quotient is not None:
-            # each call subtracts scale * u1'^(offset - lo) u2'^shift * f
-            # (f in the sheared exponents): record that multiple
-            plain = subtract
-
-            def subtract(scale, shift, body, offset):
-                quotient[(offset - lo, shift)] = scale
-                plain(scale, shift, body, offset)
 
         # degrees >= width: cancel against the lead monomial of f, which
         # only writes to lower degrees that stay >= 0
@@ -374,9 +367,9 @@ def combination_solve(f: LaurentPoly, points, window, *, bases=None):
     equal to 1, which makes witnesses reproducible across runs.
 
     `bases`, when given, holds NF(u^{points[i]}) for every point, as
-    dicts of the form `NormalForm(f)` returns (the normal form is unique,
-    so any dict equal to it will do); each column is then that base
-    shifted by its window offset, and the constant cell shifts nothing.
+    `NormalForm.shift` or `NormalForm.divmod` returns it (the normal form
+    is unique, so any dict equal to it will do); each column is then that
+    base shifted by its window offset, and the constant cell shifts nothing.
     shape_witness_search carries them along the dilation ray.  Without
     it each base is reduced from the monomial 1.
 
@@ -420,7 +413,7 @@ def _solve_blocks(nf, pts, bases, box, active):
         if any(sum(a * b for a, b in zip(row, vec)) % p for row in rows):
             raise RuntimeError("kernel vector is not a relation")
         ms = _extract_ms(vec, columns, pts, p)
-        bad = [i for i in active if not nf(ms[i])]
+        bad = [i for i in active if not nf.divmod(ms[i])[1]]
         if bad:
             offenders.update(bad)
         else:
@@ -445,11 +438,9 @@ def _canonical_basis(nf, pts, columns, relations):
     p = nf.p
     graphs = []
     for rel in relations:
-        terms = {}
-        for val, (i, (w1, w2)) in zip(rel, columns):
-            e = (pts[i][0] + w1, pts[i][1] + w2)
-            terms[e] = terms.get(e, 0) + val
-        graphs.append((rel, nf.divmod(LaurentPoly(terms, p))[0]))
+        combo = sum((m.shift(a) for m, a in zip(_extract_ms(rel, columns, pts, p), pts)),
+                    LaurentPoly.zero(p))
+        graphs.append((rel, nf.divmod(combo)[0]))
     qcols = sorted(set().union(*(q.support() for _, q in graphs)))
     rows = [list(rel) + [q.coeff(v) for v in qcols] for rel, q in graphs]
     ncols = len(columns) + len(qcols)

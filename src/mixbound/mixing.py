@@ -215,11 +215,14 @@ def brute_force_certify(f: LaurentPoly, hull=None):
     of range return None before f is rewritten.  hull, the convex hull
     of f's support, is built here when needed and not given.
 
-    A factor free of u1 or of u2 shows as the coefficient content in one
-    of the two variable orders.  With trivial content in both, every
-    factor of a nontrivial factorization of the normalized f has degree
-    at least 1 in both variables, so its Newton polygon has positive
-    width in both coordinates.  By Ostrowski's theorem,
+    One loop reads the u1-view, then the u2-view, and builds the
+    `reducible` certificate of either.  A view of main degree 0 (d1 or d2,
+    read off f's exponents) holds f as a unit times a polynomial in the
+    other variable, which is factored; any other view shows a factor free
+    of its main variable as its content.  With trivial content in both,
+    every factor of a nontrivial factorization of the normalized f has
+    degree at least 1 in both variables, so its Newton polygon has
+    positive width in both coordinates.  By Ostrowski's theorem,
     Newt(g h) = Newt(g) + Newt(h), the hull of f is then the Minkowski
     sum of two such polygons; so f is irreducible, with no search, when
     its hull does not split that way (`geometry.splits_with_both_extents`).
@@ -242,20 +245,22 @@ def brute_force_certify(f: LaurentPoly, hull=None):
     zero = FpPoly.zero(p)
     pu, pv = ([cols.get(i, zero) for i in range(max(cols) + 1)]
               for cols in (columns(f), columns(f, swap=True)))
-    if d1 == 0:
-        return _univariate_verdict(pu[0], swap=False, bidegree=(d1, d2))
-    if d2 == 0:
-        return _univariate_verdict(pv[0], swap=True, bidegree=(d1, d2))
-    for view, swap in ((pu, False), (pv, True)):
-        c = fp_content(view)
-        if c.degree != 0:
+    irreducible = IrreducibilityCertificate("brute_force", searched_bidegree=(d1, d2))
+    for view, swap, main_degree in ((pu, False, d1), (pv, True, d2)):
+        if main_degree == 0:
+            factors = factor_monic(view[0])
+            if factors == {view[0].monic(): 1}:
+                return irreducible
+            c = sorted(factors, key=lambda h: h.coeffs)[0]
+        else:
             # the view really involves its main variable, so content times
             # primitive part is a genuine non-unit factorization
-            factor = _from_columns((c,), p)
-            if swap:
-                factor = factor.swap_vars()
-            return IrreducibilityCertificate("reducible", factor=factor)
-    irreducible = IrreducibilityCertificate("brute_force", searched_bidegree=(d1, d2))
+            c = fp_content(view)
+            if c.degree == 0:
+                continue
+        factor = _from_columns((c,), p)
+        return IrreducibilityCertificate(
+            "reducible", factor=factor.swap_vars() if swap else factor)
     if (
         not geometry.splits_with_both_extents(hull or geometry.convex_hull(f.support()))
         or (d2 < d1 and _search_factor(f.swap_vars(), pv) is None)
@@ -264,19 +269,6 @@ def brute_force_certify(f: LaurentPoly, hull=None):
     factor = _search_factor(f, pu)
     if factor is None:
         return irreducible
-    return IrreducibilityCertificate("reducible", factor=factor)
-
-
-def _univariate_verdict(q: FpPoly, swap, bidegree):
-    # f is a unit times the one-variable polynomial q, so Laurent
-    # irreducibility is exactly univariate irreducibility of q
-    factors = factor_monic(q)
-    if factors == {q.monic(): 1}:
-        return IrreducibilityCertificate("brute_force", searched_bidegree=bidegree)
-    g = sorted(factors, key=lambda h: h.coeffs)[0]
-    factor = _from_columns((g,), q.p)
-    if swap:
-        factor = factor.swap_vars()
     return IrreducibilityCertificate("reducible", factor=factor)
 
 

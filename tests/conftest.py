@@ -515,17 +515,17 @@ def brute_force_searching_every_hull(f):
     The reference for `mixing.brute_force_certify`, which certifies with
     no search an input whose hull does not split into two polygons of
     positive width in both coordinates: here every input past the content
-    checks and the extent argument goes to the factor search.
+    checks and the extent argument goes to the factor search.  A
+    one-variable input returns before the hull test, so it is handed to
+    `mixing.brute_force_certify` itself.
     """
     p = f.p
     d1, d2 = (max(e) - min(e) for e in zip(*f.support()))
     if p not in (2, 3) or d1 > 4 or d2 > 4:
         return None
+    if d1 == 0 or d2 == 0:
+        return mixing.brute_force_certify(f)
     pu, pv = dense_view(f), dense_view(f, swap=True)
-    if d1 == 0:
-        return mixing._univariate_verdict(pu[0], swap=False, bidegree=(d1, d2))
-    if d2 == 0:
-        return mixing._univariate_verdict(pv[0], swap=True, bidegree=(d1, d2))
     for view, swap in ((pu, False), (pv, True)):
         c = content(view)
         if c.degree != 0:

@@ -1,6 +1,6 @@
 """Re-check the relation witness of a printed `shape-test` report, and the
-Eisenstein certificate of a printed `analyze` report, with code that
-shares nothing with mixbound.
+`eisenstein` or `reducible` certificate of a printed `analyze` report,
+with code that shares nothing with mixbound.
 
 A report prints its witness as k, the coefficients m_i and the quotient
 q, each a polynomial string.  This module reads those strings, and the
@@ -24,8 +24,13 @@ a coefficient list over F_p with its own remainder and gcd, and it checks
   - the content of the q_i is 1;
   - g divides every q_i below q_n, g does not divide q_n, and g^2 does
     not divide q_0.
+When the method is `reducible`, f and the printed `factor` are shifted to
+exponents from 0 and f is divided by the factor's lex-leading term, and
+it checks
+  - the remainder is 0 and the quotient times the factor is f;
+  - neither the factor nor the quotient is a monomial.
 A `brute_force` certificate can only be checked by repeating the search;
-`reducible` and `unverified` ones are not checked here.
+`unverified` ones carry nothing to check.
 
 Run it on a saved report:
 
@@ -179,6 +184,56 @@ def poly_gcd(a, b, p):
     return a
 
 
+def shifted(f):
+    """f times the monomial that makes its least exponents 0."""
+    lo1 = min(e1 for e1, _ in f)
+    lo2 = min(e2 for _, e2 in f)
+    return {(e1 - lo1, e2 - lo2): c for (e1, e2), c in f.items()}
+
+
+def lex_divmod(a, b, p):
+    """(q, r) with a = q b + r over F_p, for a and b with exponents from 0
+    and b not 0: each step cancels the lex-leading term of what is left
+    of a by a multiple of b's, or moves it to r when b's leading term does
+    not divide it.  r is 0 exactly when b divides a, since one polynomial
+    is a Groebner basis of the ideal it generates."""
+    a, q, r = dict(a), {}, {}
+    (l1, l2), lead = max(b.items())
+    inv = pow(lead, -1, p)
+    while a:
+        (e1, e2), c = max(a.items())
+        if e1 < l1 or e2 < l2:
+            r[e1, e2] = a.pop((e1, e2))
+            continue
+        t, s = (e1 - l1, e2 - l2), c * inv % p
+        _add_term(q, t, s, p)
+        for (b1, b2), cb in b.items():
+            _add_term(a, (b1 + t[0], b2 + t[1]), -s * cb, p)
+    return q, r
+
+
+def reducible_problems(report):
+    """The problems found in the `reducible` certificate of an `analyze`
+    report (a parsed JSON object), read against the report's own `poly`
+    and `prime`; [] when the factor and its quotient, neither a monomial,
+    multiply to f."""
+    p = report["prime"]
+    f = shifted(read_poly(report["poly"], p))
+    factor = read_poly(report["irreducibility"]["factor"], p)
+    if not factor:
+        return ["the factor is 0"]
+    factor = shifted(factor)
+    q, r = lex_divmod(f, factor, p)
+    if r:
+        return ["the factor does not divide f"]
+    problems = [] if mul(q, factor, p) == f else ["quotient * factor differs from f"]
+    if len(factor) == 1:
+        problems.append("the factor is a monomial")
+    if len(q) == 1:
+        problems.append("the quotient is a monomial")
+    return problems
+
+
 def eisenstein_view(f, main_axis, inverted):
     """{i: q_i} for the nonzero q_i of f = sum q_i u1^i in the printed
     orientation, each q_i a coefficient list with the constant first."""
@@ -186,11 +241,9 @@ def eisenstein_view(f, main_axis, inverted):
     for (e1, e2), c in f.items():
         a, b = (e2, e1) if main_axis == 2 else (e1, e2)
         mapped[a, -b if inverted else b] = c
-    lo1 = min(a for a, _ in mapped)
-    lo2 = min(b for _, b in mapped)
     rows = {}
-    for (a, b), c in mapped.items():
-        rows.setdefault(a - lo1, {})[b - lo2] = c
+    for (a, b), c in shifted(mapped).items():
+        rows.setdefault(a, {})[b] = c
     return {i: [row.get(j, 0) for j in range(max(row) + 1)] for i, row in rows.items()}
 
 
@@ -240,7 +293,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     report = json.load(sys.stdin)
     if "irreducibility" in report:
-        problems = eisenstein_problems(report)
+        reducible = report["irreducibility"]["method"] == "reducible"
+        problems = (reducible_problems if reducible else eisenstein_problems)(report)
     elif args.prime is None or args.poly is None:
         parser.error("a shape-test report needs --prime and --poly")
     else:

@@ -4,9 +4,12 @@
 its required layers (`tracing.REQUIRED`) records no call.  Here each op of
 the `paper`, `search` and `corpus` workloads runs once under the same
 `tracing.Tracer`, so a change that routes a workload around one of those
-layers fails here too.  The perfbench modules are imported as they are.
+layers fails here too.  Each CLI op's exit code, stdout byte count and
+SHA-256 must match `perfbench/expected.json`, as the benchmark checks
+them.  The perfbench modules are imported as they are.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -26,8 +29,10 @@ def _run_cli_ops(name, tmp_path, capsys):
     for op in workloads.CLI_WORKLOADS[name]:
         argv = [str(dilates) if a == workloads.DILATES_FILE else a for a in op.argv]
         code = cli.main(argv)
-        capsys.readouterr()
-        assert code == expected[op.id]["exit"], op.id
+        out = capsys.readouterr().out.encode()
+        want = expected[op.id]
+        assert (code, len(out), hashlib.sha256(out).hexdigest()) == (
+            want["exit"], want["stdout_bytes"], want["stdout_sha256"]), op.id
 
 
 def _run_corpus():

@@ -1079,6 +1079,26 @@ def _certificate_cases():
     return [(f, certify_irreducible(f)) for f in inputs]
 
 
+@functools.cache
+def _segment_cases():
+    # (f, unfaulted certificate): 320 seeded inputs at p in {2, 3} whose
+    # support lies on one line inside the (4, 4) box, half of them on an
+    # axis (one variable) and half on a diagonal, f = u^s g(u1^a u2^b)
+    # with a and b nonzero
+    rng = random.Random(37)
+    inputs = []
+    while len(inputs) < 320:
+        p = rng.choice((2, 3))
+        a, b = rng.choice(((1, 0), (0, 1)) if len(inputs) % 2 else
+                          ((1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1)))
+        n = 4 // max(abs(a), abs(b))
+        s1, s2 = rng.randint(-2, 2), rng.randint(-2, 2)
+        inputs.append(LaurentPoly(
+            {(s1 + j * a, s2 + j * b): rng.randint(1, p - 1)
+             for j in rng.sample(range(n + 1), rng.randint(2, n + 1))}, p))
+    return [(f, certify_irreducible(f)) for f in inputs]
+
+
 def _lowered_tops(exponent_columns):
     def faulty(f, swap=False):
         return {i: [*es[:-1], es[-1] - 1] for i, es in exponent_columns(f, swap).items()}
@@ -1100,14 +1120,42 @@ def _first_column_content(content_of):
 ECERT_CATCH = "eisenstein certificate fails re-verification"
 
 
+def _certificate_outcomes(cases):
+    # certify every case under the installed fault, check each certificate
+    # that survives, and tally how each run ended
+    outcomes = Counter()
+    for f, before in cases:
+        try:
+            cert = certify_irreducible(f)
+        except RuntimeError as exc:  # WitnessError included
+            outcomes[str(exc)] += 1
+            continue
+        except Exception as exc:
+            outcomes[type(exc).__name__] += 1
+            continue
+        if cert.method == "eisenstein":
+            report = {"prime": f.p, "poly": f.to_string(), "irreducibility": {
+                "method": "eisenstein", **mixing.METHODS["eisenstein"].fields(cert)}}
+            assert recheck.eisenstein_problems(report) == [], f.to_string()
+        elif cert.method == "brute_force" and not before.certifies_irreducible:
+            # brute force's certificate has no re-check (`METHODS`)
+            outcomes["brute_force on a reducible f"] += 1
+            continue
+        elif cert.method == "reducible":
+            assert verify_reducible(f, cert), f.to_string()
+        outcomes["unchanged" if cert == before else cert.method] += 1
+    return dict(outcomes)
+
+
 class TestCertificateFaults:
     """One injected fault at a time in certification, over the seed-1
     corpus and 1000 random inputs: each run raises, returns its unfaulted
     certificate, 'unverified', or a certificate that holds.  An Eisenstein
     certificate must pass the outside re-checker, as `verify_eisenstein`
-    reads the faulted `columns` and `fp_content` itself; brute force must
-    agree with an unfaulted proof of irreducibility, and a factor must
-    multiply back.  The tally pins which check catches each fault first."""
+    reads the faulted `columns` and `fp_content` itself, and a factor must
+    multiply back.  Nothing re-checks brute force, so a `brute_force`
+    certificate for an f with no unfaulted proof of irreducibility is
+    tallied as wrong.  The tally pins which check catches each fault first."""
 
     @pytest.mark.parametrize("name, fault, tally", [
         ("exponent_columns", _lowered_tops,
@@ -1127,26 +1175,28 @@ class TestCertificateFaults:
     def test_fault_is_caught_or_harmless(self, monkeypatch, name, fault, tally):
         cases = _certificate_cases()
         monkeypatch.setattr(mixing, name, fault(getattr(mixing, name)))
-        outcomes = Counter()
-        for f, before in cases:
-            try:
-                cert = certify_irreducible(f)
-            except RuntimeError as exc:  # WitnessError included
-                outcomes[str(exc)] += 1
-                continue
-            except Exception as exc:
-                outcomes[type(exc).__name__] += 1
-                continue
-            if cert.method == "eisenstein":
-                report = {"prime": f.p, "poly": f.to_string(), "irreducibility": {
-                    "method": "eisenstein", **mixing.METHODS["eisenstein"].fields(cert)}}
-                assert recheck.eisenstein_problems(report) == [], f.to_string()
-            elif cert.method == "brute_force":
-                assert before.certifies_irreducible, f.to_string()
-            elif cert.method == "reducible":
-                assert verify_reducible(f, cert), f.to_string()
-            outcomes["unchanged" if cert == before else cert.method] += 1
-        assert dict(outcomes) == tally
+        assert _certificate_outcomes(cases) == tally
+
+    # segment supports, where brute force factors one view (one variable)
+    # or searches a hull that is a sum of segments; the lowered-top and
+    # gcd-one faults change nothing there.
+    # A `columns` that ignores `swap` hands the u1-view to the swapped-first
+    # search of 5 reducible diagonal inputs with d2 < d1, which finds no
+    # factor there and certifies them: only a repeated search catches that
+    @pytest.mark.parametrize("name, fault, tally", [
+        ("exponent_columns", _lowered_tops, {"unchanged": 320}),
+        ("columns", _swap_ignored,
+         {"unchanged": 216, "IndexError": 83, ECERT_CATCH: 16,
+          "brute_force on a reducible f": 5}),
+        ("fp_gcd", _gcd_one, {"unchanged": 320}),
+        ("fp_content", _first_column_content,
+         {"unchanged": 234, ECERT_CATCH: 33,
+          "reducible certificate fails re-verification": 53}),
+    ], ids=["lowered-top-exponent", "swap-ignored", "gcd-one", "first-column-content"])
+    def test_fault_on_segments_is_caught_or_harmless(self, monkeypatch, name, fault, tally):
+        cases = _segment_cases()
+        monkeypatch.setattr(mixing, name, fault(getattr(mixing, name)))
+        assert _certificate_outcomes(cases) == tally
 
 
 class TestPrefilter:

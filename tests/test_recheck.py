@@ -5,7 +5,10 @@ run of certified searches over small random polygons, print reports whose
 witness the re-checker accepts; altered reports fail it.  Every
 `eisenstein` certificate of the `corpus` inputs, of the paper's examples
 and of seeded random inputs passes its Eisenstein re-check, which agrees
-with `mixing.verify_eisenstein` on altered certificates.
+with `mixing.verify_eisenstein` on altered certificates.  The `reducible`
+certificate of the corpus and those of seeded random products pass their
+re-check by division, which agrees with `mixing.verify_reducible` on
+altered certificates and names every wrong one a fault lets through.
 """
 
 import functools
@@ -257,3 +260,90 @@ def test_script_checks_analyze_reports(capsys):
     ]
     assert [run.returncode for run in runs] == [0, 1]
     assert runs[1].stdout == "g does not divide every q_i below q_n\n"
+
+
+def test_corpus_reducible_report_rechecks(capsys):
+    # the corpus's one reducible input, the same at seeds 1-3
+    assert main(["analyze", "--prime", "2", "--poly",
+                 "u1^3*u2^2+u1^4*u2+u1^5*u2^2+u1^5*u2^4"]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert report["irreducibility"] == {"method": "reducible", "factor": "1+u1*u2"}
+    assert recheck.reducible_problems(report) == []
+    bad = json.dumps({**report, "irreducibility": {"method": "reducible", "factor": "1+u1"}})
+    runs = [
+        subprocess.run([sys.executable, str(Path(recheck.__file__))], input=text,
+                       capture_output=True, text=True, env={**os.environ, "PYTHONPATH": ""})
+        for text in (out, bad)
+    ]
+    assert [run.returncode for run in runs] == [0, 1]
+    assert runs[1].stdout == "the factor does not divide f\n"
+
+
+@functools.lru_cache(maxsize=None)
+def random_products():
+    """400 seeded products g h of two non-monomials at p in {2, 3}, each of
+    bidegree at most (2, 2), so that g h lies in brute force's (4, 4) box."""
+    rng = random.Random(38)
+    products = []
+    while len(products) < 400:
+        p = rng.choice((2, 3))
+        f = random_nonmonomial(rng, p, max_terms=4, span=1) * random_nonmonomial(
+            rng, p, max_terms=4, span=1)
+        if not f.is_zero() and not f.is_monomial():
+            products.append(f)
+    return products
+
+
+def test_random_reducible_certificates_recheck():
+    for f in random_products():
+        report = analyze_report(f)
+        assert report["irreducibility"]["method"] == "reducible", f.to_string()
+        assert recheck.reducible_problems(report) == [], f.to_string()
+
+
+def test_altered_reducible_certificates_agree_with_verify():
+    # a monomial and f itself are always rejected; u1 times the factor, a
+    # unit multiple, and the quotient always accepted.  The factor plus 1,
+    # or times 1+u2, is rejected unless it is a proper divisor of f too
+    verdicts = Counter()
+    for f in random_products():
+        cert = mixing.certify_irreducible(f)
+        one = LaurentPoly.one(f.p)
+        changes = {"monomial": LaurentPoly({(1, 2): 1}, f.p), "f": f,
+                   "plus one": cert.factor + one,
+                   "times 1+u2": cert.factor * (one + one.shift((0, 1))),
+                   "times u1": cert.factor.shift((1, 0)),
+                   "quotient": mixing.exact_divides(cert.factor, f)}
+        for name, factor in changes.items():
+            report = {"prime": f.p, "poly": f.to_string(), "irreducibility": {
+                "method": "reducible", "factor": factor.to_string()}}
+            accepted = recheck.reducible_problems(report) == []
+            assert accepted == mixing.verify_reducible(f, cert._replace(factor=factor)), (
+                f.to_string(), name)
+            verdicts[name, accepted] += 1
+    assert verdicts == {
+        ("monomial", False): 400, ("f", False): 400, ("times u1", True): 400,
+        ("quotient", True): 400, ("plus one", False): 395, ("plus one", True): 5,
+        ("times 1+u2", False): 399, ("times 1+u2", True): 1}
+
+
+def test_recheck_flags_wrong_reducible_certificates(monkeypatch):
+    # a fault row: the factor search returns a non-divisor and the
+    # in-process re-check accepts it; the outside re-checker names every
+    # certificate the fault made wrong, and only those
+    search = mixing._search_factor
+    monkeypatch.setattr(mixing, "_search_factor", lambda f, pu: (
+        lambda g: None if g is None else g + LaurentPoly.one(f.p))(search(f, pu)))
+    monkeypatch.setitem(mixing.METHODS, "reducible", mixing.METHODS["reducible"]._replace(
+        recheck=lambda f, cert: True))
+    outcomes = Counter()
+    for f in random_products():
+        report = analyze_report(f)
+        factor = parse_poly(report["irreducibility"]["factor"], f.p)
+        wrong = not mixing.verify_reducible(
+            f, mixing.IrreducibilityCertificate("reducible", factor=factor))
+        flagged = recheck.reducible_problems(report) != []
+        assert flagged == wrong, f.to_string()
+        outcomes["wrong" if wrong else "unchanged"] += 1
+    assert outcomes == {"unchanged": 214, "wrong": 186}
