@@ -45,7 +45,7 @@ from .laurent import (
     exponent_columns,
     relation_sum,
 )
-from .newton import face_newton_data
+from .newton import face_norm
 
 KMAX_DEFAULT = 16
 WINDOWS_DEFAULT = (0, 1, 2)
@@ -444,38 +444,33 @@ def order_bounds(f: LaurentPoly) -> MixingReport:
         raise DegenerateInput("monomial f is a unit: the quotient ring is trivial")
     hull = geometry.convex_hull(f.support())
     cert = certify_irreducible(f, hull)
+    r = lower = upper = exact = verdict = None
     notes = []
     if hull.degeneracy == geometry.SEGMENT:
+        verdict = "not mixing"
         notes.append("support lies on a line: the action is not mixing")
-        return MixingReport(
-            f, f.p, cert, len(f), hull, None, None, None, None, "not mixing",
-            tuple(notes),
-        )
-    r = len(hull.vertices)
-    size = len(f)
-    lower, upper = r - 1, size - 1
-    exact = None
-    if cert.method == "reducible":
+    elif cert.method == "reducible":
+        r = len(hull.vertices)
         notes.append(
             "f is reducible (factor found); the mixing-order window assumes an "
             "irreducible polynomial and is omitted"
         )
-        return MixingReport(
-            f, f.p, cert, size, hull, r, None, None, None, None, tuple(notes)
-        )
-    if not cert.certifies_irreducible:
-        notes.append(
-            "irreducibility unverified: the bounds are conditional on f being "
-            "irreducible"
-        )
-    if set(hull.vertices) == f.support():
-        exact = upper
-        notes.append(
-            "support equals the hull vertex set, so the order of mixing is "
-            f"exactly |S(f)|-1 = {exact}"
-        )
+    else:
+        r = len(hull.vertices)
+        lower, upper = r - 1, len(f) - 1
+        if not cert.certifies_irreducible:
+            notes.append(
+                "irreducibility unverified: the bounds are conditional on f being "
+                "irreducible"
+            )
+        if set(hull.vertices) == f.support():
+            exact = upper
+            notes.append(
+                "support equals the hull vertex set, so the order of mixing is "
+                f"exactly |S(f)|-1 = {exact}"
+            )
     return MixingReport(
-        f, f.p, cert, size, hull, r, lower, upper, exact, None, tuple(notes)
+        f, f.p, cert, len(f), hull, r, lower, upper, exact, verdict, tuple(notes)
     )
 
 
@@ -725,7 +720,7 @@ def sequence_diagnostics(f: LaurentPoly, entries):
     hull = geometry.convex_hull(f.support())
     if hull.degeneracy != geometry.POLYGON:
         raise DegenerateInput("diagnostics need a non-degenerate hull")
-    faces_norms = [(d.face, d.norm.vector()) for d in face_newton_data(f, hull)]
+    faces_norms = [(face, face_norm(face)) for face in geometry.faces(hull)]
     out = []
     for label, points in entries:
         pts = _clean_shape(points)

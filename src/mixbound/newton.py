@@ -14,15 +14,15 @@ valuation records (ord q_i and deg q_i are the extreme u2-exponents of
 the u1^i terms), takes their lower hull with `geometry.lower_chain` (the
 monotone chain of the convex hull), and maps each segment's log-vector
 back to the original coordinates.  `extended_norms` keeps every segment.
-`face_newton_data` runs the reduction that turns the faces of f's hull
-into norms: swap the variables when a face is vertical, replace u2 by
-its inverse when it points upward, and pick the segment with the face's
-slope.  The outcome is always a positive multiple of the face's
-primitive outward normal.  There are at most four coordinate changes;
-`face_newton_data` builds the Newton polygon once per change, and faces
-that share one share its polygon.  Each change indexes its segments by
-slope (num, den) in lowest terms, which a face's primitive direction
-gives directly: one dictionary lookup per face.
+`face_norm` states the face-to-norm result: a face of f's hull gets the
+norm whose log-vector is the face's outward normal, scaled so that the
+coefficient variable's entry is +-1.  `face_newton_data` checks it
+against f's Newton polygons: swap the variables when a face is
+vertical, replace u2 by its inverse when it points upward, and pick the
+segment whose pulled-back vector is `face_norm(face)`; a face with no
+such segment raises AssertionError.  There are at most four coordinate
+changes; `face_newton_data` builds the Newton polygon once per change,
+and faces that share one share its polygon.
 """
 
 from __future__ import annotations
@@ -203,19 +203,29 @@ class FaceNewtonData(NamedTuple):
     norm: ExtendedNorm
 
 
+def face_norm(face: geometry.Face):
+    """The log-vector of the norm the face-to-norm reduction gives face:
+    its primitive outward normal, scaled so that the entry of the
+    coefficient variable (u2, or u1 for a vertical face) is +-1."""
+    n = face.normal
+    k = abs(n[0] if face.direction[0] == 0 else n[1])
+    return (Fraction(n[0], k), Fraction(n[1], k))
+
+
 def face_newton_data(f: LaurentPoly, hull: geometry.LatticePolygon) -> list:
     """Run the face-to-norm reduction on every face of hull, the convex
     hull of the support of f that the caller has already built, keeping
     the intermediate data: one record per face, in `geometry.faces` order.
 
     Vertical faces are handled by exchanging u1 and u2; upward faces by
-    replacing u2 with its inverse; afterwards the face is a lower face
-    and its slope appears among the Newton-polygon slopes for ord_{u2}.
-    The Newton polygon of each coordinate change is computed once, for
-    all the faces that use it.
+    replacing u2 with its inverse; afterwards the face is a lower face,
+    and its Newton segment is the one whose pulled-back vector is
+    `face_norm(face)`.  No such segment means the reduction failed, and
+    raises AssertionError.  The Newton polygon of each coordinate change
+    is computed once, for all the faces that use it.
     """
     # shared maps a coordinate change to its valuation, Newton points,
-    # polygon, pulled-back vectors and segment indices by slope (num, den)
+    # polygon and pulled-back vectors
     shared = {}
     out = []
     for face in geometry.faces(hull):
@@ -223,34 +233,17 @@ def face_newton_data(f: LaurentPoly, hull: geometry.LatticePolygon) -> list:
         inverted = (face.normal[0] if swap else face.normal[1]) > 0
         if (swap, inverted) not in shared:
             val = Valuation.finite_at(1 if swap else 2, inverted)
-            points, np, vectors = newton_polygon(f, val)
-            by_slope = {
-                (s.slope.numerator, s.slope.denominator): i for i, s in enumerate(np.segments)
-            }
-            shared[swap, inverted] = (val, points, np, vectors, by_slope)
-        val, points, np, vectors, by_slope = shared[swap, inverted]
-        # the face's slope after the same change of variables, in lowest
-        # terms since the direction is primitive
-        dx, dy = face.direction[::-1] if swap else face.direction
-        num = -dy if inverted else dy
-        i = by_slope.get((num, dx) if dx > 0 else (-num, -dx))
-        if i is None:
+            shared[swap, inverted] = (val, *newton_polygon(f, val))
+        val, points, np, vectors = shared[swap, inverted]
+        vector = face_norm(face)
+        for i, v in enumerate(vectors):
+            if v == vector:
+                break
+        else:
             raise AssertionError(
-                f"no Newton segment with slope {Fraction(num, dx)}"
+                f"no Newton segment with norm vector {vector}"
                 f" for face {face.start}->{face.end}"
             )
-        norm = ExtendedNorm(*vectors[i], (face, val))
-        _assert_outward(norm, face)
-        out.append(FaceNewtonData(face, val, points, np, np.segments[i], norm))
+        out.append(FaceNewtonData(face, val, points, np, np.segments[i],
+                                  ExtendedNorm(*vector, (face, val))))
     return out
-
-
-def _assert_outward(norm: ExtendedNorm, face: geometry.Face):
-    # the vector times the positive product of its denominators, in integers
-    a, b = norm.log_u1, norm.log_u2
-    x, y = a.numerator * b.denominator, b.numerator * a.denominator
-    n = face.normal
-    if x * n[1] != y * n[0] or x * n[0] + y * n[1] <= 0:
-        raise AssertionError(
-            f"norm vector {norm.vector()} is not a positive multiple of face normal {n}"
-        )

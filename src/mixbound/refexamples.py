@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 from . import geometry
 from ._golden import FIGURE1_SVG, FIGURE4_SVG
+from .fieldpoly import INFINITE
 from .laurent import LaurentPoly, in_ideal, normalize, relation_sum
 from .mixing import (
     CERTIFIED_NON_MIXING,
@@ -103,7 +104,7 @@ class Check(NamedTuple):
 def _newton_strings(f, val):
     points, polygon, vectors = newton_polygon(f, val)
     rendered = ";".join(
-        f"({pt.index},{'inf' if pt.ordinate == float('inf') else pt.ordinate})"
+        f"({pt.index},{'inf' if pt.ordinate == INFINITE else pt.ordinate})"
         for pt in points
     )
     slopes = ",".join(str(s.slope) for s in polygon.segments)

@@ -1,6 +1,6 @@
 """Re-check the relation witness of a printed `shape-test` report, and the
-`eisenstein` or `reducible` certificate of a printed `analyze` report,
-with code that shares nothing with mixbound.
+`eisenstein` or `reducible` certificate and the face norms of a printed
+`analyze` report, with code that shares nothing with mixbound.
 
 A report prints its witness as k, the coefficients m_i and the quotient
 q, each a polynomial string.  This module reads those strings, and the
@@ -32,6 +32,14 @@ it checks
 A `brute_force` certificate can only be checked by repeating the search;
 `unverified` ones carry nothing to check.
 
+Every `analyze` report of a polygon also prints one Newton record per
+face.  For each face it recomputes the primitive outward normal from the
+printed `start` and `end` (the hull is counterclockwise, so the interior
+lies on the left), scales it so that the entry of the record's
+`coeff_axis` is +-1, and checks
+  - the scaled normal is the printed `extended_norm`;
+  - its other entry is the slope of one printed segment of the record.
+
 Run it on a saved report:
 
     python tests/recheck.py --prime 2 --poly "1+u1+u2" < shape_report.json
@@ -42,8 +50,10 @@ It prints each problem found and exits 1 if there is one, else 0.
 
 import argparse
 import json
+import math
 import re
 import sys
+from fractions import Fraction
 
 WITNESS_KINDS = ("certified_non_mixing", "relation_found")
 OTHER_KINDS = ("geometrically_mixing", "unresolved")
@@ -286,6 +296,38 @@ def eisenstein_problems(report):
     return problems
 
 
+def _fraction(x):
+    return Fraction(x["num"], x["den"])
+
+
+def norm_problems(report):
+    """The problems found in the face norms of an `analyze` report (a
+    parsed JSON object); [] when each Newton record's `extended_norm` is
+    its face's scaled outward normal and a segment has the other entry as
+    its slope."""
+    faces, records = report["faces"], report["newton"]
+    if records and len(records) != len(faces):
+        return [f"{len(records)} Newton records for {len(faces)} faces"]
+    problems = []
+    for i, (face, record) in enumerate(zip(faces, records)):
+        (x0, y0), (x1, y1) = face["start"], face["end"]
+        g = math.gcd(x1 - x0, y1 - y0)
+        normal = ((y1 - y0) // g, (x0 - x1) // g)
+        axis = record["valuation"]["coeff_axis"]
+        if axis not in (1, 2) or isinstance(axis, bool) or normal[axis - 1] == 0:
+            problems.append(f"face {i}: coeff_axis {axis!r} does not fit normal {normal}")
+            continue
+        k = abs(normal[axis - 1])
+        want = (Fraction(normal[0], k), Fraction(normal[1], k))
+        norm = record["extended_norm"]
+        if (_fraction(norm["log_u1"]), _fraction(norm["log_u2"])) != want:
+            problems.append(f"face {i}: extended_norm is not the scaled normal "
+                            f"({want[0]}, {want[1]})")
+        if all(_fraction(s["slope"]) != want[2 - axis] for s in record["segments"]):
+            problems.append(f"face {i}: no segment has slope {want[2 - axis]}")
+    return problems
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--prime", type=int, help="the shape-test's --prime")
@@ -295,6 +337,7 @@ def main(argv=None):
     if "irreducibility" in report:
         reducible = report["irreducibility"]["method"] == "reducible"
         problems = (reducible_problems if reducible else eisenstein_problems)(report)
+        problems += norm_problems(report)
     elif args.prime is None or args.poly is None:
         parser.error("a shape-test report needs --prime and --poly")
     else:

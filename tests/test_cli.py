@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -252,14 +253,31 @@ class TestShapeTest:
         assert json.loads(out)["budget"]["windows"] == [1, 0]
 
 
-def run_child(*argv):
+def run_child(*argv, preexec_fn=None):
     """(exit code, stdout, stderr) of `mixbound` run in a child process."""
     done = subprocess.run(
         [sys.executable, "-m", "mixbound.cli", *argv],
         env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, preexec_fn=preexec_fn,
     )
     return done.returncode, done.stdout, done.stderr
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+
+class TestSeqDiagnoseChild:
+    def test_wide_exponents_fit_in_256_mb(self):
+        # the face norms come from the hull alone, so exponents of 2^20
+        # cost no dense Newton polygon
+        code, out, err = run_child(
+            "seq-diagnose", "--prime", "65521",
+            "--poly", "1+u1^1048576+u2^1048576+u1*u2", "--tuple", "(0,0);(1,0);(0,1)",
+            preexec_fn=_limit_address_space,
+        )
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)[0]["alignments"]) == 3
 
 
 class TestShapeTestChild:

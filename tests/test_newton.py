@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 from collections import Counter
@@ -336,11 +337,19 @@ class TestSharedReduction:
         assert calls["divmod"] == 0
         assert calls["FpPoly"] == 0
 
-    def test_diagnostics_build_one_hull_and_one_polygon_per_change(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "text, p, faces",
+        [
+            ("u1+u1^2+u1^3u2+u1^3u2^2+u1^2u2^3+u1u2^3+u2^2+u2", 3, 8),
+            ("1+u1^1048576+u2", 2, 3),
+        ],
+        ids=["octagon", "wide"],
+    )
+    def test_diagnostics_build_two_hulls_and_no_newton_polygon(self, monkeypatch, text, p, faces):
         # counts, not a clock: the diagnostics build the hull of f and the
-        # hull of the tuple once each, and the octagon's eight faces share
-        # four coordinate changes, so four Newton polygons serve them all
-        f = L("u1+u1^2+u1^3u2+u1^3u2^2+u1^2u2^3+u1u2^3+u2^2+u2", 3)
+        # hull of the tuple once each, and read every face's norm off the
+        # face itself, so the exponents' size costs nothing
+        f = L(text, p)
         calls = Counter()
         points, hull_of = newton.newton_points, geometry.convex_hull
 
@@ -355,8 +364,8 @@ class TestSharedReduction:
         monkeypatch.setattr(newton, "newton_points", counted_points)
         monkeypatch.setattr(geometry, "convex_hull", counted_hull)
         diag = sequence_diagnostics(f, [(1, [(0, 0), (3, 1), (1, 3)])])
-        assert len(diag[0].alignments) == 8
-        assert calls == {"convex_hull": 2, "newton_points": 4}
+        assert len(diag[0].alignments) == faces
+        assert calls == {"convex_hull": 2}
 
     def test_diagnostics_match_per_face_oracle(self, monkeypatch):
         # the alignment table is the same when every face's norm comes from
@@ -379,15 +388,95 @@ class TestSharedReduction:
             done += 1
             entries = [(label, rng.sample(cells, rng.randint(2, 5))) for label in (1, 2, 3)]
             got.append((f, entries, sequence_diagnostics(f, entries)))
-        monkeypatch.setattr(
-            mixing,
-            "face_newton_data",
-            lambda f, hull: [face_newton_data_per_face(f, fc) for fc in geometry.faces(hull)],
-        )
         for f, entries, diag in got:
+            monkeypatch.setattr(
+                mixing, "face_norm",
+                lambda fc, f=f: face_newton_data_per_face(f, fc).norm.vector(),
+            )
             oracle = sequence_diagnostics(f, entries)
             assert diag == oracle, f.to_string()
             assert json.dumps(diagnostics_json(diag)) == json.dumps(diagnostics_json(oracle))
+
+
+def _negated_coeff_log(monkeypatch):
+    log = Valuation.coeff_log
+    monkeypatch.setattr(Valuation, "coeff_log", lambda self: -log(self))
+
+
+def _swapped_vectors(monkeypatch):
+    polygon = newton.newton_polygon
+
+    def swapped(f, val):
+        points, np, vectors = polygon(f, val)
+        return points, np, tuple([(b, a) for a, b in vectors])
+
+    monkeypatch.setattr(newton, "newton_polygon", swapped)
+
+
+def _dropped_second_vertex(monkeypatch):
+    # a triangle keeps its vertices: without one it would be a segment
+    hull_of = geometry.convex_hull
+
+    def dropped(points):
+        hull = hull_of(points)
+        vs = hull.vertices
+        return hull._replace(vertices=vs[:1] + vs[2:]) if len(vs) > 3 else hull
+
+    monkeypatch.setattr(geometry, "convex_hull", dropped)
+
+
+def _negated_inverted(monkeypatch):
+    monkeypatch.setattr(
+        Valuation, "finite_at",
+        classmethod(lambda cls, coeff_axis=2, inverted=False: cls(
+            newton.FINITE, coeff_axis, not inverted)),
+    )
+
+
+@functools.cache
+def _fault_matrix_reports():
+    """(f, unfaulted report JSON) for 600 seeded polygons."""
+    rng = random.Random(20261020)
+    out = []
+    while len(out) < 600:
+        p = rng.choice([2, 3, 5, 7])
+        terms = {
+            (rng.randint(-3, 6), rng.randint(-3, 6)): rng.randint(1, p - 1)
+            for _ in range(rng.randint(3, 7))
+        }
+        f = LaurentPoly(terms, p)
+        if f.is_zero() or f.is_monomial():
+            continue
+        if geometry.convex_hull(f.support()).degeneracy != geometry.POLYGON:
+            continue
+        out.append((f, json.dumps(build_report(order_bounds(f)))))
+    return out
+
+
+@pytest.mark.parametrize(
+    "fault, tally",
+    [
+        (_negated_coeff_log, {"raised": 600}),
+        (_swapped_vectors, {"raised": 600}),
+        (_dropped_second_vertex, {"raised": 406, "unchanged": 194}),
+        (_negated_inverted, {"raised": 600}),
+    ],
+    ids=["coeff-log-negated", "vector-swapped", "second-vertex-dropped", "inverted-negated"],
+)
+def test_newton_fault_matrix(monkeypatch, fault, tally):
+    # under each fault a report either fails the face-to-norm check or
+    # comes out byte-identical; it is never a different report
+    cases = _fault_matrix_reports()
+    fault(monkeypatch)
+    got = Counter()
+    for f, want in cases:
+        try:
+            out = json.dumps(build_report(order_bounds(f)))
+        except AssertionError:
+            got["raised"] += 1
+            continue
+        got["unchanged" if out == want else "changed"] += 1
+    assert got == tally
 
 
 class TestNormAxioms:

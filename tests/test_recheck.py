@@ -13,6 +13,7 @@ altered certificates and names every wrong one a fault lets through.
 
 import functools
 import hashlib
+import io
 import json
 import os
 import random
@@ -147,16 +148,70 @@ def analyze_report(f):
     return json.loads(json.dumps(build_report(mixing.order_bounds(f))))
 
 
+@functools.lru_cache(maxsize=None)
+def corpus_reports():
+    """(text, analyze report) for the `corpus` inputs at seeds 1-3."""
+    return [(text, analyze_report(parse_poly(text, p)))
+            for seed in (1, 2, 3) for p, text in workloads.corpus_inputs(seed)]
+
+
 def test_corpus_eisenstein_reports_recheck():
     methods = Counter()
-    for seed in (1, 2, 3):
-        for p, text in workloads.corpus_inputs(seed):
-            report = analyze_report(parse_poly(text, p))
-            cert = report["irreducibility"]
-            if cert["method"] == "eisenstein":
-                methods["inverted" if cert["inverted"] else "plain"] += 1
-            assert recheck.eisenstein_problems(report) == [], text
+    for text, report in corpus_reports():
+        cert = report["irreducibility"]
+        if cert["method"] == "eisenstein":
+            methods["inverted" if cert["inverted"] else "plain"] += 1
+        assert recheck.eisenstein_problems(report) == [], text
     assert methods == {"plain": 162, "inverted": 81}
+
+
+def test_corpus_and_octagon_norms_recheck():
+    octagon = json.loads((Path(__file__).parent / "golden" / "octagon_analyze.json").read_text())
+    reports = [("octagon", octagon), *corpus_reports()]
+    for text, report in reports:
+        assert recheck.norm_problems(report) == [], text
+    axes = Counter(r["valuation"]["coeff_axis"] for _, rep in reports for r in rep["newton"])
+    assert axes[1] > 0 and axes[2] > 0
+
+
+def test_altered_norms_are_flagged():
+    # one entry of one face's extended_norm negated, doubled, or swapped
+    # with the same entry of another face; alterations that leave the
+    # entry as it was are not counted
+    rng = random.Random(39)
+    altered = Counter()
+    for _, report in corpus_reports():
+        for kind in ("negated", "doubled", "swapped"):
+            records = [dict(r, extended_norm=dict(r["extended_norm"])) for r in report["newton"]]
+            i, j = rng.sample(range(len(records)), 2)
+            key = rng.choice(("log_u1", "log_u2"))
+            norm, other = records[i]["extended_norm"], records[j]["extended_norm"]
+            old = norm[key]
+            if kind == "swapped":
+                norm[key], other[key] = other[key], old
+            else:
+                scale = -1 if kind == "negated" else 2
+                norm[key] = {"num": scale * old["num"], "den": old["den"]}
+            if norm[key] == old:
+                continue
+            altered[kind] += 1
+            assert recheck.norm_problems({**report, "newton": records}), (kind, report["poly"])
+    assert altered == {"negated": 775, "doubled": 758, "swapped": 753}
+
+
+def test_script_checks_face_norms(monkeypatch, capsys):
+    assert main(["analyze", "--prime", "2", "--poly", "1+u1+u2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    record = report["newton"][0]
+    bad = {**report, "newton": [{**record, "extended_norm": {
+        "log_u1": record["extended_norm"]["log_u2"], "log_u2": record["extended_norm"]["log_u1"]}},
+        *report["newton"][1:]]}
+    codes = []
+    for text in (json.dumps(report), json.dumps(bad)):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        codes.append(recheck.main([]))
+    assert codes == [0, 1]
+    assert capsys.readouterr().out.startswith("face 0: extended_norm is not the scaled normal")
 
 
 @pytest.mark.parametrize("poly", ["u1^2+u1u2^2+u2^3+u2", "u1^6+u1^5u2+u1^3u2^2+u2+u2^3"],
