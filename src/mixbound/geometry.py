@@ -102,11 +102,12 @@ def convex_hull(points) -> LatticePolygon:
 
 
 def _make_face(a, b):
-    d = primitive((b[0] - a[0], b[1] - a[1]))
+    # a and b are distinct hull vertices, so the gcd is positive
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    length = math.gcd(dx, dy)
+    d = (dx // length, dy // length)
     # interior of a CCW polygon lies left of each edge, so outward is right
-    normal = (d[1], -d[0])
-    length = math.gcd(b[0] - a[0], b[1] - a[1])
-    return Face(a, b, d, normal, length)
+    return Face(a, b, d, (d[1], -d[0]), length)
 
 
 def faces(poly: LatticePolygon):

@@ -19,8 +19,11 @@ norm whose log-vector is the face's outward normal, scaled so that the
 coefficient variable's entry is +-1.  `face_newton_data` checks it
 against f's Newton polygons: swap the variables when a face is
 vertical, replace u2 by its inverse when it points upward, and pick the
-segment whose pulled-back vector is `face_norm(face)`; a face with no
-such segment raises AssertionError.  There are at most four coordinate
+segment whose pulled-back vector (a, b) is that scaled normal, matched
+in integers (a * k == n1 and b * k == n2, cross-multiplied, with
+(n1, n2) the normal and k the size of its coefficient entry).  The
+face's norm is the matched vector; a face with no such segment raises
+AssertionError.  There are at most four coordinate
 changes; `face_newton_data` builds the Newton polygon once per change,
 and faces that share one share its polygon.
 """
@@ -36,6 +39,11 @@ from .laurent import LaurentPoly, exponent_columns
 
 FINITE = "finite"
 INFINITY_DEG = "infinity"
+
+# coeff_log's two values, log_p|u| of the coefficient variable u: -1 when
+# the base norm is p^-ord at u, +1 when it is p^deg
+_LOG_ORD = Fraction(-1)
+_LOG_DEG = Fraction(1)
 
 
 class _ValuationFields(NamedTuple):
@@ -55,13 +63,12 @@ class Valuation(_ValuationFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.kind not in (FINITE, INFINITY_DEG):
-            raise ValueError(f"unknown valuation kind {self.kind!r}")
-        if self.coeff_axis not in (1, 2):
+    def __new__(cls, kind, coeff_axis=2, inverted=False):
+        if kind not in (FINITE, INFINITY_DEG):
+            raise ValueError(f"unknown valuation kind {kind!r}")
+        if coeff_axis not in (1, 2):
             raise ValueError("coeff_axis must be 1 or 2")
-        return self
+        return tuple.__new__(cls, (kind, coeff_axis, inverted))
 
     @classmethod
     def finite_at(cls, coeff_axis=2, inverted=False):
@@ -73,7 +80,7 @@ class Valuation(_ValuationFields):
 
     def coeff_log(self):
         """log_p of the base norm of the coefficient variable itself."""
-        return Fraction(1 if self.kind == INFINITY_DEG else -1)
+        return _LOG_DEG if self.kind == INFINITY_DEG else _LOG_ORD
 
 
 class NewtonPoint(NamedTuple):
@@ -107,11 +114,10 @@ class ExtendedNorm(_ExtendedNormFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.log_u1 == 0 and self.log_u2 == 0:
+    def __new__(cls, log_u1, log_u2, source):
+        if log_u1 == 0 and log_u2 == 0:
             raise ValueError("trivial norm vector (0, 0)")
-        return self
+        return tuple.__new__(cls, (log_u1, log_u2, source))
 
     def vector(self):
         return (self.log_u1, self.log_u2)
@@ -219,31 +225,33 @@ def face_newton_data(f: LaurentPoly, hull: geometry.LatticePolygon) -> list:
 
     Vertical faces are handled by exchanging u1 and u2; upward faces by
     replacing u2 with its inverse; afterwards the face is a lower face,
-    and its Newton segment is the one whose pulled-back vector is
-    `face_norm(face)`.  No such segment means the reduction failed, and
-    raises AssertionError.  The Newton polygon of each coordinate change
-    is computed once, for all the faces that use it.
+    and its Newton segment is the one whose pulled-back vector (a, b) is
+    `face_norm(face)`, checked in integers without building it: a * k ==
+    n1 and b * k == n2 over a's and b's denominators.  The face's norm
+    is the matched vector.  No such segment means the reduction failed,
+    and raises AssertionError.  The Newton polygon of each coordinate
+    change is computed once, for all the faces that use it.
     """
     # shared maps a coordinate change to its valuation, Newton points,
     # polygon and pulled-back vectors
     shared = {}
     out = []
     for face in geometry.faces(hull):
+        n1, n2 = face.normal
         swap = face.direction[0] == 0
-        inverted = (face.normal[0] if swap else face.normal[1]) > 0
+        inverted = (n1 if swap else n2) > 0
         if (swap, inverted) not in shared:
             val = Valuation.finite_at(1 if swap else 2, inverted)
             shared[swap, inverted] = (val, *newton_polygon(f, val))
         val, points, np, vectors = shared[swap, inverted]
-        vector = face_norm(face)
-        for i, v in enumerate(vectors):
-            if v == vector:
+        k = abs(n1 if swap else n2)
+        for seg, (a, b) in zip(np.segments, vectors):
+            if a.numerator * k == n1 * a.denominator and b.numerator * k == n2 * b.denominator:
                 break
         else:
             raise AssertionError(
-                f"no Newton segment with norm vector {vector}"
+                f"no Newton segment with norm vector ({n1}/{k}, {n2}/{k})"
                 f" for face {face.start}->{face.end}"
             )
-        out.append(FaceNewtonData(face, val, points, np, np.segments[i],
-                                  ExtendedNorm(*vector, (face, val))))
+        out.append(FaceNewtonData(face, val, points, np, seg, ExtendedNorm(a, b, (face, val))))
     return out

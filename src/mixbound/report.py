@@ -40,7 +40,8 @@ def valuation_json(val):
     return out
 
 
-def newton_json(data):
+def change_json(data):
+    """The part of a face's Newton record that its coordinate change fixes."""
     return {
         "valuation": valuation_json(data.valuation),
         "points": [[pt.index, ordinate(pt.ordinate)] for pt in data.points],
@@ -48,10 +49,6 @@ def newton_json(data):
             {"slope": rational(s.slope), "start": s.start, "end": s.end}
             for s in data.polygon.segments
         ],
-        "extended_norm": {
-            "log_u1": rational(data.norm.log_u1),
-            "log_u2": rational(data.norm.log_u2),
-        },
     }
 
 
@@ -98,7 +95,19 @@ def build_report(report: MixingReport, extra_notes=()):
     newton = face_newton_data(f, hull) if hull.degeneracy == geometry.POLYGON else []
     faces = [data.face for data in newton] if newton else geometry.faces(hull)
     out["faces"] = [face_json(fc) for fc in faces]
-    out["newton"] = [newton_json(data) for data in newton]
+    # the faces of one coordinate change share its Newton points and polygon,
+    # so their JSON is built once and every such record refers to it; the
+    # encoder writes shared objects out in full each time, so the bytes are
+    # those of one JSON per face
+    changes = {}
+    for data in newton:
+        if data.valuation not in changes:
+            changes[data.valuation] = change_json(data)
+    out["newton"] = [
+        {**changes[data.valuation], "extended_norm": {
+            "log_u1": rational(data.norm.log_u1), "log_u2": rational(data.norm.log_u2)}}
+        for data in newton
+    ]
     out["bounds"] = {
         "lower": report.lower_bound,
         "upper": report.upper_bound,

@@ -50,6 +50,7 @@ from mixbound.newton import (
     Valuation,
 )
 from mixbound.parse import ParseError, parse_poly
+from mixbound.report import ordinate, rational, valuation_json
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -461,6 +462,27 @@ def face_newton_data_per_face(f, face):
             assert vec[0] * n[0] + vec[1] * n[1] > 0
             return FaceNewtonData(face, val, points, np, seg, norm)
     raise AssertionError(f"no Newton segment with slope {target}")
+
+
+def newton_json_per_face(data):
+    """One face's Newton record as JSON, built on its own.
+
+    The reference for `report.build_report`, which builds the valuation,
+    points and segments once per coordinate change and shares them among
+    that change's faces: here every face gets its own objects.
+    """
+    return {
+        "valuation": valuation_json(data.valuation),
+        "points": [[pt.index, ordinate(pt.ordinate)] for pt in data.points],
+        "segments": [
+            {"slope": rational(s.slope), "start": s.start, "end": s.end}
+            for s in data.polygon.segments
+        ],
+        "extended_norm": {
+            "log_u1": rational(data.norm.log_u1),
+            "log_u2": rational(data.norm.log_u2),
+        },
+    }
 
 
 def _search_factor(f, pu):

@@ -28,6 +28,7 @@ from conftest import (
     irreducibles_up_to_degree,
     lower_hull_unshared,
     neg_degree,
+    newton_json_per_face,
     ord_by_division,
 )
 
@@ -274,6 +275,9 @@ class TestSharedReduction:
     def test_matches_per_face_oracle(self):
         rng = random.Random(20261018)
         groups, shared = set(), 0
+        # where the integer match could differ from Fraction equality: a
+        # coefficient entry of size k > 1, and slopes below 0 or not integers
+        wide_entry = negative = non_integer = 0
         done = 0
         while done < 1000:
             p = rng.choice([2, 3, 5, 7])
@@ -296,8 +300,53 @@ class TestSharedReduction:
             keys = [(d.valuation.coeff_axis, d.valuation.inverted) for d in got]
             groups.update(keys)
             shared += len(set(keys)) < len(keys)
+            for d in got:
+                n = d.face.normal
+                wide_entry += abs(n[0] if d.valuation.coeff_axis == 1 else n[1]) > 1
+                negative += d.segment.slope < 0
+                non_integer += d.segment.slope.denominator > 1
         assert groups == {(1, False), (1, True), (2, False), (2, True)}
         assert shared > 0
+        assert wide_entry > 0 and negative > 0 and non_integer > 0
+
+    def test_report_matches_per_face_json_oracle(self):
+        # the shared per-change JSON encodes to the same bytes as records
+        # built face by face
+        rng = random.Random(20261021)
+        done = 0
+        while done < 1000:
+            p = rng.choice([2, 3, 5, 7])
+            terms = {
+                (rng.randint(-3, 6), rng.randint(-3, 6)): rng.randint(1, p - 1)
+                for _ in range(rng.randint(3, 7))
+            }
+            f = LaurentPoly(terms, p)
+            if f.is_zero() or f.is_monomial():
+                continue
+            rep = order_bounds(f)
+            if rep.hull.degeneracy != geometry.POLYGON:
+                continue
+            done += 1
+            out = build_report(rep)
+            oracle = {**out, "newton": [
+                newton_json_per_face(d) for d in face_newton_data(f, rep.hull)]}
+            assert json.dumps(out) == json.dumps(oracle), f.to_string()
+
+    def test_faces_of_one_change_share_their_json(self):
+        # counts, not a clock: the octagon's eight faces fall into fewer
+        # coordinate changes, and each change's points, segments and
+        # valuation are one object for all its faces
+        out = build_report(order_bounds(L(
+            "u1+u1^2+u1^3u2+u1^3u2^2+u1^2u2^3+u1u2^3+u2^2+u2", 3)))
+        records = out["newton"]
+        by_change = {}
+        for r in records:
+            by_change.setdefault((r["valuation"]["coeff_axis"], r["valuation"]["inverted"]), []).append(r)
+        assert len(by_change) < len(records) == 8
+        for group in by_change.values():
+            for key in ("valuation", "points", "segments"):
+                assert len({id(r[key]) for r in group}) == 1, key
+        assert len({id(r["points"]) for r in records}) == len(by_change)
 
     @pytest.mark.parametrize(
         "text, p, face_count",
