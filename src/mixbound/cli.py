@@ -6,9 +6,12 @@ verify-paper, render.  All numeric output is exact (integers or
 2 parse error, 3 degenerate input (zero, monomial, or collinear
 support).
 
-`refexamples` and `render` are imported inside the commands that use
-them, so shape-test, seq-diagnose and voloch-scan neither compile nor
-run them.
+Modules that only some commands run are imported inside those
+commands: `report` in analyze and seq-diagnose, `refexamples` in
+analyze and verify-paper, `render` in analyze and render, and `newton`
+in render (the others reach it through those modules).  shape-test and
+voloch-scan write their JSON here, so they compile none of the four,
+nor the `fractions` module that Newton data and figures need.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import argparse
 import json
 import sys
 
-from . import geometry, report as report_mod
+from . import geometry
 from .mixing import (
     DegenerateInput,
     KMAX_DEFAULT,
@@ -27,7 +30,6 @@ from .mixing import (
     shape_witness_search,
     voloch_identity_scan,
 )
-from .newton import Valuation, newton_polygon
 from .parse import ParseError, parse_family_line, parse_points, parse_poly, parse_windows
 
 EXIT_OK = 0
@@ -62,11 +64,12 @@ def _load_poly(args):
 def _cmd_analyze(args):
     from . import refexamples
     from .render import render_polygon
+    from .report import build_report
 
     f = _load_poly(args)
     rep = order_bounds(f)
     extra = refexamples.notes_for(f)
-    out = report_mod.build_report(rep, extra_notes=extra)
+    out = build_report(rep, extra_notes=extra)
     if args.pretty:
         _print_pretty(out)
     else:
@@ -102,18 +105,50 @@ def _print_pretty(out):
         w(f"note         : {note}\n")
 
 
+def witness_json(w):
+    return {
+        "k": w.k,
+        "coefficients": [m.to_string() for m in w.coefficients],
+        "constant": w.constant_flag,
+        "quotient": w.quotient.to_string() if w.quotient is not None else None,
+    }
+
+
+def verdict_json(v, shape=None):
+    """The JSON of a `ShapeVerdict`, as shape-test prints it."""
+    out = {"kind": v.kind}
+    if shape is not None:
+        out["shape"] = [list(pt) for pt in shape]
+    if v.witness is not None:
+        out["witness"] = witness_json(v.witness)
+    if v.reason is not None:
+        out["reason"] = v.reason
+    if v.conditional:
+        out["conditional"] = True
+    if v.searched is not None:
+        out["searched"] = {
+            "kmax": v.searched["kmax"],
+            "windows": list(v.searched["windows"]),
+        }
+    if v.note is not None:
+        out["note"] = v.note
+    return out
+
+
 def _cmd_shape_test(args):
     f = _load_poly(args)
     shape = parse_points(args.shape)
     windows = parse_windows(args.windows)
     verdict = shape_witness_search(f, shape, kmax=args.kmax, windows=windows)
-    out = report_mod.verdict_json(verdict, shape=shape)
+    out = verdict_json(verdict, shape=shape)
     out["budget"] = {"kmax": args.kmax, "windows": list(windows)}
     _emit(out)
     return EXIT_OK
 
 
 def _cmd_seq_diagnose(args):
+    from .report import diagnostics_json
+
     f = _load_poly(args)
     entries = []
     if args.file:
@@ -126,7 +161,7 @@ def _cmd_seq_diagnose(args):
     if not entries:
         raise ParseError("no tuples given (use --tuple or --file)", 1, 1)
     diag = sequence_diagnostics(f, entries)
-    _emit(report_mod.diagnostics_json(diag))
+    _emit(diagnostics_json(diag))
     return EXIT_OK
 
 
@@ -156,6 +191,7 @@ def _cmd_verify_paper(args):
 
 
 def _cmd_render(args):
+    from .newton import Valuation, newton_polygon
     from .render import render_polygon
 
     f = _load_poly(args)

@@ -23,7 +23,6 @@ constants, so that relation carries over to every dilation k p^j.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import geometry
@@ -45,7 +44,6 @@ from .laurent import (
     exponent_columns,
     relation_sum,
 )
-from .newton import face_norm
 
 KMAX_DEFAULT = 16
 WINDOWS_DEFAULT = (0, 1, 2)
@@ -693,7 +691,7 @@ class FaceAlignment(NamedTuple):
     face_index: int
     maximizer: tuple
     runner_up: tuple
-    gap: Fraction
+    gap: object  # Fraction
     offset: int
 
 
@@ -717,6 +715,12 @@ def sequence_diagnostics(f: LaurentPoly, entries):
     sequence; the face-length ratios of each tuple's own hull are
     reported alongside.
     """
+    # imported here, so that shape-test and voloch-scan, which import this
+    # module, load neither newton nor fractions
+    from fractions import Fraction
+
+    from .newton import face_norm
+
     hull = geometry.convex_hull(f.support())
     if hull.degeneracy != geometry.POLYGON:
         raise DegenerateInput("diagnostics need a non-degenerate hull")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from . import geometry
 from .fieldpoly import INFINITE
-from .mixing import METHODS, MixingReport, ShapeVerdict, Witness
+from .mixing import METHODS, MixingReport
 from .newton import FINITE, face_newton_data
 
 
@@ -50,35 +50,6 @@ def change_json(data):
             for s in data.polygon.segments
         ],
     }
-
-
-def witness_json(w: Witness):
-    return {
-        "k": w.k,
-        "coefficients": [m.to_string() for m in w.coefficients],
-        "constant": w.constant_flag,
-        "quotient": w.quotient.to_string() if w.quotient is not None else None,
-    }
-
-
-def verdict_json(v: ShapeVerdict, shape=None):
-    out = {"kind": v.kind}
-    if shape is not None:
-        out["shape"] = [list(pt) for pt in shape]
-    if v.witness is not None:
-        out["witness"] = witness_json(v.witness)
-    if v.reason is not None:
-        out["reason"] = v.reason
-    if v.conditional:
-        out["conditional"] = True
-    if v.searched is not None:
-        out["searched"] = {
-            "kmax": v.searched["kmax"],
-            "windows": list(v.searched["windows"]),
-        }
-    if v.note is not None:
-        out["note"] = v.note
-    return out
 
 
 def build_report(report: MixingReport, extra_notes=()):

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from mixbound import fieldpoly, geometry, laurent, linalg, mixing
+from mixbound.cli import verdict_json
 from mixbound.fieldpoly import FpPoly, content
 from mixbound.laurent import LaurentPoly, columns, combination_solve, in_ideal
 from mixbound.mixing import (
@@ -30,7 +31,7 @@ from mixbound.mixing import (
     voloch_identity_scan,
 )
 from mixbound.parse import parse_poly
-from mixbound.report import build_report, verdict_json
+from mixbound.report import build_report
 
 import recheck
 from conftest import (
@@ -842,6 +843,36 @@ class TestOrderBounds:
             assert rep.lower_bound <= rep.upper_bound
             if set(rep.hull.vertices) == f.support():
                 assert rep.exact_order == rep.lower_bound == rep.upper_bound
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 65521])
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_k_fold_but_not_k_plus_one_fold_family(self, k, p):
+        # f_k = u1^k + sum_{i<k} u1^i u2^(1+i(2k-i)): its k+1 terms lie on
+        # a concave arc above the edge (0,1)-(k,0), so all are vertices;
+        # u2 divides every u1-coefficient below the top one, 1, and u2^2
+        # does not divide u2, so Eisenstein certifies f at every p, and
+        # R - 1 <= order < |S(f)| = R + 1 pins the order at k
+        f = LaurentPoly({(k, 0): 1, **{(i, 1 + i * (2 * k - i)): 1 for i in range(k)}}, p)
+        rep = order_bounds(f)
+        assert (rep.face_count, rep.support_size) == (k + 1, k + 1)
+        assert (rep.lower_bound, rep.upper_bound, rep.exact_order) == (k, k, k)
+        assert not rep.conditional
+        cert = rep.irreducibility
+        assert (cert.method, cert.g) == ("eisenstein", FpPoly([0, 1], p))
+        assert verify_eisenstein(f, cert)
+        report = json.loads(json.dumps(build_report(rep)))
+        assert report["irreducibility"]["g"] == "u2"
+        assert recheck.eisenstein_problems(report) == []
+        # the support itself is not mixing: f is its relation at k = 1
+        support = sorted(f.support())
+        v = shape_witness_search(f, support, kmax=1, windows=(0,))
+        assert (v.kind, v.witness.k) == (CERTIFIED_NON_MIXING, 1)
+        printed = json.loads(json.dumps(verdict_json(v, support)))
+        assert recheck.witness_problems(printed, f.to_string(), p) == []
+        # without (k, 0) the k points mix, as every k-shape does
+        smaller = [pt for pt in support if pt != (k, 0)]
+        v = shape_witness_search(f, smaller, kmax=1, windows=(0,))
+        assert v.kind == GEOMETRICALLY_MIXING and not v.conditional
 
 
 class TestWitness:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from mixbound import geometry, mixing, newton
+from mixbound import geometry, newton
 from mixbound.fieldpoly import INFINITE, FpPoly
 from mixbound.laurent import LaurentPoly
 from mixbound.mixing import order_bounds, sequence_diagnostics
@@ -439,7 +439,7 @@ class TestSharedReduction:
             got.append((f, entries, sequence_diagnostics(f, entries)))
         for f, entries, diag in got:
             monkeypatch.setattr(
-                mixing, "face_norm",
+                newton, "face_norm",
                 lambda fc, f=f: face_newton_data_per_face(f, fc).norm.vector(),
             )
             oracle = sequence_diagnostics(f, entries)
@@ -460,6 +460,21 @@ def _swapped_vectors(monkeypatch):
         return points, np, tuple([(b, a) for a, b in vectors])
 
     monkeypatch.setattr(newton, "newton_polygon", swapped)
+
+
+def _halved_inverted_entry(monkeypatch):
+    # only the non-swapped inverted change: its vectors' u2 entry, the
+    # coefficient variable's, becomes 1/2, which only b's denominator
+    # tells from the face normal's 1
+    polygon = newton.newton_polygon
+
+    def halved(f, val):
+        points, np, vectors = polygon(f, val)
+        if val.coeff_axis == 2 and val.inverted:
+            vectors = tuple([(a, b / 2) for a, b in vectors])
+        return points, np, vectors
+
+    monkeypatch.setattr(newton, "newton_polygon", halved)
 
 
 def _dropped_second_vertex(monkeypatch):
@@ -509,8 +524,10 @@ def _fault_matrix_reports():
         (_swapped_vectors, {"raised": 600}),
         (_dropped_second_vertex, {"raised": 406, "unchanged": 194}),
         (_negated_inverted, {"raised": 600}),
+        (_halved_inverted_entry, {"raised": 600}),
     ],
-    ids=["coeff-log-negated", "vector-swapped", "second-vertex-dropped", "inverted-negated"],
+    ids=["coeff-log-negated", "vector-swapped", "second-vertex-dropped", "inverted-negated",
+         "inverted-entry-halved"],
 )
 def test_newton_fault_matrix(monkeypatch, fault, tally):
     # under each fault a report either fails the face-to-norm check or

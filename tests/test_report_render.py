@@ -205,7 +205,7 @@ class TestReportJSON:
 
     def test_verdict_json_of_a_certified_witness(self):
         from mixbound.mixing import shape_witness_search
-        from mixbound.report import verdict_json
+        from mixbound.cli import verdict_json
 
         f = L("1+u1+u2")
         shape = [(0, 0), (1, 0), (0, 1)]

@@ -1,8 +1,11 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mixbound"
 RECHECK = Path(__file__).resolve().parent / "recheck.py"
@@ -63,16 +66,74 @@ def test_every_exported_name_resolves():
     assert mixbound.__all__ and missing == []
 
 
+def test_exported_names_are_their_modules_attributes():
+    # a re-export is looked up in its defining module on every access, so
+    # it is that module's object, and nothing is left bound in the package
+    import mixbound
+
+    for name in mixbound.__all__:
+        if name == "__version__":
+            continue
+        module = importlib.import_module(f"mixbound.{mixbound._EXPORTS[name]}")
+        assert getattr(mixbound, name) is getattr(module, name), name
+        assert name not in vars(mixbound), name
+
+
+def test_unknown_name_raises_attribute_error():
+    import mixbound
+
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        mixbound.no_such_name
+    assert not hasattr(mixbound, "no_such_name")
+
+
+def _loaded_by(code):
+    # the modules a fresh interpreter has loaded after running code
+    script = code + "\nimport sys\nprint('\\n'.join(sorted(sys.modules)))\n"
+    done = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True, text=True, check=True,
+    )
+    return set(done.stdout.split())
+
+
+def test_package_import_loads_no_submodule():
+    loaded = _loaded_by("import mixbound")
+    assert "mixbound" in loaded
+    assert [name for name in loaded if name.startswith("mixbound.")] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["shape-test", "--prime", "2", "--poly", "1+u1+u2", "--shape", "(0,0);(1,0);(0,1)",
+     "--kmax", "2"],
+    ["voloch-scan", "--mmax", "8"],
+], ids=["shape-test", "voloch-scan"])
+def test_shape_test_and_voloch_scan_load_no_newton_layer(argv):
+    # neither command runs Newton data, a report or a rational number
+    loaded = _loaded_by(
+        "import contextlib, io\n"
+        "from mixbound.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+    )
+    assert "mixbound.mixing" in loaded
+    assert loaded & {"mixbound.newton", "mixbound.report", "fractions"} == set()
+
+
 def test_every_module_level_definition_is_used():
     # a function, class or constant that nothing in the package reads,
     # reads as an attribute or imports is dead code; dunder names such as
-    # __all__ are read by Python itself
-    defined, used = [], set()
+    # __all__ and a module's __getattr__ (PEP 562) are read by Python itself;
+    # a name the package re-exports is used
+    import mixbound
+
+    defined, used = [], set(mixbound.__all__)
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((path.name, node.lineno, node.name))
+                if not node.name.startswith("__"):
+                    defined.append((path.name, node.lineno, node.name))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined.extend(
@@ -150,10 +211,21 @@ def test_readme_line_counts_match_the_sources():
 
     poly = ["--prime", "2", "--poly", "1+u1+u2"]
     total = sum(lines(path) for path in SRC.glob("*.py"))
-    assert loaded_lines(["analyze", *poly]) == total
-    render_fewer = total - loaded_lines(["render", *poly])
-    other_fewer = total - loaded_lines(["shape-test", *poly, "--shape", "(0,0);(1,0)"])
+    counts = {
+        "analyze": loaded_lines(["analyze", *poly]),
+        "verify-paper": loaded_lines(["verify-paper"]),
+        "render": loaded_lines(["render", *poly]),
+        "seq-diagnose": loaded_lines(["seq-diagnose", *poly, "--tuple", "(0,0);(1,0)"]),
+        "shape-test": loaded_lines(["shape-test", *poly, "--shape", "(0,0);(1,0)"]),
+        "voloch-scan": loaded_lines(["voloch-scan", "--mmax", "8"]),
+    }
+    assert counts["analyze"] == total
     readme = " ".join((SRC.parent.parent / "README.md").read_text().split())
-    assert f"compile all {total} lines of `src/mixbound`" in readme
-    assert f"compiles {render_fewer} lines fewer" in readme
-    assert f"compile {other_fewer} lines fewer" in readme
+    assert f"`analyze` compiles all {total} lines of `src/mixbound`" in readme
+    assert f"`verify-paper` compiles {counts['verify-paper']} " in readme
+    assert f"`render` {counts['render']} " in readme
+    assert f"`seq-diagnose` {counts['seq-diagnose']}." in readme
+    assert f"`shape-test` compiles {counts['shape-test']} " in readme
+    assert f"`voloch-scan` {counts['voloch-scan']}, " in readme
+    assert f"{total - counts['shape-test']} lines fewer than `analyze`" in readme
+    assert counts["voloch-scan"] == counts["shape-test"]
