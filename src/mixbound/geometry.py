@@ -61,6 +61,13 @@ class Face(NamedTuple):
     normal: tuple
     lattice_length: int
 
+    @property
+    def coeff_entry(self):
+        """The normal's entry on the coefficient variable of the face's
+        norm, u2 (u1 for a vertical face): the norm is the normal over
+        its size, and inverts that variable when it is positive."""
+        return self.normal[1] or self.normal[0]
+
 
 def lower_chain(points):
     """One pass of the monotone chain over points sorted by x (then y).

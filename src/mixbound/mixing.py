@@ -716,25 +716,25 @@ def sequence_diagnostics(f: LaurentPoly, entries):
     reported alongside.
     """
     # imported here, so that shape-test and voloch-scan, which import this
-    # module, load neither newton nor fractions
+    # module, do not load fractions
     from fractions import Fraction
-
-    from .newton import face_norm
 
     hull = geometry.convex_hull(f.support())
     if hull.degeneracy != geometry.POLYGON:
         raise DegenerateInput("diagnostics need a non-degenerate hull")
-    faces_norms = [(face, face_norm(face)) for face in geometry.faces(hull)]
+    faces = geometry.faces(hull)
     out = []
     for label, points in entries:
         pts = _clean_shape(points)
         if len(pts) < 2:
             raise ValueError("each tuple needs at least two points")
         alignments = []
-        for idx, (face, (v1, v2)) in enumerate(faces_norms):
-            scored = sorted(pts, key=lambda n: (-(v1 * n[0] + v2 * n[1]), n))
-            top, second = scored[0], scored[1]
-            gap = (v1 * top[0] + v2 * top[1]) - (v1 * second[0] + v2 * second[1])
+        for idx, face in enumerate(faces):
+            # the norm is the normal over |coeff_entry|: both rank alike
+            n1, n2 = face.normal
+            top, second = sorted(pts, key=lambda n: (-(n1 * n[0] + n2 * n[1]), n))[:2]
+            gap = Fraction(n1 * (top[0] - second[0]) + n2 * (top[1] - second[1]),
+                           abs(face.coeff_entry))
             d = face.direction
             offset = abs(d[0] * (second[1] - top[1]) - d[1] * (second[0] - top[0]))
             alignments.append(FaceAlignment(idx, top, second, gap, offset))

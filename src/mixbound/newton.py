@@ -14,18 +14,15 @@ valuation records (ord q_i and deg q_i are the extreme u2-exponents of
 the u1^i terms), takes their lower hull with `geometry.lower_chain` (the
 monotone chain of the convex hull), and maps each segment's log-vector
 back to the original coordinates.  `extended_norms` keeps every segment.
-`face_norm` states the face-to-norm result: a face of f's hull gets the
-norm whose log-vector is the face's outward normal, scaled so that the
-coefficient variable's entry is +-1.  `face_newton_data` checks it
-against f's Newton polygons: swap the variables when a face is
-vertical, replace u2 by its inverse when it points upward, and pick the
-segment whose pulled-back vector (a, b) is that scaled normal, matched
-in integers (a * k == n1 and b * k == n2, cross-multiplied, with
-(n1, n2) the normal and k the size of its coefficient entry).  The
-face's norm is the matched vector; a face with no such segment raises
-AssertionError.  There are at most four coordinate
-changes; `face_newton_data` builds the Newton polygon once per change,
-and faces that share one share its polygon.
+`face_newton_data` checks the face-to-norm result against f's Newton
+polygons: a face of f's hull gets the norm whose log-vector is its
+outward normal (n1, n2) over k = |`Face.coeff_entry`|, the normal's
+entry on the coefficient variable (u2, or u1 for a vertical face).
+Each face's segment is the one of its coordinate change whose
+pulled-back vector (a, b) satisfies a * k == n1 and b * k == n2; the
+face's norm is that vector, and a face with none raises AssertionError.
+There are at most four coordinate changes; each Newton polygon is built
+once, and faces that share a change share its polygon.
 """
 
 from __future__ import annotations
@@ -209,28 +206,20 @@ class FaceNewtonData(NamedTuple):
     norm: ExtendedNorm
 
 
-def face_norm(face: geometry.Face):
-    """The log-vector of the norm the face-to-norm reduction gives face:
-    its primitive outward normal, scaled so that the entry of the
-    coefficient variable (u2, or u1 for a vertical face) is +-1."""
-    n = face.normal
-    k = abs(n[0] if face.direction[0] == 0 else n[1])
-    return (Fraction(n[0], k), Fraction(n[1], k))
-
-
 def face_newton_data(f: LaurentPoly, hull: geometry.LatticePolygon) -> list:
     """Run the face-to-norm reduction on every face of hull, the convex
     hull of the support of f that the caller has already built, keeping
     the intermediate data: one record per face, in `geometry.faces` order.
 
-    Vertical faces are handled by exchanging u1 and u2; upward faces by
-    replacing u2 with its inverse; afterwards the face is a lower face,
-    and its Newton segment is the one whose pulled-back vector (a, b) is
-    `face_norm(face)`, checked in integers without building it: a * k ==
-    n1 and b * k == n2 over a's and b's denominators.  The face's norm
-    is the matched vector.  No such segment means the reduction failed,
-    and raises AssertionError.  The Newton polygon of each coordinate
-    change is computed once, for all the faces that use it.
+    Vertical faces are handled by exchanging u1 and u2; a positive
+    `coeff_entry` by inverting the coefficient variable; afterwards the
+    face is a lower face, and its Newton segment is the one whose
+    pulled-back vector (a, b) is the normal (n1, n2) over k =
+    |coeff_entry|, checked in integers: a * k == n1 and b * k == n2 over
+    a's and b's denominators.  The face's norm is the matched vector.  No
+    such segment means the reduction failed, and raises AssertionError.
+    The Newton polygon of each coordinate change is computed once, for
+    all the faces that use it.
     """
     # shared maps a coordinate change to its valuation, Newton points,
     # polygon and pulled-back vectors
@@ -238,13 +227,14 @@ def face_newton_data(f: LaurentPoly, hull: geometry.LatticePolygon) -> list:
     out = []
     for face in geometry.faces(hull):
         n1, n2 = face.normal
-        swap = face.direction[0] == 0
-        inverted = (n1 if swap else n2) > 0
+        entry = face.coeff_entry
+        swap = entry != n2  # the entry is u1's
+        inverted = entry > 0
         if (swap, inverted) not in shared:
             val = Valuation.finite_at(1 if swap else 2, inverted)
             shared[swap, inverted] = (val, *newton_polygon(f, val))
         val, points, np, vectors = shared[swap, inverted]
-        k = abs(n1 if swap else n2)
+        k = abs(entry)
         for seg, (a, b) in zip(np.segments, vectors):
             if a.numerator * k == n1 * a.denominator and b.numerator * k == n2 * b.denominator:
                 break

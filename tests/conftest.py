@@ -35,6 +35,7 @@ from mixbound.mixing import (
     RELATION_FOUND,
     UNRESOLVED,
     DegenerateInput,
+    FaceAlignment,
     IrreducibilityCertificate,
     ShapeVerdict,
     VolochScan,
@@ -483,6 +484,44 @@ def newton_json_per_face(data):
             "log_u2": rational(data.norm.log_u2),
         },
     }
+
+
+def face_norm_by_direction(face):
+    """The log-vector of the face's norm as two Fractions: the primitive
+    outward normal over the size of its u1-entry when the face's
+    direction is vertical, else of its u2-entry.
+
+    The reference for `geometry.Face.coeff_entry`, which reads the
+    choice off the normal alone.
+    """
+    n = face.normal
+    k = abs(n[0] if face.direction[0] == 0 else n[1])
+    return (Fraction(n[0], k), Fraction(n[1], k))
+
+
+def diagnostics_by_face_norms(f, diag):
+    """diag, a table of `mixing.sequence_diagnostics` for f, with every
+    alignment scored again over each face's norm from
+    `face_newton_data_per_face`.
+
+    The reference for the diagnostics' scoring, which ranks a tuple's
+    points by the integer normal and divides only the gap: here every
+    inner product is a Fraction of the from-scratch norm.
+    """
+    faces = geometry.faces(geometry.convex_hull(f.support()))
+    norms = [face_newton_data_per_face(f, face).norm.vector() for face in faces]
+    out = []
+    for entry in diag:
+        alignments = []
+        for idx, (face, (v1, v2)) in enumerate(zip(faces, norms)):
+            scored = sorted(entry.points, key=lambda n: (-(v1 * n[0] + v2 * n[1]), n))
+            top, second = scored[0], scored[1]
+            gap = (v1 * top[0] + v2 * top[1]) - (v1 * second[0] + v2 * second[1])
+            d = face.direction
+            offset = abs(d[0] * (second[1] - top[1]) - d[1] * (second[0] - top[0]))
+            alignments.append(FaceAlignment(idx, top, second, gap, offset))
+        out.append(entry._replace(alignments=tuple(alignments)))
+    return out
 
 
 def _search_factor(f, pu):

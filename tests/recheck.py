@@ -1,6 +1,7 @@
-"""Re-check the relation witness of a printed `shape-test` report, and the
-`eisenstein` or `reducible` certificate and the face norms of a printed
-`analyze` report, with code that shares nothing with mixbound.
+"""Re-check the relation witness or the geometric verdict of a printed
+`shape-test` report, and the `eisenstein` or `reducible` certificate and
+the face norms of a printed `analyze` report, with code that shares
+nothing with mixbound.
 
 A report prints its witness as k, the coefficients m_i and the quotient
 q, each a polynomial string.  This module reads those strings, and the
@@ -12,8 +13,14 @@ arithmetic or printing cannot also hide itself here.
 For the shape n_1, ..., n_r of the report it checks
   - `relation_found`: q * f = sum m_i u^(k n_i), with the m_i not all 0;
   - `certified_non_mixing`: the same, and every m_i a constant.
-The printed `constant` flag must agree with the coefficients.  The other
-verdicts carry no witness and have nothing to re-check.
+The printed `constant` flag must agree with the coefficients.  For
+  - `geometrically_mixing`: it builds the hull of f's support with its own
+    monotone chain, takes each face's primitive outward normal, and peels
+    the shape in rounds, dropping every point that is the unique
+    maximizer of some normal over the points left; fewer than 2 points
+    must remain.  Whether f is irreducible, which the verdict also
+    needs, is not re-checked.
+`unresolved` carries no witness and has nothing to re-check.
 
 An `analyze` report carries its own `poly` and `prime`.  When its
 `irreducibility` method is `eisenstein`, f is read as sum q_i(u2) u1^i in
@@ -157,6 +164,59 @@ def witness_problems(report, poly, prime):
     if mul(q, f, prime) != relation(shape, k, ms, prime):
         problems.append("quotient * f differs from sum m_i u^(k n_i)")
     return problems
+
+
+def outward_normal(start, end):
+    """The primitive outward normal of the edge start -> end of a
+    counterclockwise polygon, whose interior lies on the left."""
+    (x0, y0), (x1, y1) = start, end
+    g = math.gcd(x1 - x0, y1 - y0)
+    return ((y1 - y0) // g, (x0 - x1) // g)
+
+
+def hull_normals(points):
+    """The primitive outward normals of the faces of the convex hull of
+    points, counterclockwise; [] when the hull is not a polygon."""
+    pts = sorted(set(points))
+
+    def chain(seq):  # keeps left turns only
+        out = []
+        for x, y in seq:
+            while len(out) > 1 and ((out[-1][0] - out[-2][0]) * (y - out[-2][1])
+                                    - (out[-1][1] - out[-2][1]) * (x - out[-2][0])) <= 0:
+                out.pop()
+            out.append((x, y))
+        return out[:-1]
+
+    hull = chain(pts) + chain(reversed(pts))
+    if len(hull) < 3:
+        return []
+    return [outward_normal(a, b) for a, b in zip(hull, hull[1:] + hull[:1])]
+
+
+def geometric_problems(report, poly, prime):
+    """The problems found in a `geometrically_mixing` `shape-test` report
+    for the command's --poly and --prime; [] when peeling the printed
+    shape by the face normals of f's hull leaves fewer than 2 points, or
+    the report is of another kind."""
+    if report.get("kind") != "geometrically_mixing":
+        return []
+    normals = hull_normals(read_poly(poly, prime))
+    if not normals:
+        return ["the hull of f is not a polygon"]
+    left = {tuple(pt) for pt in report["shape"]}
+    while len(left) > 1:
+        peeled = set()
+        for a, b in normals:
+            values = {pt: a * pt[0] + b * pt[1] for pt in left}
+            top = max(values.values())
+            tops = [pt for pt, value in values.items() if value == top]
+            if len(tops) == 1:
+                peeled.add(tops[0])
+        if not peeled:
+            return [f"peeling leaves {len(left)} points: {sorted(left)}"]
+        left -= peeled
+    return []
 
 
 def _trim(a):
@@ -310,9 +370,7 @@ def norm_problems(report):
         return [f"{len(records)} Newton records for {len(faces)} faces"]
     problems = []
     for i, (face, record) in enumerate(zip(faces, records)):
-        (x0, y0), (x1, y1) = face["start"], face["end"]
-        g = math.gcd(x1 - x0, y1 - y0)
-        normal = ((y1 - y0) // g, (x0 - x1) // g)
+        normal = outward_normal(face["start"], face["end"])
         axis = record["valuation"]["coeff_axis"]
         if axis not in (1, 2) or isinstance(axis, bool) or normal[axis - 1] == 0:
             problems.append(f"face {i}: coeff_axis {axis!r} does not fit normal {normal}")
@@ -341,7 +399,8 @@ def main(argv=None):
     elif args.prime is None or args.poly is None:
         parser.error("a shape-test report needs --prime and --poly")
     else:
-        problems = witness_problems(report, args.poly, args.prime)
+        problems = (witness_problems(report, args.poly, args.prime)
+                    + geometric_problems(report, args.poly, args.prime))
     for problem in problems:
         print(problem)
     return 1 if problems else 0

@@ -1151,22 +1151,32 @@ def _first_column_content(content_of):
 ECERT_CATCH = "eisenstein certificate fails re-verification"
 
 
-def _certificate_outcomes(cases):
-    # certify every case under the installed fault, check each certificate
-    # that survives, and tally how each run ended
-    outcomes = Counter()
+def _certify_all(cases):
+    # (f, unfaulted certificate, certificate) for every case, certified
+    # under the installed fault; a run that raises gives its tally key
+    # instead of a certificate
+    runs = []
     for f, before in cases:
         try:
             cert = certify_irreducible(f)
         except RuntimeError as exc:  # WitnessError included
-            outcomes[str(exc)] += 1
-            continue
+            cert = str(exc)
         except Exception as exc:
-            outcomes[type(exc).__name__] += 1
+            cert = type(exc).__name__
+        runs.append((f, before, cert))
+    return runs
+
+
+def _tally(runs):
+    # check each certificate that survived, and tally how each run ended
+    outcomes = Counter()
+    for f, before, cert in runs:
+        if isinstance(cert, str):
+            outcomes[cert] += 1
             continue
+        report = {"prime": f.p, "poly": f.to_string(), "irreducibility": {
+            "method": cert.method, **mixing.METHODS[cert.method].fields(cert)}}
         if cert.method == "eisenstein":
-            report = {"prime": f.p, "poly": f.to_string(), "irreducibility": {
-                "method": "eisenstein", **mixing.METHODS["eisenstein"].fields(cert)}}
             assert recheck.eisenstein_problems(report) == [], f.to_string()
         elif cert.method == "brute_force" and not before.certifies_irreducible:
             # brute force's certificate has no re-check (`METHODS`)
@@ -1174,8 +1184,15 @@ def _certificate_outcomes(cases):
             continue
         elif cert.method == "reducible":
             assert verify_reducible(f, cert), f.to_string()
+            assert recheck.reducible_problems(report) == [], f.to_string()
         outcomes["unchanged" if cert == before else cert.method] += 1
     return dict(outcomes)
+
+
+def _certificate_outcomes(cases):
+    # certify every case under the installed fault, and check and tally
+    # the runs under it
+    return _tally(_certify_all(cases))
 
 
 class TestCertificateFaults:
@@ -1184,9 +1201,10 @@ class TestCertificateFaults:
     certificate, 'unverified', or a certificate that holds.  An Eisenstein
     certificate must pass the outside re-checker, as `verify_eisenstein`
     reads the faulted `columns` and `fp_content` itself, and a factor must
-    multiply back.  Nothing re-checks brute force, so a `brute_force`
-    certificate for an f with no unfaulted proof of irreducibility is
-    tallied as wrong.  The tally pins which check catches each fault first."""
+    multiply back and pass the outside re-checker too.  Nothing re-checks
+    brute force, so a `brute_force` certificate for an f with no unfaulted
+    proof of irreducibility is tallied as wrong.  The tally pins which
+    check catches each fault first."""
 
     @pytest.mark.parametrize("name, fault, tally", [
         ("exponent_columns", _lowered_tops,
@@ -1228,6 +1246,21 @@ class TestCertificateFaults:
         cases = _segment_cases()
         monkeypatch.setattr(mixing, name, fault(getattr(mixing, name)))
         assert _certificate_outcomes(cases) == tally
+
+    # `verify_reducible` multiplies with the product that the fault drops
+    # a term of, so the certificates are checked once the fault is undone:
+    # by the unfaulted `verify_reducible` and by the outside re-checker
+    @pytest.mark.parametrize("cases, tally", [
+        (_certificate_cases,
+         {"unchanged": 1288, "reducible certificate fails re-verification": 12}),
+        (_segment_cases,
+         {"unchanged": 187, "reducible certificate fails re-verification": 133}),
+    ], ids=["corpus-and-random", "segments"])
+    def test_dropped_product_term_is_caught_or_harmless(self, monkeypatch, cases, tally):
+        monkeypatch.setattr(LaurentPoly, "__mul__", _dropped_product_term(LaurentPoly.__mul__))
+        runs = _certify_all(cases())
+        monkeypatch.undo()
+        assert _tally(runs) == tally
 
 
 class TestPrefilter:
@@ -1420,6 +1453,108 @@ class TestPeeling:
                 conditional += 1
                 assert v.kind == GEOMETRICALLY_MIXING and v.conditional, f.to_string()
         assert reducible >= 500, reducible
+
+    def test_recheck_accepts_every_decided_verdict(self):
+        # the differential's pairs again: the outside re-checker peels each
+        # shape that the prefilter decides by f's own hull, and agrees
+        rng = random.Random(2113)
+        pairs, decided = 0, 0
+        while pairs < 2000:
+            p = rng.choice((2, 3, 5))
+            f, shape = self._random_pair(rng, p)
+            hull = geometry.convex_hull(f.support())
+            if len(shape) < 2 or hull.degeneracy != geometry.POLYGON:
+                continue
+            if not certify_irreducible(f, hull).certifies_irreducible:
+                continue
+            pairs += 1
+            v = shape_prefilter(f, shape)
+            if v is not None:
+                decided += 1
+                report = json.loads(json.dumps(verdict_json(v, shape)))
+                assert recheck.geometric_problems(report, f.to_string(), p) == [], shape
+        assert decided == 1294
+
+    def test_decided_shapes_of_unverified_f_carry_no_relation(self):
+        # peeling holds for any irreducible f, so a constant relation on a
+        # shape it decides for an f whose irreducibility is unverified
+        # would prove f reducible: with the prefilter bypassed, the
+        # constant cells find none for k <= 8
+        rng = random.Random(20261020)
+        decided, unverified = 0, 0
+        while decided < 1500:
+            p = rng.choice((2, 3, 5, 7))
+            f, shape = self._random_pair(rng, p)
+            if len(shape) < 2 or geometry.convex_hull(f.support()).degeneracy != geometry.POLYGON:
+                continue
+            v = shape_prefilter(f, shape)
+            if v is None:
+                continue
+            decided += 1
+            if not v.conditional:
+                continue
+            unverified += 1
+            for k in range(1, 9):
+                ms = combination_solve(f, [(k * a, k * b) for a, b in shape], 0)
+                assert ms is None, (f.to_string(), p, shape, k)
+        assert unverified == 200
+
+
+@functools.cache
+def _relation_pairs():
+    # (f, shape, unfaulted verdict): 400 seeded shapes that carry a
+    # constant relation at k = 1, the supports of binomial multiples q f
+    rng = random.Random(7)
+    pairs = []
+    while len(pairs) < 400:
+        p = rng.choice((2, 3, 5, 7))
+        f = random_nonmonomial(rng, p, max_terms=5, span=1)
+        if geometry.convex_hull(f.support()).degeneracy != geometry.POLYGON:
+            continue
+        q = LaurentPoly({(rng.randint(-2, 2), rng.randint(-2, 2)): rng.randint(1, p - 1)
+                         for _ in range(2)}, p)
+        if len(q) == 2:
+            pairs.append((f, sorted((q * f).support())))
+    return [(f, shape, shape_witness_search(f, shape, kmax=1, windows=(0,)))
+            for f, shape in pairs]
+
+
+def _last_face_left_out(faces_of):
+    return lambda poly: faces_of(poly)[:-1]
+
+
+def _first_normal_negated(faces_of):
+    def faulty(poly):
+        fs = faces_of(poly)
+        n1, n2 = fs[0].normal
+        return [fs[0]._replace(normal=(-n1, -n2)), *fs[1:]]
+    return faulty
+
+
+class TestPeelingFaults:
+    """One fault at a time in the face normals that `mixing._prefilter`
+    peels by, over 400 seeded shapes that carry a constant relation, so
+    that no correct peeling decides any of them.  Leaving a face out can
+    only peel less and must give no geometric verdict.  A negated normal
+    gives geometric verdicts that nothing in the process notices; the
+    outside re-checker must flag every one.  The tally pins both."""
+
+    @pytest.mark.parametrize("fault, tally", [
+        (_last_face_left_out, {"unchanged": 400}),
+        (_first_normal_negated, {GEOMETRICALLY_MIXING: 289, "unchanged": 111}),
+    ], ids=["face-left-out", "first-normal-negated"])
+    def test_fault_gives_no_verdict_the_recheck_accepts(self, monkeypatch, fault, tally):
+        cases = _relation_pairs()
+        assert all(before.kind == CERTIFIED_NON_MIXING for _, _, before in cases)
+        monkeypatch.setattr(geometry, "faces", fault(geometry.faces))
+        outcomes = Counter()
+        for f, shape, before in cases:
+            v = shape_witness_search(f, shape, kmax=1, windows=(0,))
+            if v.kind == GEOMETRICALLY_MIXING:
+                report = json.loads(json.dumps(verdict_json(v, shape)))
+                assert recheck.geometric_problems(report, f.to_string(), f.p), shape
+            outcomes["unchanged" if v == before else v.kind] += 1
+        assert dict(outcomes) == tally
 
 
 class TestWitnessSearch:

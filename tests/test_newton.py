@@ -24,7 +24,9 @@ from mixbound.report import build_report, diagnostics_json
 from conftest import (
     L,
     dense_view,
+    diagnostics_by_face_norms,
     face_newton_data_per_face,
+    face_norm_by_direction,
     irreducibles_up_to_degree,
     lower_hull_unshared,
     neg_degree,
@@ -416,9 +418,10 @@ class TestSharedReduction:
         assert len(diag[0].alignments) == faces
         assert calls == {"convex_hull": 2}
 
-    def test_diagnostics_match_per_face_oracle(self, monkeypatch):
+    def test_diagnostics_match_per_face_oracle(self):
         # the alignment table is the same when every face's norm comes from
-        # its own from-scratch reduction instead of the shared polygons
+        # its own from-scratch reduction and every inner product is taken
+        # with that norm instead of the integer normal
         rng = random.Random(20261019)
         cells = [(a, b) for a in range(-4, 5) for b in range(-4, 5)]
         got = []
@@ -436,15 +439,35 @@ class TestSharedReduction:
                 continue
             done += 1
             entries = [(label, rng.sample(cells, rng.randint(2, 5))) for label in (1, 2, 3)]
-            got.append((f, entries, sequence_diagnostics(f, entries)))
-        for f, entries, diag in got:
-            monkeypatch.setattr(
-                newton, "face_norm",
-                lambda fc, f=f: face_newton_data_per_face(f, fc).norm.vector(),
-            )
-            oracle = sequence_diagnostics(f, entries)
+            got.append((f, sequence_diagnostics(f, entries)))
+        for f, diag in got:
+            oracle = diagnostics_by_face_norms(f, diag)
             assert diag == oracle, f.to_string()
             assert json.dumps(diagnostics_json(diag)) == json.dumps(diagnostics_json(oracle))
+
+    def test_coeff_entry_gives_every_face_its_norm(self):
+        # the one rule, the normal's entry on u2 or else on u1, picks the
+        # same entry as the face's direction does, on every face of 1000
+        # seeded hulls, segments included
+        rng = random.Random(20261022)
+        vertical = wide = done = 0
+        while done < 1000:
+            hull = geometry.convex_hull(
+                [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(2, 7))])
+            if hull.degeneracy == geometry.POINT:
+                continue
+            done += 1
+            for face in geometry.faces(hull):
+                n1, n2 = face.normal
+                entry = face.coeff_entry
+                assert entry != 0
+                assert (Fraction(n1, abs(entry)), Fraction(n2, abs(entry))) == (
+                    face_norm_by_direction(face)), face
+                # and its sign is the inversion face_newton_data applies
+                assert entry == (n1 if face.direction[0] == 0 else n2), face
+                vertical += face.direction[0] == 0
+                wide += abs(entry) > 1
+        assert vertical > 100 and wide > 100, (vertical, wide)
 
 
 def _negated_coeff_log(monkeypatch):

@@ -2,7 +2,9 @@
 
 Every `shape-test` op pinned in `perfbench/expected.json`, and a seeded
 run of certified searches over small random polygons, print reports whose
-witness the re-checker accepts; altered reports fail it.  Every
+witness the re-checker accepts; altered reports fail it.  Its own peeling
+accepts every `geometrically_mixing` verdict of the CLI tests and of the
+pinned op, and flags shapes that do not peel.  Every
 `eisenstein` certificate of the `corpus` inputs, of the paper's examples
 and of seeded random inputs passes its Eisenstein re-check, which agrees
 with `mixing.verify_eisenstein` on altered certificates.  The `reducible`
@@ -109,6 +111,49 @@ def test_tampered_report_fails(capsys):
     assert recheck.witness_problems(_tampered(report, constant=True), poly, p)
 
 
+# every geometrically_mixing verdict of the CLI tests, and the pinned
+# op's; the poly is the command's own
+GEOMETRIC_CASES = [
+    ("2", "1+u1+u2+u2^2", "(0,0);(1,0);(0,1)"),
+    ("2", "1+u1+u2", "(0,0);(1,1)", "--kmax", "2", "--windows", "0"),
+    ("2", "1+u1+u2", "(0,0);(-1,0);(0,-1)"),
+    ("2", "1+u1+u2", "(0,0);(1,0);(2,0)"),
+    ("5", "1+u1^2+u2^2+u1*u2^3", "(0,0);(1,0);(2,0);(0,1)"),
+]
+
+
+@pytest.mark.parametrize("case", GEOMETRIC_CASES, ids=lambda case: case[2])
+def test_geometric_verdicts_recheck(case, capsys):
+    p, poly, shape, *budget = case
+    out, _, _ = shape_test(capsys, "--prime", p, "--poly", poly, "--shape", shape, *budget)
+    report = json.loads(out)
+    assert report["kind"] == "geometrically_mixing"
+    assert recheck.geometric_problems(report, poly, int(p)) == []
+
+
+def test_pinned_geometric_report_rechecks(capsys):
+    op = next(op for op in SHAPE_OPS if op.id == "shape-quartic-unit-triangle")
+    out, poly, p = shape_test(capsys, *op.argv[1:])
+    report = json.loads(out)
+    assert report["kind"] == "geometrically_mixing"
+    assert recheck.geometric_problems(report, poly, p) == []
+
+
+def test_unpeelable_geometric_report_fails(capsys):
+    # f's support, and a shape that peels down to it, keep 3 points; a
+    # segment f has no face norms
+    out, poly, p = shape_test(capsys, "--prime", "2", "--poly", "1+u1+u2",
+                              "--shape", "(0,0);(1,0);(2,0)")
+    report = json.loads(out)
+    assert recheck.geometric_problems(report, poly, p) == []
+    for shape in ([[0, 0], [1, 0], [0, 1]], [[0, 0], [1, 0], [0, 1], [1, 1]]):
+        problems = recheck.geometric_problems({**report, "shape": shape}, poly, p)
+        assert problems and problems[0].startswith("peeling leaves"), shape
+    assert recheck.geometric_problems(report, "1+u1^2", p) == ["the hull of f is not a polygon"]
+    # the peeling needs the verdict: other kinds are the witness check's
+    assert recheck.geometric_problems({**report, "kind": "unresolved"}, "1+u1^2", p) == []
+
+
 @pytest.mark.parametrize(
     "text, terms",
     [
@@ -141,6 +186,18 @@ def test_script_exit_codes(capsys):
         for text in (out, bad)
     ]
     assert codes == [0, 1]
+
+
+def test_script_checks_geometric_verdicts(monkeypatch, capsys):
+    out, poly, p = shape_test(capsys, "--prime", "2", "--poly", "1+u1+u2",
+                              "--shape", "(0,0);(-1,0);(0,-1)")
+    bad = json.dumps({**json.loads(out), "shape": [[0, 0], [1, 0], [0, 1]]})
+    codes = []
+    for text in (out, bad):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        codes.append(recheck.main(["--prime", str(p), "--poly", poly]))
+    assert codes == [0, 1]
+    assert capsys.readouterr().out.startswith("peeling leaves 3 points")
 
 
 def analyze_report(f):

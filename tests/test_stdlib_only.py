@@ -120,6 +120,35 @@ def test_shape_test_and_voloch_scan_load_no_newton_layer(argv):
     assert loaded & {"mixbound.newton", "mixbound.report", "fractions"} == set()
 
 
+def test_mixing_imports_nothing_from_newton():
+    # mixing reads each face's norm off `geometry.Face.coeff_entry`, so it
+    # depends on geometry, fieldpoly and laurent alone, at every level
+    path = SRC / "mixing.py"
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            names = [f"mixbound.{node.module or alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module]
+        else:
+            continue
+        modules.update(name.split(".")[1] for name in names if name.startswith("mixbound."))
+    assert modules == {"geometry", "fieldpoly", "laurent"}
+
+
+def test_sequence_diagnostics_loads_no_newton():
+    loaded = _loaded_by(
+        "from mixbound.laurent import LaurentPoly\n"
+        "from mixbound.mixing import sequence_diagnostics\n"
+        "f = LaurentPoly({(0, 0): 1, (1, 0): 1, (0, 1): 1}, 2)\n"
+        "assert len(sequence_diagnostics(f, [(1, [(0, 0), (1, 0), (0, 1)])])) == 1\n"
+    )
+    assert "mixbound.mixing" in loaded and "fractions" in loaded
+    assert "mixbound.newton" not in loaded
+
+
 def test_every_module_level_definition_is_used():
     # a function, class or constant that nothing in the package reads,
     # reads as an attribute or imports is dead code; dunder names such as
