@@ -105,12 +105,13 @@ def eisenstein_certify(f: LaurentPoly):
     of c, degree 1 first.  Returns the first success in the order
     (main_axis, inverted) = (1, False), (1, True), (2, False), (2, True).
 
-    `laurent.exponent_columns` gives, per main axis, each nonzero q_i's
-    term count and lowest and highest u2-exponent.  When some q_i below
-    q_n is a monomial a u2^k, c divides u2^k, so c = u2^m with m the least
-    u2-order below q_n: g = u2 is the one candidate, and it certifies
-    exactly when m > 0, ord q_n = 0 and ord q_0 < 2, read off the
-    exponents.  Only the other plain orientations are read by
+    `laurent.exponent_columns` gives, per main axis, the u2-exponents of
+    each nonzero q_i, as f has them.  When some q_i below q_n is a
+    monomial a u2^k, c divides u2^k, so c is a power of u2 and g = u2 is
+    the one candidate.  It certifies exactly when q_n holds f's least
+    u2-exponent, q_0 one more, and no q_i below q_n fewer than q_0: in the
+    normalized view that is u2 | c, u2 not dividing q_n and u2^2 not
+    dividing q_0.  Only the other plain orientations are read by
     `laurent.columns`; there a constant c takes no gcd.
 
     The inverted orientation, u2 -> 1/u2, needs no view.  It turns each
@@ -121,8 +122,8 @@ def eisenstein_certify(f: LaurentPoly):
     certifies the inverted orientation only where the plain one, tried
     first, is certified.  Left is g = u2 at infinity, the place of the
     degree norm: once the plain orientation has gcd(c, q_n) = 1 (as it
-    has when c = u2^m), the rule above decides it on the orders
-    D - deg q_0, D - deg q_n and D - max deg q_i (i < n).
+    has when c is a power of u2), the rule above on f's greatest
+    u2-exponents, with one less in place of one more, decides it.
     """
     if f.is_zero() or f.is_monomial():
         raise DegenerateInput("Eisenstein needs a non-monomial, nonzero polynomial")
@@ -133,22 +134,15 @@ def eisenstein_certify(f: LaurentPoly):
         if first == top:
             continue
         q0, qn = cols[first], cols.pop(top)
-        low = min(es[0] for es in cols.values())
-        high = max(es[-1] for es in cols.values())
-        # u2-exponents run from base to peak; the u2-orders of q_0, q_n and
-        # c = u2^m at u2 = 0, then at u2 = infinity, decide g = u2 there
-        base, peak = min(low, qn[0]), max(high, qn[-1])
-        at_zero, at_infinity = (
-            FpPoly.x(f.p) if m > 0 and ord_n == 0 and ord_0 < 2 else None
-            for ord_0, ord_n, m in ((q0[0] - base, qn[0] - base, low - base),
-                                    (peak - q0[-1], peak - qn[-1], peak - high))
-        )
+        # g = u2 at u2 = 0, then at u2 = infinity, on f's u2-exponents
+        at_zero = min(es[0] for es in cols.values()) == q0[0] == qn[0] + 1
+        at_infinity = max(es[-1] for es in cols.values()) == q0[-1] == qn[-1] - 1
         if any(len(es) == 1 for es in cols.values()):
-            g, coprime = at_zero, True
+            g, coprime = FpPoly.x(f.p) if at_zero else None, True
         else:
             g, coprime = _eisenstein_prime(columns(f, swap=swap))
         inverted = g is None and coprime
-        g = at_infinity if inverted else g
+        g = FpPoly.x(f.p) if inverted and at_infinity else g
         if g is not None:
             return IrreducibilityCertificate("eisenstein", main_axis, inverted, g)
     return None
@@ -157,15 +151,16 @@ def eisenstein_certify(f: LaurentPoly):
 def _eisenstein_prime(cols):
     # (g, coprime) on the columns q_0, ..., q_n of a view with n >= 1: the
     # first candidate g meeting the criterion, or None, and whether
-    # gcd(c, q_n) = 1.  From degree 4 on, trial division of c could draw
-    # all p^2 quadratics; its part gcd(c, t^(p^2) - t), the product of its
+    # gcd(c, q_n) = 1.  c's part gcd(c, t^(p^2) - t), the product of its
     # distinct factors of degree <= 2, has the same candidates in the same
-    # order
+    # order.  From degree 3 on, c may hold a factor of degree > 2 that the
+    # part leaves out, where trial division of c would draw all p linears
+    # (and from degree 4 all p^2 quadratics)
     n = max(cols)
     c = fp_content(q for i, q in cols.items() if i != n)
     if c.degree == 0 or fp_gcd(c, cols[n]).degree > 0:
         return None, c.degree == 0
-    if c.degree >= 4:
+    if c.degree > 2:
         t = FpPoly.x(c.p)
         c = fp_gcd(c, pow(pow(t, c.p, c), c.p, c) - t)
     for g, _ in irreducible_factors(c, 2):
